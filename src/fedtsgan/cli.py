@@ -48,8 +48,19 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _write_manifest(out: Path, cfg: ExperimentConfig, extra: dict | None = None):
-    manifest = {
+def _write_manifest(
+    out: Path, cfg: ExperimentConfig, extra: dict | None = None, merge: bool = False
+):
+    """Write the run's manifest; with ``merge`` the keys of an existing
+    manifest in ``out`` (say, a training run's) are kept unless overwritten."""
+    path = out / "manifest.json"
+    manifest = {}
+    if merge and path.exists():
+        try:
+            manifest = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ConfigError(f"unreadable manifest {path}: {exc}") from exc
+    manifest |= {
         "version": __version__,
         "config_sha256": hashlib.sha256(cfg.raw_text.encode()).hexdigest(),
         "dataset_seed": cfg.dataset.get("seed"),
@@ -57,7 +68,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, extra: dict | None = None)
     }
     manifest.update(extra or {})
     (out / "config.ini").write_text(cfg.raw_text)
-    with open(out / "manifest.json", "w") as fh:
+    with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -195,6 +206,14 @@ def cmd_evaluate(args) -> int:
 
     report: dict = {"metrics": {}}
     wanted = [m.strip() for m in ev.get("metrics", "awd").split(",") if m.strip()]
+    no_frequencies = dataset.frequencies() is None
+    if ("amplitude_awd" in wanted and no_frequencies) or (
+        "mae" in wanted and no_frequencies and synth.frequencies() is None
+    ):
+        raise ConfigError(
+            "amplitude_awd and mae need the sine frequencies; "
+            "give the csv dataset a sidecar that lists them"
+        )
     if "awd" in wanted:
         value, cells = metrics.awd_breakdown(dataset, synth)
         report["metrics"]["awd"] = value
@@ -232,7 +251,7 @@ def cmd_evaluate(args) -> int:
     with open(out / "evaluation.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out, cfg)
+    _write_manifest(out, cfg, merge=True)
     print(json.dumps(report["metrics"], indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -275,6 +294,8 @@ def cmd_audit(args) -> int:
     dataset = build_dataset(cfg)
     au = cfg.audit
     out = _out_dir(cfg)
+    # every shadow federation trains under the same calibrated mechanism
+    extra = _resolve_dp(cfg, dataset.n_samples)
     audit_cfg = audit_mod.AuditConfig(
         shadow_pairs=int(au.get("shadow_pairs", 10)),
         knn_k=int(au.get("knn_k", 5)),
@@ -326,7 +347,7 @@ def cmd_audit(args) -> int:
         for world, feats in ((0, report.features_world0), (1, report.features_world1)):
             for f in feats:
                 writer.writerow([world, f"{f:.17g}"])
-    _write_manifest(out, cfg)
+    _write_manifest(out, cfg, extra)
     print(f"target {report.target_index} ({selector}): auc {report.auc:.4f}")
     return EXIT_OK
 

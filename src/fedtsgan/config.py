@@ -148,12 +148,15 @@ def build_dataset(cfg: ExperimentConfig) -> TimeSeriesDataset:
         meta = load_sidecar(ds["sidecar"]) if "sidecar" in ds else None
         return load_csv(ds["path"], meta)
     gen = gen_sine2 if kind == "sine2" else gen_sine6
-    kwargs = {}
-    if "noise_std" in ds:
-        kwargs["noise_std"] = float(ds["noise_std"])
-    return gen(
-        n_per_class=int(ds.get("n_per_class", 512)),
-        t_steps=int(ds.get("t_steps", 100)),
-        seed=int(ds["seed"]),
-        **kwargs,
-    )
+    try:
+        kwargs = {}
+        if "noise_std" in ds:
+            kwargs["noise_std"] = float(ds["noise_std"])
+        return gen(
+            n_per_class=int(ds.get("n_per_class", 512)),
+            t_steps=int(ds.get("t_steps", 100)),
+            seed=int(ds["seed"]),
+            **kwargs,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad [dataset] section: {exc}") from exc

@@ -54,9 +54,11 @@ def clip_first_layer(grads: GradientSet, clip: float) -> GradientSet:
     scale = max(1.0, norm / clip)
     if scale > 1.0:
         w, b = grads.first_layer()
+        out_w, out_b = out.first_layer()
         while True:
-            out.d_weights[0] = w / scale
-            out.d_biases[0] = b / scale
+            # in place: the views share storage with out.flat, which Adam reads
+            np.divide(w, scale, out=out_w)
+            np.divide(b, scale, out=out_b)
             if first_layer_norm(out) <= clip:
                 break
             scale = math.nextafter(scale, math.inf)

@@ -367,7 +367,9 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
 
         # feature extractors descend beta2 * E[log(1 - D_S(fake features))]
         fe_loss = float(cfg.beta2 * log1m_f.mean())
-        _, feat_grad = nn.backward(state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b)
+        _, feat_grad = nn.backward(
+            state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
+        )
         offset = 0
         for p, tr_fe_f, width in zip(state.parties, fe_traces_f, widths):
             g_slice = feat_grad[:, offset : offset + width]
@@ -429,7 +431,7 @@ def generator_step(state: FederationState, z: np.ndarray) -> dict:
             tr_d = nn.forward(disc, fakes[(p.party_id, attr)])
             term, dterm = _fooling_term(tr_d.output, cfg.non_saturating)
             losses[f"g_{p.party_id}_{attr}"] = term
-            _, g_local = nn.backward(disc, tr_d, dterm / b)
+            _, g_local = nn.backward(disc, tr_d, dterm / b, params=False)
             out_grads[(p.party_id, attr)] = g_local
 
     shared_term = 0.0
@@ -443,13 +445,15 @@ def generator_step(state: FederationState, z: np.ndarray) -> dict:
             state.log.log(state.iteration, "party->server", p.party_id, "feature", tr_fe.output)
         tr_ds = nn.forward(state.shared_disc, np.concatenate(feat_fake, axis=1))
         shared_term, dshared = _fooling_term(tr_ds.output, cfg.non_saturating)
-        _, feat_grad = nn.backward(state.shared_disc, tr_ds, cfg.beta1 * dshared / b)
+        _, feat_grad = nn.backward(
+            state.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False
+        )
         offset = 0
         for p, tr_fe, width in zip(state.parties, fe_traces, widths):
             g_slice = feat_grad[:, offset : offset + width]
             offset += width
             state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
-            _, x_grad = nn.backward(p.feature_extractor, tr_fe, g_slice)
+            _, x_grad = nn.backward(p.feature_extractor, tr_fe, g_slice, params=False)
             x_grad = x_grad.reshape(b, p.attribute_indices.__len__(), state.t_steps)
             for j, attr in enumerate(p.attribute_indices):
                 out_grads[(p.party_id, attr)] += x_grad[:, j, :]
@@ -461,7 +465,7 @@ def generator_step(state: FederationState, z: np.ndarray) -> dict:
         x_fake = np.concatenate([_party_block(state, p, fakes) for p in state.parties], axis=1)
         tr_c = nn.forward(state.shared_disc, x_fake)
         shared_term, dshared = _fooling_term(tr_c.output, cfg.non_saturating)
-        _, x_grad = nn.backward(state.shared_disc, tr_c, cfg.lam * dshared / b)
+        _, x_grad = nn.backward(state.shared_disc, tr_c, cfg.lam * dshared / b, params=False)
         offset = 0
         for p in state.parties:
             block = x_grad[:, offset : offset + p.attribute_indices.__len__() * state.t_steps]

@@ -7,6 +7,14 @@ shared state, so they can be moved between threads freely.
 
 Weight convention: ``weight`` has shape (out, in) and a batch row vector x
 maps to ``x @ weight.T + bias``.
+
+Storage: each model owns one contiguous float64 vector ``params`` laid out
+layer by layer as [w0, b0, w1, b1, ...], and every ``Layer.weight`` and
+``Layer.bias`` is a view into it. Gradient sets and Adam moments use the same
+layout, so an Adam step, gradient accumulation and the first-layer gradient
+vector are each a few operations on one vector. Change parameters in place
+(``layer.weight[...] = ...``); rebinding a layer's array detaches it from the
+model.
 """
 
 from __future__ import annotations
@@ -64,9 +72,56 @@ class Layer:
         return self.weight.shape[0]
 
 
+Shapes = tuple[tuple[int, int], ...]  # (out, in) of each layer's weight
+
+
+def _pack(weights, biases) -> tuple[np.ndarray, Shapes]:
+    """Copy per-layer weights and biases into one fresh [w0, b0, w1, b1, ...]
+    vector."""
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    if len(weights) != len(biases):
+        raise ShapeError("need one bias per weight")
+    for w, b in zip(weights, biases):
+        if w.ndim != 2 or b.shape != (w.shape[0],):
+            raise ShapeError(f"weight {w.shape} and bias {b.shape} do not form a layer")
+    flat = np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
+    return flat, tuple(w.shape for w in weights)
+
+
+class _Views(list):
+    """Per-layer views into one flat vector. Assigning an item copies into
+    the view, so the vector stays the only storage (``g.d_weights[0] = w``
+    and ``g.d_weights[0] += w`` both land in ``g.flat``)."""
+
+    def __setitem__(self, i, value):
+        view = list.__getitem__(self, i)
+        if value is not view:
+            view[...] = value
+
+
+def _split(flat: np.ndarray, shapes: Shapes) -> tuple[_Views, _Views]:
+    """Per-layer weight and bias views of a [w0, b0, w1, b1, ...] vector."""
+    weights, biases = _Views(), _Views()
+    start = 0
+    for out_dim, in_dim in shapes:
+        mid = start + out_dim * in_dim
+        weights.append(flat[start:mid].reshape(out_dim, in_dim))
+        start = mid + out_dim
+        biases.append(flat[mid:start])
+    return weights, biases
+
+
 @dataclass
 class MlpModel:
+    """Layers whose arrays are views into the model's own ``params`` vector.
+
+    Construction copies the given layers' arrays into a fresh vector and
+    rebuilds the layers on top of it, so no two models share storage."""
+
     layers: list[Layer]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    shapes: Shapes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -79,6 +134,13 @@ class MlpModel:
         for i, layer in enumerate(self.layers):
             if not (np.isfinite(layer.weight).all() and np.isfinite(layer.bias).all()):
                 raise NonFiniteError(f"non-finite parameter in layer {i}")
+        self.params, self.shapes = _pack(
+            [l.weight for l in self.layers], [l.bias for l in self.layers]
+        )
+        weights, biases = _split(self.params, self.shapes)
+        self.layers = [
+            Layer(w, b, l.activation, l.slope) for l, w, b in zip(self.layers, weights, biases)
+        ]
 
     @property
     def in_dim(self) -> int:
@@ -89,51 +151,53 @@ class MlpModel:
         return self.layers[-1].out_dim
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            [
-                Layer(l.weight.copy(), l.bias.copy(), l.activation, l.slope)
-                for l in self.layers
-            ]
-        )
+        return MlpModel(self.layers)
 
     def param_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.params.size
 
 
-@dataclass
 class GradientSet:
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    """Parameter gradients laid out like a model's ``params``: ``flat`` is
+    one vector and ``d_weights``/``d_biases`` are per-layer views into it.
+
+    Built from per-layer arrays, the set copies them into its own vector."""
+
+    __slots__ = ("flat", "shapes", "d_weights", "d_biases")
+
+    def __init__(self, d_weights, d_biases):
+        self.flat, self.shapes = _pack(d_weights, d_biases)
+        self.d_weights, self.d_biases = _split(self.flat, self.shapes)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes: Shapes) -> "GradientSet":
+        """Wrap an existing vector without copying it."""
+        grads = cls.__new__(cls)
+        grads.flat, grads.shapes = flat, shapes
+        grads.d_weights, grads.d_biases = _split(flat, shapes)
+        return grads
 
     def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
         return self.d_weights[0], self.d_biases[0]
 
     def first_layer_vector(self) -> np.ndarray:
-        """First-layer weight and bias gradients flattened to one vector."""
-        return np.concatenate([self.d_weights[0].ravel(), self.d_biases[0]])
+        """First-layer weight and bias gradients as one vector: a view of
+        the leading part of ``flat``."""
+        out_dim, in_dim = self.shapes[0]
+        return self.flat[: out_dim * (in_dim + 1)]
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(g).all() for g in self.d_weights) and all(
-            np.isfinite(g).all() for g in self.d_biases
-        )
+        return bool(np.isfinite(self.flat).all())
 
     def copy(self) -> "GradientSet":
-        return GradientSet(
-            [g.copy() for g in self.d_weights], [g.copy() for g in self.d_biases]
-        )
+        return GradientSet.from_flat(self.flat.copy(), self.shapes)
 
     def add_(self, other: "GradientSet") -> "GradientSet":
-        for a, b in zip(self.d_weights, other.d_weights):
-            a += b
-        for a, b in zip(self.d_biases, other.d_biases):
-            a += b
+        self.flat += other.flat
         return self
 
     def scale_(self, c: float) -> "GradientSet":
-        for g in self.d_weights:
-            g *= c
-        for g in self.d_biases:
-            g *= c
+        self.flat *= c
         return self
 
 
@@ -154,20 +218,14 @@ class ActivationTrace:
 
 
 def zero_gradients(model: MlpModel) -> GradientSet:
-    return GradientSet(
-        [np.zeros_like(l.weight) for l in model.layers],
-        [np.zeros_like(l.bias) for l in model.layers],
-    )
+    return GradientSet.from_flat(np.zeros_like(model.params), model.shapes)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form never exponentiates a positive argument
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exponentiates only -|x|: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
 def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
@@ -176,6 +234,9 @@ def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
     if tag == "relu":
         return np.maximum(x, 0.0)
     if tag == "leaky_relu":
+        if 0.0 <= slope <= 1.0:
+            # same values as the where form, including signed zeros and NaN
+            return np.maximum(x, slope * x)
         return np.where(x >= 0.0, x, slope * x)
     if tag == "tanh":
         return np.tanh(x)
@@ -184,17 +245,20 @@ def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
     raise ValueError(tag)
 
 
-def _act_grad(tag: str, pre: np.ndarray, post: np.ndarray, slope: float) -> np.ndarray:
+def _act_backward(
+    tag: str, pre: np.ndarray, post: np.ndarray, slope: float, delta: np.ndarray
+) -> np.ndarray:
+    """delta times the activation's derivative at ``pre``."""
     if tag == "identity":
-        return np.ones_like(pre)
+        return delta
     if tag == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return delta * (pre > 0.0)
     if tag == "leaky_relu":
-        return np.where(pre >= 0.0, 1.0, slope)
+        return np.where(pre >= 0.0, delta, slope * delta)
     if tag == "tanh":
-        return 1.0 - post * post
+        return delta * (1.0 - post * post)
     if tag == "sigmoid":
-        return post * (1.0 - post)
+        return delta * (post * (1.0 - post))
     raise ValueError(tag)
 
 
@@ -219,7 +283,8 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
     trace = ActivationTrace(model=model, batch=batch)
     x = batch
     for layer in model.layers:
-        pre = x @ layer.weight.T + layer.bias
+        pre = x @ layer.weight.T
+        pre += layer.bias
         post = _act(layer.activation, pre, layer.slope)
         trace.pre.append(pre)
         trace.post.append(post)
@@ -228,12 +293,15 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
 
 
 def backward(
-    model: MlpModel, trace: ActivationTrace, output_grad: np.ndarray
-) -> tuple[GradientSet, np.ndarray]:
+    model: MlpModel, trace: ActivationTrace, output_grad: np.ndarray, params: bool = True
+) -> tuple[GradientSet | None, np.ndarray]:
     """Backpropagate d(sum_B <output, output_grad>) through the model.
 
     Returns the parameter gradients and the gradient with respect to the
     input batch, so updates can flow further back through composed models.
+    With ``params=False`` only the input gradient is computed and the
+    parameter gradients come back as None: the pathway through a model that
+    is not being updated.
     """
     if trace.model is not model:
         raise TraceMismatchError("trace was produced by a different model")
@@ -243,32 +311,33 @@ def backward(
             f"output_grad shape {output_grad.shape} != output shape {trace.output.shape}"
         )
 
-    d_weights: list[np.ndarray] = [None] * len(model.layers)  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * len(model.layers)  # type: ignore[list-item]
-
+    grads = GradientSet.from_flat(np.empty_like(model.params), model.shapes) if params else None
     delta = output_grad
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        delta = delta * _act_grad(layer.activation, trace.pre[i], trace.post[i], layer.slope)
-        below = trace.post[i - 1] if i > 0 else trace.batch
-        d_weights[i] = delta.T @ below
-        d_biases[i] = delta.sum(axis=0)
+        delta = _act_backward(layer.activation, trace.pre[i], trace.post[i], layer.slope, delta)
+        if grads is not None:
+            below = trace.post[i - 1] if i > 0 else trace.batch
+            np.matmul(delta.T, below, out=grads.d_weights[i])
+            np.add.reduce(delta, axis=0, out=grads.d_biases[i])
         delta = delta @ layer.weight
 
-    return GradientSet(d_weights, d_biases), delta
+    return grads, delta
 
 
 @dataclass
 class AdamState:
+    """Adam hyperparameters, step count and moments; ``m`` and ``v`` are laid
+    out like the model's ``params``."""
+
     lr: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
+    shapes: Shapes = ()
 
     @classmethod
     def for_model(
@@ -285,40 +354,51 @@ class AdamState:
             beta2=beta2,
             eps=eps,
             t=0,
-            m_weights=[np.zeros_like(l.weight) for l in model.layers],
-            m_biases=[np.zeros_like(l.bias) for l in model.layers],
-            v_weights=[np.zeros_like(l.weight) for l in model.layers],
-            v_biases=[np.zeros_like(l.bias) for l in model.layers],
+            m=np.zeros_like(model.params),
+            v=np.zeros_like(model.params),
+            shapes=model.shapes,
         )
+
+    @property
+    def m_weights(self) -> list[np.ndarray]:
+        """Per-layer weight views of the first moment."""
+        return _split(self.m, self.shapes)[0]
 
 
 def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:
-    """One Adam update with bias correction, in place.
+    """One Adam update with bias correction, in place, over the whole
+    parameter vector at once.
 
     Non-finite gradients are rejected before anything is touched, so the
     model is unchanged on error.
     """
-    if len(grads.d_weights) != len(model.layers):
-        raise ShapeError("gradient set has wrong layer count")
-    for layer, dw, db in zip(model.layers, grads.d_weights, grads.d_biases):
-        if dw.shape != layer.weight.shape or db.shape != layer.bias.shape:
-            raise ShapeError("gradient shapes do not match model")
+    if grads.shapes != model.shapes:
+        raise ShapeError("gradient shapes do not match model")
     if not grads.is_finite():
         raise NonFiniteError("non-finite gradient; model left unchanged")
 
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for i, layer in enumerate(model.layers):
-        for param, g, m, v in (
-            (layer.weight, grads.d_weights[i], state.m_weights[i], state.v_weights[i]),
-            (layer.bias, grads.d_biases[i], state.m_biases[i], state.v_biases[i]),
-        ):
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            param -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    g, m, v = grads.flat, state.m, state.v
+    # Each line is one rounding of the textbook update, in its order, so the
+    # result is bit-equal to applying it tensor by tensor.
+    # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+    buf = np.multiply(g, 1.0 - state.beta1)
+    m *= state.beta1
+    m += buf
+    np.multiply(g, 1.0 - state.beta2, out=buf)
+    buf *= g
+    v *= state.beta2
+    v += buf
+    # params -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+    np.divide(m, bc1, out=buf)
+    buf *= state.lr
+    den = np.divide(v, bc2)
+    np.sqrt(den, out=den)
+    den += state.eps
+    buf /= den
+    model.params -= buf
 
 
 def init_mlp(

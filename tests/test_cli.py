@@ -165,6 +165,21 @@ class TestEvaluate:
         assert set(report["metrics"]) >= {"awd", "mae", "pca_explained_ratio"}
         assert (out / "pca_coords.csv").exists()
 
+    def test_evaluate_keeps_the_training_manifest(self, tmp_path):
+        cfg, out = write_config(
+            tmp_path,
+            sections="\n[dp]\nclip = 1.0\nepsilon = 10\ndelta = 1e-3\n"
+            "\n[eval]\nmetrics = awd\nseed = 2\nsynth_samples = 8\n",
+        )
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        trained = json.loads((out / "manifest.json").read_text())
+        rc = cli.main(
+            ["evaluate", "--config", str(cfg), "--checkpoint", str(out / "best_generators.npz")]
+        )
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text()) == trained
+        assert {"best_awd", "best_iteration", "diverged", "topology", "calibration"} <= set(trained)
+
     def test_missing_checkpoint_is_config_error(self, tmp_path):
         cfg, _ = write_config(tmp_path, sections="\n[eval]\nmetrics = awd\n")
         assert cli.main(["evaluate", "--config", str(cfg)]) == 2
@@ -217,6 +232,29 @@ dir = {out}
         assert 0.0 <= report["auc"] <= 1.0
         rows = list(csv.DictReader(open(Path(out) / "audit_features.csv")))
         assert len(rows) == 4
+
+
+    def test_budget_mode_protects_every_shadow_run(self, tmp_path, monkeypatch):
+        from fedtsgan import federation
+
+        calls = []
+        real = federation.perturb_first_layer
+
+        def counting(grads, clip, sigma, rng):
+            calls.append(sigma)
+            return real(grads, clip, sigma, rng)
+
+        monkeypatch.setattr(federation, "perturb_first_layer", counting)
+        cfg, out = write_config(
+            tmp_path,
+            sections="\n[dp]\nclip = 1.0\nepsilon = 10\ndelta = 1e-3\n"
+            "\n[audit]\nshadow_pairs = 2\nknn_k = 1\nseed = 4\nsynth_samples = 4\n",
+        )
+        assert cli.main(["audit", "--config", str(cfg)]) == 0
+        cal = json.loads((out / "manifest.json").read_text())["calibration"]
+        assert cal["gamma"] == 4 / 16 and cal["achieved_epsilon"] <= 10.0
+        # 4 shadow runs x 3 iterations x (2 discriminators + 2 extractors)
+        assert calls == [cal["sigma"]] * 48
 
 
 class TestAccount:
@@ -277,3 +315,57 @@ class TestPipelineDeterminism:
             cli.main(["evaluate", "--config", str(cfg)])
             snapshots.append({f: (out / f).read_bytes() for f in files})
         assert snapshots[0] == snapshots[1]
+
+
+def run_cli(*argv):
+    """The installed entry point in a fresh interpreter: (exit code, stderr)."""
+    import os
+    import subprocess
+    import sys
+
+    import fedtsgan
+
+    env = dict(os.environ, PYTHONPATH=str(Path(fedtsgan.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedtsgan.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestUserErrorsExitTwo:
+    def test_non_integer_sample_count(self, tmp_path):
+        cfg, _ = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("n_per_class = 8", "n_per_class = x"))
+        code, err = run_cli("gen-data", "--config", str(cfg))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_amplitude_metric_on_csv_without_sidecar(self, tmp_path):
+        arr = np.sin(np.linspace(0, 3, 6))[None, None, :] * np.arange(1, 5)[:, None, None]
+        data.save_csv(data.TimeSeriesDataset(arr), tmp_path / "plain.csv")
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(
+            f"""
+[dataset]
+kind = csv
+path = {tmp_path / 'plain.csv'}
+
+[partition]
+party_0 = 0
+
+[train]
+seed = 1
+
+[eval]
+control = identity
+metrics = awd, amplitude_awd
+
+[output]
+dir = {tmp_path / 'out'}
+"""
+        )
+        code, err = run_cli("evaluate", "--config", str(cfg))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1

@@ -207,13 +207,10 @@ def cmd_evaluate(args) -> int:
     report: dict = {"metrics": {}}
     wanted = [m.strip() for m in ev.get("metrics", "awd").split(",") if m.strip()]
     no_frequencies = dataset.frequencies() is None
-    if ("amplitude_awd" in wanted and no_frequencies) or (
-        "mae" in wanted and no_frequencies and synth.frequencies() is None
-    ):
-        raise ConfigError(
-            "amplitude_awd and mae need the sine frequencies; "
-            "give the csv dataset a sidecar that lists them"
-        )
+    if "amplitude_awd" in wanted and no_frequencies:
+        raise ConfigError("amplitude_awd needs a csv sidecar that lists the sine frequencies")
+    if "mae" in wanted and no_frequencies and synth.frequencies() is None:
+        raise ConfigError("mae needs a csv sidecar or checkpoint that lists the sine frequencies")
     if "awd" in wanted:
         value, cells = metrics.awd_breakdown(dataset, synth)
         report["metrics"]["awd"] = value
@@ -294,7 +291,8 @@ def cmd_audit(args) -> int:
     dataset = build_dataset(cfg)
     au = cfg.audit
     out = _out_dir(cfg)
-    # every shadow federation trains under the same calibrated mechanism
+    # every shadow federation trains under the mechanism a release of the
+    # full dataset would be calibrated to
     extra = _resolve_dp(cfg, dataset.n_samples)
     audit_cfg = audit_mod.AuditConfig(
         shadow_pairs=int(au.get("shadow_pairs", 10)),

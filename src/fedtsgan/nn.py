@@ -283,8 +283,7 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
     trace = ActivationTrace(model=model, batch=batch)
     x = batch
     for layer in model.layers:
-        pre = x @ layer.weight.T
-        pre += layer.bias
+        pre = x @ layer.weight.T + layer.bias
         post = _act(layer.activation, pre, layer.slope)
         trace.pre.append(pre)
         trace.post.append(post)

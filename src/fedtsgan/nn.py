@@ -292,15 +292,19 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
 
 
 def backward(
-    model: MlpModel, trace: ActivationTrace, output_grad: np.ndarray, params: bool = True
-) -> tuple[GradientSet | None, np.ndarray]:
+    model: MlpModel,
+    trace: ActivationTrace,
+    output_grad: np.ndarray,
+    params: bool = True,
+    inputs: bool = True,
+) -> tuple[GradientSet | None, np.ndarray | None]:
     """Backpropagate d(sum_B <output, output_grad>) through the model.
 
     Returns the parameter gradients and the gradient with respect to the
     input batch, so updates can flow further back through composed models.
-    With ``params=False`` only the input gradient is computed and the
-    parameter gradients come back as None: the pathway through a model that
-    is not being updated.
+    Either can be skipped and comes back as None: ``params=False`` for the
+    pathway through a model that is not being updated, ``inputs=False`` for
+    an update whose gradient flows no further back.
     """
     if trace.model is not model:
         raise TraceMismatchError("trace was produced by a different model")
@@ -319,9 +323,10 @@ def backward(
             below = trace.post[i - 1] if i > 0 else trace.batch
             np.matmul(delta.T, below, out=grads.d_weights[i])
             np.add.reduce(delta, axis=0, out=grads.d_biases[i])
-        delta = delta @ layer.weight
+        if i > 0 or inputs:
+            delta = delta @ layer.weight
 
-    return grads, delta
+    return grads, delta if inputs else None
 
 
 @dataclass

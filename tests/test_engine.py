@@ -132,6 +132,9 @@ def test_training_steps_match_per_tensor_reference_bytes(slope):
             none, in_only = nn.backward(model, trace, out_grad, params=False)
             assert none is None
             assert in_only.tobytes() == ref_in.tobytes()
+            params_only, none = nn.backward(model, trace, out_grad, inputs=False)
+            assert none is None
+            assert params_only.flat.tobytes() == grads.flat.tobytes()
 
             nn.adam_step(model, grads, state)
             ref.step(twin.layers, d_w, d_b)

@@ -235,7 +235,7 @@ def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
         return np.maximum(x, 0.0)
     if tag == "leaky_relu":
         if 0.0 <= slope <= 1.0:
-            # same values as the where form, including signed zeros and NaN
+            # bit-equal to the where form below, signed zeros included
             return np.maximum(x, slope * x)
         return np.where(x >= 0.0, x, slope * x)
     if tag == "tanh":

@@ -333,8 +333,8 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
             log_r, dlog_r = nn.clamped_log(tr_r.output)
             log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
             losses[f"d_{p.party_id}_{attr}"] = float(-(log_r.mean() + log1m_f.mean()))
-            grads, _ = nn.backward(disc, tr_r, -dlog_r / b, inputs=False)
-            grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b, inputs=False)
+            grads, _ = nn.backward(disc, tr_r, -dlog_r / b)
+            grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b)
             grads.add_(grads_f)
             grads = _maybe_dp(state, ("D", p.party_id, attr), grads)
             pending.append((disc, grads, p.disc_opts[j]))
@@ -360,10 +360,8 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
         log_r, dlog_r = nn.clamped_log(tr_ds_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_ds_f.output)
         losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
-        ds_grads, _ = nn.backward(state.shared_disc, tr_ds_r, -dlog_r / b, inputs=False)
-        ds_grads_f, _ = nn.backward(
-            state.shared_disc, tr_ds_f, -dlog1m_f / b, inputs=False
-        )
+        ds_grads, _ = nn.backward(state.shared_disc, tr_ds_r, -dlog_r / b)
+        ds_grads_f, _ = nn.backward(state.shared_disc, tr_ds_f, -dlog1m_f / b)
         ds_grads.add_(ds_grads_f)
         pending.append((state.shared_disc, ds_grads, state.shared_opt))
 
@@ -377,7 +375,7 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
             g_slice = feat_grad[:, offset : offset + width]
             offset += width
             state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
-            fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice, inputs=False)
+            fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
             fe_grads = _maybe_dp(state, ("FE", p.party_id), fe_grads)
             pending.append((p.feature_extractor, fe_grads, p.fe_opt))
             losses[f"fe_{p.party_id}"] = fe_loss
@@ -390,10 +388,8 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
         log_r, dlog_r = nn.clamped_log(tr_c_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_c_f.output)
         losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
-        c_grads, _ = nn.backward(state.shared_disc, tr_c_r, -dlog_r / b, inputs=False)
-        c_grads_f, _ = nn.backward(
-            state.shared_disc, tr_c_f, -dlog1m_f / b, inputs=False
-        )
+        c_grads, _ = nn.backward(state.shared_disc, tr_c_r, -dlog_r / b)
+        c_grads_f, _ = nn.backward(state.shared_disc, tr_c_f, -dlog1m_f / b)
         c_grads.add_(c_grads_f)
         pending.append((state.shared_disc, c_grads, state.shared_opt))
 
@@ -501,9 +497,7 @@ def generator_phase(state: FederationState) -> dict:
     for p in state.parties:
         for j, attr in enumerate(p.attribute_indices):
             key = (p.party_id, attr)
-            grads, _ = nn.backward(
-                p.generators[j], step["traces"][key], step["out_grads"][key], inputs=False
-            )
+            grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
             nn.adam_step(p.generators[j], grads, p.gen_opts[j])
     return {"losses": step["losses"], "z_hash": step["z_hash"], "z_hashes": step["z_hashes"]}
 

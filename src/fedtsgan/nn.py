@@ -89,20 +89,9 @@ def _pack(weights, biases) -> tuple[np.ndarray, Shapes]:
     return flat, tuple(w.shape for w in weights)
 
 
-class _Views(list):
-    """Per-layer views into one flat vector. Assigning an item copies into
-    the view, so the vector stays the only storage (``g.d_weights[0] = w``
-    and ``g.d_weights[0] += w`` both land in ``g.flat``)."""
-
-    def __setitem__(self, i, value):
-        view = list.__getitem__(self, i)
-        if value is not view:
-            view[...] = value
-
-
-def _split(flat: np.ndarray, shapes: Shapes) -> tuple[_Views, _Views]:
+def _split(flat: np.ndarray, shapes: Shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weight and bias views of a [w0, b0, w1, b1, ...] vector."""
-    weights, biases = _Views(), _Views()
+    weights, biases = [], []
     start = 0
     for out_dim, in_dim in shapes:
         mid = start + out_dim * in_dim
@@ -161,7 +150,9 @@ class GradientSet:
     """Parameter gradients laid out like a model's ``params``: ``flat`` is
     one vector and ``d_weights``/``d_biases`` are per-layer views into it.
 
-    Built from per-layer arrays, the set copies them into its own vector."""
+    Built from per-layer arrays, the set copies them into its own vector.
+    Change gradients in place (``d_weights[i][...] = ...``); rebinding a list
+    item detaches it from ``flat``, which is what Adam reads."""
 
     __slots__ = ("flat", "shapes", "d_weights", "d_biases")
 
@@ -234,9 +225,6 @@ def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
     if tag == "relu":
         return np.maximum(x, 0.0)
     if tag == "leaky_relu":
-        if 0.0 <= slope <= 1.0:
-            # bit-equal to the where form below, signed zeros included
-            return np.maximum(x, slope * x)
         return np.where(x >= 0.0, x, slope * x)
     if tag == "tanh":
         return np.tanh(x)
@@ -292,19 +280,15 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
 
 
 def backward(
-    model: MlpModel,
-    trace: ActivationTrace,
-    output_grad: np.ndarray,
-    params: bool = True,
-    inputs: bool = True,
-) -> tuple[GradientSet | None, np.ndarray | None]:
+    model: MlpModel, trace: ActivationTrace, output_grad: np.ndarray, params: bool = True
+) -> tuple[GradientSet | None, np.ndarray]:
     """Backpropagate d(sum_B <output, output_grad>) through the model.
 
     Returns the parameter gradients and the gradient with respect to the
     input batch, so updates can flow further back through composed models.
-    Either can be skipped and comes back as None: ``params=False`` for the
-    pathway through a model that is not being updated, ``inputs=False`` for
-    an update whose gradient flows no further back.
+    With ``params=False`` only the input gradient is computed and the
+    parameter gradients come back as None: the pathway through a model that
+    is not being updated.
     """
     if trace.model is not model:
         raise TraceMismatchError("trace was produced by a different model")
@@ -323,10 +307,9 @@ def backward(
             below = trace.post[i - 1] if i > 0 else trace.batch
             np.matmul(delta.T, below, out=grads.d_weights[i])
             np.add.reduce(delta, axis=0, out=grads.d_biases[i])
-        if i > 0 or inputs:
-            delta = delta @ layer.weight
+        delta = delta @ layer.weight
 
-    return grads, delta if inputs else None
+    return grads, delta
 
 
 @dataclass

@@ -341,7 +341,10 @@ class TestUserErrorsExitTwo:
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
-    def test_amplitude_metric_on_csv_without_sidecar(self, tmp_path):
+    @staticmethod
+    def csv_eval_config(tmp_path, eval_lines):
+        """An evaluate config over a CSV dataset written without a sidecar,
+        so the dataset itself carries no sine frequencies."""
         arr = np.sin(np.linspace(0, 3, 6))[None, None, :] * np.arange(1, 5)[:, None, None]
         data.save_csv(data.TimeSeriesDataset(arr), tmp_path / "plain.csv")
         cfg = tmp_path / "eval.ini"
@@ -358,14 +361,27 @@ party_0 = 0
 seed = 1
 
 [eval]
-control = identity
-metrics = awd, amplitude_awd
+{eval_lines}
 
 [output]
 dir = {tmp_path / 'out'}
 """
         )
+        return cfg
+
+    @pytest.mark.parametrize("wanted", ["awd, amplitude_awd", "mae"])
+    def test_frequency_metric_on_csv_without_sidecar(self, tmp_path, wanted):
+        cfg = self.csv_eval_config(tmp_path, f"control = identity\nmetrics = {wanted}")
         code, err = run_cli("evaluate", "--config", str(cfg))
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_mae_takes_frequencies_from_the_checkpoint(self, tmp_path):
+        train_cfg, run = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(train_cfg)]) == 0
+        checkpoint = run / "best_generators.npz"
+        cfg = self.csv_eval_config(tmp_path, f"checkpoint = {checkpoint}\nmetrics = mae")
+        assert cli.main(["evaluate", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "evaluation.json").read_text())
+        assert math.isfinite(report["metrics"]["mae"])

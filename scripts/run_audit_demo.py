@@ -22,15 +22,6 @@ from fedtsgan import accounting, audit, data, federation as fed  # noqa: E402
 from fedtsgan.dpmech import DpParams  # noqa: E402
 
 
-def make_trainer(base_cfg, n_synth=64):
-    def trainer(dataset, seed):
-        cfg = replace(base_cfg, seed=seed)
-        res = fed.train(cfg, data.partition(dataset, {0: [0], 1: [1]}))
-        return None if res.diverged else fed.synthesize(res.best_bank, n_synth, seed)
-
-    return trainer
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--iters", type=int, default=2000)
@@ -62,7 +53,9 @@ def main():
     print(f"target sample: {target} (most isolated of {ds.n_samples})")
 
     t0 = time.time()
-    report = audit.run_assd(ds, target, make_trainer(base), audit_cfg)
+    report = audit.run_assd(
+        ds, target, fed.shadow_trainer(base, {0: [0], 1: [1]}, n_synth=64), audit_cfg
+    )
     print(f"non-private AUC: {report.auc:.3f}  ({time.time() - t0:.0f}s)")
 
     gamma = base.batch_size / ds.n_samples
@@ -74,7 +67,9 @@ def main():
 
     t0 = time.time()
     dp_base = replace(base, dp=DpParams(1.0, sigma))
-    dp_report = audit.run_assd(ds, target, make_trainer(dp_base), audit_cfg)
+    dp_report = audit.run_assd(
+        ds, target, fed.shadow_trainer(dp_base, {0: [0], 1: [1]}, n_synth=64), audit_cfg
+    )
     print(f"private AUC:     {dp_report.auc:.3f}  ({time.time() - t0:.0f}s)")
 
 

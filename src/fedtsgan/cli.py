@@ -24,12 +24,13 @@ import numpy as np
 
 from . import __version__, accounting, audit as audit_mod, metrics
 from .config import ConfigError, ExperimentConfig, build_dataset, parse_config
-from .data import partition, save_csv, save_sidecar
+from .data import PartitionError, partition, save_csv, save_sidecar
 from .dpmech import DpParams
 from .federation import (
     GeneratorBank,
     TrainResult,
     bank_from_state,
+    shadow_trainer,
     synthesize,
     train,
 )
@@ -239,8 +240,8 @@ def cmd_evaluate(args) -> int:
     task = ev.get("task")
     if task:
         n_test = max(1, dataset.n_samples // 4)
-        real_train = _subset(dataset, slice(0, dataset.n_samples - n_test))
-        real_test = _subset(dataset, slice(dataset.n_samples - n_test, None))
+        real_train = dataset.take(slice(0, dataset.n_samples - n_test))
+        real_test = dataset.take(slice(dataset.n_samples - n_test, None))
         tpd_report = metrics.tpd(real_train, real_test, synth, task, seed=int(ev.get("seed", 0)))
         report["metrics"]["tpd"] = tpd_report.value
         report["tpd_breakdown"] = tpd_report.breakdown
@@ -251,39 +252,6 @@ def cmd_evaluate(args) -> int:
     _write_manifest(out, cfg, merge=True)
     print(json.dumps(report["metrics"], indent=2, sort_keys=True))
     return EXIT_OK
-
-
-def _subset(dataset, sl):
-    from .data import TimeSeriesDataset
-
-    return TimeSeriesDataset(
-        dataset.data[sl],
-        None if dataset.labels is None else dataset.labels[sl],
-        list(dataset.attribute_names),
-        dict(dataset.meta),
-    )
-
-
-def make_trainer(cfg: ExperimentConfig, n_synth: int | None = None):
-    """Shadow-run trainer for the audit: retrains the configured federation
-    on whatever dataset the audit hands it, with the given seed."""
-
-    def trainer(dataset, seed):
-        train_cfg = TrainConfigCopy(cfg.train, seed)
-        views = partition(dataset, cfg.assignment)
-        result = train(train_cfg, views)
-        if result.diverged:
-            return None
-        n = n_synth or dataset.n_samples
-        return synthesize(result.best_bank, n, seed)
-
-    return trainer
-
-
-def TrainConfigCopy(base, seed):
-    from dataclasses import replace
-
-    return replace(base, seed=seed)
 
 
 def cmd_audit(args) -> int:
@@ -301,7 +269,8 @@ def cmd_audit(args) -> int:
         norm=int(au.get("norm", 2)),
         seed=int(au.get("seed", 0)),
     )
-    trainer = make_trainer(cfg, n_synth=int(au["synth_samples"]) if "synth_samples" in au else None)
+    n_synth = int(au["synth_samples"]) if "synth_samples" in au else None
+    trainer = shadow_trainer(cfg.train, cfg.assignment, n_synth)
 
     selector = au.get("selector", "outlier")
     if selector == "outlier":
@@ -422,7 +391,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, PartitionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except accounting.InfeasibleBudgetError as exc:

@@ -97,14 +97,18 @@ def parse_config(path) -> ExperimentConfig:
         )
 
     try:
+        beta1 = tr.getfloat("beta1", 1.0)
+        if "lambda" in tr:  # the centralized name of beta1
+            if "beta1" in tr and tr.getfloat("lambda") != beta1:
+                raise ConfigError("beta1 and its alias lambda disagree")
+            beta1 = tr.getfloat("lambda")
         train = TrainConfig(
             topology=tr.get("topology", "vfl"),
             latent_dim=tr.getint("latent_dim", 32),
             batch_size=tr.getint("batch_size", 64),
             max_iters=tr.getint("max_iters", 2000),
-            beta1=tr.getfloat("beta1", 1.0),
+            beta1=beta1,
             beta2=tr.getfloat("beta2", 1.0),
-            lam=tr.getfloat("lambda", 1.0),
             lr=tr.getfloat("lr", 2e-4),
             adam_beta1=tr.getfloat("adam_beta1", 0.5),
             adam_beta2=tr.getfloat("adam_beta2", 0.999),
@@ -118,7 +122,6 @@ def parse_config(path) -> ExperimentConfig:
             fe_hidden=_ints(tr.get("fe_hidden", "128")),
             feature_dim=tr.getint("feature_dim", 32),
             shared_hidden=_ints(tr.get("shared_hidden", "128")),
-            fe_mode=tr.get("fe_mode", "mlp"),
             non_saturating=tr.getboolean("non_saturating", False),
         )
     except ValueError as exc:
@@ -145,8 +148,11 @@ def build_dataset(cfg: ExperimentConfig) -> TimeSeriesDataset:
     if kind == "csv":
         if "path" not in ds:
             raise ConfigError("csv dataset needs a path")
-        meta = load_sidecar(ds["sidecar"]) if "sidecar" in ds else None
-        return load_csv(ds["path"], meta)
+        try:
+            meta = load_sidecar(ds["sidecar"]) if "sidecar" in ds else None
+            return load_csv(ds["path"], meta)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad csv dataset: {exc}") from exc
     gen = gen_sine2 if kind == "sine2" else gen_sine6
     try:
         kwargs = {}

@@ -70,14 +70,18 @@ class TimeSeriesDataset:
         f = self.meta.get("frequencies")
         return None if f is None else np.asarray(f, dtype=np.float64)
 
-    def without_sample(self, index: int) -> "TimeSeriesDataset":
-        keep = np.arange(self.n_samples) != index
+    def take(self, idx) -> "TimeSeriesDataset":
+        """The samples a slice, an index array or a boolean mask selects,
+        with their labels; names and meta are copied."""
         return TimeSeriesDataset(
-            self.data[keep],
-            None if self.labels is None else self.labels[keep],
+            self.data[idx],
+            None if self.labels is None else self.labels[idx],
             list(self.attribute_names),
             dict(self.meta),
         )
+
+    def without_sample(self, index: int) -> "TimeSeriesDataset":
+        return self.take(np.arange(self.n_samples) != index)
 
 
 @dataclass

@@ -1,16 +1,20 @@
 """Simulated multi-party GAN training over vertically partitioned series.
 
-Three topologies share one loop:
+Every party trains one generator/discriminator pair per local attribute.
+The topologies differ only in the shared pathway: a server-side shared
+discriminator over a list of branches, each an ordered list of
+(party, attribute) keys whose concatenated series it reads, optionally
+through the owning party's feature extractor. ``init_federation`` builds
+the branch list once:
 
-* ``vfl`` - each party trains one generator/discriminator pair per local
-  attribute plus a feature extractor; the server trains a shared
-  discriminator over the concatenated party features. Only features and
-  feature gradients cross the party boundary, and every crossing is
-  recorded in the message log.
-* ``centralized`` - same per-attribute pairs, but the cross-attribute
-  discriminator sees raw concatenated attributes (the pooled-data upper
-  bound; no feature extractors, no messages).
-* ``local_only`` - per-attribute pairs only (the no-server lower bound).
+* ``vfl`` - one branch per party, through that party's feature extractor.
+  Only features and feature gradients cross the party boundary, and every
+  crossing is recorded in the message log.
+* ``centralized`` - one pooled branch over all keys that the shared
+  discriminator reads raw (the pooled-data upper bound; no feature
+  extractors, no messages).
+* ``local_only`` - no branches and no shared discriminator (the no-server
+  lower bound).
 
 Each iteration runs a discriminator phase then a generator phase. All
 gradients of a phase are computed from pre-update parameters before any
@@ -22,12 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nn
-from .data import PartyView, TimeSeriesDataset, subsample_batch
+from .data import PartyView, TimeSeriesDataset, partition, subsample_batch
 from .dpmech import DpParams, perturb_first_layer
 from .metrics import amplitude_awd, awd
 from .rng import stream
@@ -52,7 +56,6 @@ class TrainConfig:
     max_iters: int = 2000
     beta1: float = 1.0  # weight of the shared-discriminator term in generator losses
     beta2: float = 1.0  # scale of the feature-extractor loss
-    lam: float = 1.0  # centralized counterpart of beta1
     lr: float = 2e-4
     adam_beta1: float = 0.5
     adam_beta2: float = 0.999
@@ -66,7 +69,6 @@ class TrainConfig:
     fe_hidden: tuple[int, ...] = (128,)
     feature_dim: int = 32
     shared_hidden: tuple[int, ...] = (128,)
-    fe_mode: str = "mlp"  # "identity" swaps in an exact passthrough extractor
     non_saturating: bool = False  # generators minimize -log D(fake) instead
     log_payloads: bool = False  # test mode: keep payload copies in the log
 
@@ -75,12 +77,10 @@ class TrainConfig:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.latent_dim < 1 or self.batch_size < 1 or self.max_iters < 1:
             raise ValueError("latent_dim, batch_size, max_iters must be >= 1")
-        if min(self.beta1, self.beta2, self.lam) < 0:
+        if min(self.beta1, self.beta2) < 0:
             raise ValueError("balancing coefficients must be >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.fe_mode not in ("mlp", "identity"):
-            raise ValueError(f"unknown fe_mode {self.fe_mode!r}")
 
 
 @dataclass
@@ -134,11 +134,22 @@ class PartyState:
 
 
 @dataclass
+class SharedBranch:
+    """One input block of the shared discriminator: the series of ``keys``
+    concatenated in order, passed through ``party``'s feature extractor (with
+    every boundary crossing logged) or, without a party, read raw."""
+
+    keys: list[tuple[int, int]]  # (party_id, attribute)
+    party: PartyState | None = None
+
+
+@dataclass
 class FederationState:
     config: TrainConfig
     views: list[PartyView]
     t_steps: int
     parties: list[PartyState]
+    branches: list[SharedBranch]
     shared_disc: nn.MlpModel | None
     shared_opt: nn.AdamState | None
     log: MessageLog
@@ -150,12 +161,6 @@ class FederationState:
     @property
     def dataset(self) -> TimeSeriesDataset:
         return self.views[0].dataset
-
-    def all_attribute_indices(self) -> list[int]:
-        out = []
-        for p in self.parties:
-            out.extend(p.attribute_indices)
-        return out
 
 
 def _adam(model: nn.MlpModel, cfg: TrainConfig) -> nn.AdamState:
@@ -179,7 +184,6 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
         raise ValueError("batch_size exceeds the dataset size")
 
     parties = []
-    feat_dims = []
     for view in views:
         gens, gen_opts, discs, disc_opts = [], [], [], []
         for attr in view.attribute_indices:
@@ -199,17 +203,12 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
             disc_opts.append(_adam(d, config))
         fe = fe_opt = None
         if config.topology == "vfl":
-            in_dim = view.n_attributes * t_steps
-            if config.fe_mode == "identity":
-                fe = nn.identity_mlp(in_dim)
-            else:
-                fe = nn.init_mlp(
-                    [in_dim, *config.fe_hidden, config.feature_dim],
-                    ["leaky_relu"] * len(config.fe_hidden) + ["identity"],
-                    stream(config.seed, "init", "FE", view.party_id),
-                )
+            fe = nn.init_mlp(
+                [view.n_attributes * t_steps, *config.fe_hidden, config.feature_dim],
+                ["leaky_relu"] * len(config.fe_hidden) + ["identity"],
+                stream(config.seed, "init", "FE", view.party_id),
+            )
             fe_opt = _adam(fe, config)
-            feat_dims.append(fe.out_dim)
         parties.append(
             PartyState(
                 view.party_id,
@@ -223,14 +222,20 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
             )
         )
 
-    shared = shared_opt = None
+    keys = [[(p.party_id, a) for a in p.attribute_indices] for p in parties]
     if config.topology == "vfl":
-        shared_in = sum(feat_dims)
+        branches = [SharedBranch(k, p) for k, p in zip(keys, parties)]
     elif config.topology == "centralized":
-        shared_in = sum(v.n_attributes for v in views) * t_steps
+        branches = [SharedBranch([key for k in keys for key in k])]
     else:
-        shared_in = 0
-    if config.topology in ("vfl", "centralized"):
+        branches = []
+
+    shared = shared_opt = None
+    if branches:
+        shared_in = sum(
+            br.party.feature_extractor.out_dim if br.party is not None else len(br.keys) * t_steps
+            for br in branches
+        )
         shared = nn.init_mlp(
             [shared_in, *config.shared_hidden, 1],
             ["leaky_relu"] * len(config.shared_hidden) + ["sigmoid"],
@@ -253,6 +258,7 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
         views=views,
         t_steps=t_steps,
         parties=parties,
+        branches=branches,
         shared_disc=shared,
         shared_opt=shared_opt,
         log=MessageLog(keep_payloads=config.log_payloads),
@@ -281,28 +287,31 @@ def _check_finite(losses: dict, where: str):
 
 
 def _generate_fakes(state: FederationState, z: np.ndarray, keep_traces: bool):
-    """Every generator runs on the shared z. Returns per-party fake blocks
+    """Every generator runs on the shared z. Returns per-key fake blocks
     and, when requested, the generator traces for backprop."""
     traces: dict[tuple[int, int], nn.ActivationTrace] = {}
     fakes: dict[tuple[int, int], np.ndarray] = {}
-    z_hashes: dict[tuple[int, int], str] = {}
     for p in state.parties:
         for j, gen in enumerate(p.generators):
             tr = nn.forward(gen, z)
             key = (p.party_id, p.attribute_indices[j])
             fakes[key] = tr.output
-            z_hashes[key] = payload_digest(z)
             if keep_traces:
                 traces[key] = tr
-    return fakes, traces, z_hashes
+    return fakes, traces
 
 
-def _party_block(state: FederationState, p: PartyState, source: dict | np.ndarray, batch=None) -> np.ndarray:
-    """(B, |A_i|*T) input block for a party, from fakes dict or real data."""
-    if isinstance(source, dict):
-        cols = [source[(p.party_id, a)] for a in p.attribute_indices]
-        return np.concatenate(cols, axis=1)
-    return source[np.ix_(batch, p.attribute_indices)].reshape(len(batch), -1)
+def _fake_block(branch: SharedBranch, fakes: dict) -> np.ndarray:
+    return np.concatenate([fakes[k] for k in branch.keys], axis=1)
+
+
+def _column_blocks(grad: np.ndarray, blocks: list[np.ndarray]):
+    """Split grad's columns into consecutive pieces as wide as ``blocks``."""
+    offset = 0
+    for block in blocks:
+        width = block.shape[1]
+        yield grad[:, offset : offset + width]
+        offset += width
 
 
 def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> dict:
@@ -319,7 +328,7 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
     data = state.dataset.data
 
     z = broadcast_latent(state, b)
-    fakes, _, z_hashes = _generate_fakes(state, z, keep_traces=False)
+    fakes, _ = _generate_fakes(state, z, keep_traces=False)
 
     losses: dict[str, float] = {}
     pending: list[tuple[nn.MlpModel, nn.GradientSet, nn.AdamState]] = []
@@ -339,24 +348,26 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
             grads = _maybe_dp(state, ("D", p.party_id, attr), grads)
             pending.append((disc, grads, p.disc_opts[j]))
 
-    if cfg.topology == "vfl":
-        fe_traces_f, feat_real, feat_fake, widths = [], [], [], []
-        for p in state.parties:
-            x_real = _party_block(state, p, data, batch)
-            x_fake = _party_block(state, p, fakes)
-            tr_fe_r = nn.forward(p.feature_extractor, x_real)
-            tr_fe_f = nn.forward(p.feature_extractor, x_fake)
-            fe_traces_f.append(tr_fe_f)
-            feat_real.append(tr_fe_r.output)
-            feat_fake.append(tr_fe_f.output)
-            widths.append(tr_fe_f.output.shape[1])
-            for payload in (tr_fe_r.output, tr_fe_f.output):
-                state.log.log(state.iteration, "party->server", p.party_id, "feature", payload)
+    if state.branches:
+        real_in, fake_in, fe_traces = [], [], []
+        for br in state.branches:
+            x_real = data[np.ix_(batch, [a for _, a in br.keys])].reshape(b, -1)
+            x_fake = _fake_block(br, fakes)
+            tr_fe_f = None
+            if br.party is not None:
+                tr_fe_r = nn.forward(br.party.feature_extractor, x_real)
+                tr_fe_f = nn.forward(br.party.feature_extractor, x_fake)
+                x_real, x_fake = tr_fe_r.output, tr_fe_f.output
+                for payload in (x_real, x_fake):
+                    state.log.log(
+                        state.iteration, "party->server", br.party.party_id, "feature", payload
+                    )
+            real_in.append(x_real)
+            fake_in.append(x_fake)
+            fe_traces.append(tr_fe_f)
 
-        feats_r = np.concatenate(feat_real, axis=1)
-        feats_f = np.concatenate(feat_fake, axis=1)
-        tr_ds_r = nn.forward(state.shared_disc, feats_r)
-        tr_ds_f = nn.forward(state.shared_disc, feats_f)
+        tr_ds_r = nn.forward(state.shared_disc, np.concatenate(real_in, axis=1))
+        tr_ds_f = nn.forward(state.shared_disc, np.concatenate(fake_in, axis=1))
         log_r, dlog_r = nn.clamped_log(tr_ds_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_ds_f.output)
         losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
@@ -365,38 +376,27 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
         ds_grads.add_(ds_grads_f)
         pending.append((state.shared_disc, ds_grads, state.shared_opt))
 
-        # feature extractors descend beta2 * E[log(1 - D_S(fake features))]
-        fe_loss = float(cfg.beta2 * log1m_f.mean())
-        _, feat_grad = nn.backward(
-            state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
-        )
-        offset = 0
-        for p, tr_fe_f, width in zip(state.parties, fe_traces_f, widths):
-            g_slice = feat_grad[:, offset : offset + width]
-            offset += width
-            state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
-            fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
-            fe_grads = _maybe_dp(state, ("FE", p.party_id), fe_grads)
-            pending.append((p.feature_extractor, fe_grads, p.fe_opt))
-            losses[f"fe_{p.party_id}"] = fe_loss
-
-    elif cfg.topology == "centralized":
-        x_real = np.concatenate([_party_block(state, p, data, batch) for p in state.parties], axis=1)
-        x_fake = np.concatenate([_party_block(state, p, fakes) for p in state.parties], axis=1)
-        tr_c_r = nn.forward(state.shared_disc, x_real)
-        tr_c_f = nn.forward(state.shared_disc, x_fake)
-        log_r, dlog_r = nn.clamped_log(tr_c_r.output)
-        log1m_f, dlog1m_f = nn.clamped_log1m(tr_c_f.output)
-        losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
-        c_grads, _ = nn.backward(state.shared_disc, tr_c_r, -dlog_r / b)
-        c_grads_f, _ = nn.backward(state.shared_disc, tr_c_f, -dlog1m_f / b)
-        c_grads.add_(c_grads_f)
-        pending.append((state.shared_disc, c_grads, state.shared_opt))
+        if any(tr is not None for tr in fe_traces):
+            # feature extractors descend beta2 * E[log(1 - D_S(fake features))]
+            fe_loss = float(cfg.beta2 * log1m_f.mean())
+            _, feat_grad = nn.backward(
+                state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
+            )
+            slices = _column_blocks(feat_grad, fake_in)
+            for br, tr_fe_f, g_slice in zip(state.branches, fe_traces, slices):
+                if tr_fe_f is None:
+                    continue
+                p = br.party
+                state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
+                fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
+                fe_grads = _maybe_dp(state, ("FE", p.party_id), fe_grads)
+                pending.append((p.feature_extractor, fe_grads, p.fe_opt))
+                losses[f"fe_{p.party_id}"] = fe_loss
 
     _check_finite(losses, "discriminator phase")
     for model, grads, opt in pending:
         nn.adam_step(model, grads, opt)
-    return {"losses": losses, "z_hash": payload_digest(z), "z_hashes": z_hashes}
+    return {"losses": losses}
 
 
 def _fooling_term(output: np.ndarray, non_saturating: bool):
@@ -414,13 +414,13 @@ def generator_step(state: FederationState, z: np.ndarray) -> dict:
     """Generator losses and output-side gradients for a given z; pure.
 
     Each generator's output gradient is the sum of its local-discriminator
-    pathway and its slice of the shared pathway (through the feature
-    extractor and shared discriminator in vfl, or the raw-input central
-    discriminator in centralized). Nothing is updated here.
+    pathway and its slice of the shared pathway (back through its branch's
+    feature extractor, if the branch has one, and the shared
+    discriminator), weighted by beta1. Nothing is updated here.
     """
     cfg = state.config
     b = z.shape[0]
-    fakes, gen_traces, z_hashes = _generate_fakes(state, z, keep_traces=True)
+    fakes, gen_traces = _generate_fakes(state, z, keep_traces=True)
 
     losses: dict[str, float] = {}
     out_grads: dict[tuple[int, int], np.ndarray] = {}
@@ -434,54 +434,33 @@ def generator_step(state: FederationState, z: np.ndarray) -> dict:
             _, g_local = nn.backward(disc, tr_d, dterm / b, params=False)
             out_grads[(p.party_id, attr)] = g_local
 
-    shared_term = 0.0
-    if cfg.topology == "vfl":
-        fe_traces, feat_fake, widths = [], [], []
-        for p in state.parties:
-            tr_fe = nn.forward(p.feature_extractor, _party_block(state, p, fakes))
+    if state.branches:
+        fake_in, fe_traces = [], []
+        for br in state.branches:
+            x_fake = _fake_block(br, fakes)
+            tr_fe = None
+            if br.party is not None:
+                tr_fe = nn.forward(br.party.feature_extractor, x_fake)
+                x_fake = tr_fe.output
+                state.log.log(state.iteration, "party->server", br.party.party_id, "feature", x_fake)
+            fake_in.append(x_fake)
             fe_traces.append(tr_fe)
-            feat_fake.append(tr_fe.output)
-            widths.append(tr_fe.output.shape[1])
-            state.log.log(state.iteration, "party->server", p.party_id, "feature", tr_fe.output)
-        tr_ds = nn.forward(state.shared_disc, np.concatenate(feat_fake, axis=1))
+        tr_ds = nn.forward(state.shared_disc, np.concatenate(fake_in, axis=1))
         shared_term, dshared = _fooling_term(tr_ds.output, cfg.non_saturating)
-        _, feat_grad = nn.backward(
-            state.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False
-        )
-        offset = 0
-        for p, tr_fe, width in zip(state.parties, fe_traces, widths):
-            g_slice = feat_grad[:, offset : offset + width]
-            offset += width
-            state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
-            _, x_grad = nn.backward(p.feature_extractor, tr_fe, g_slice, params=False)
-            x_grad = x_grad.reshape(b, p.attribute_indices.__len__(), state.t_steps)
-            for j, attr in enumerate(p.attribute_indices):
-                out_grads[(p.party_id, attr)] += x_grad[:, j, :]
-        for p in state.parties:
-            for attr in p.attribute_indices:
-                losses[f"g_{p.party_id}_{attr}"] += cfg.beta1 * shared_term
+        _, in_grad = nn.backward(state.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False)
+        slices = _column_blocks(in_grad, fake_in)
+        for br, tr_fe, grad in zip(state.branches, fe_traces, slices):
+            if tr_fe is not None:
+                state.log.log(
+                    state.iteration, "server->party", br.party.party_id, "feature_grad", grad
+                )
+                _, grad = nn.backward(br.party.feature_extractor, tr_fe, grad, params=False)
+            x_grad = grad.reshape(b, len(br.keys), state.t_steps)
+            for j, (pid, attr) in enumerate(br.keys):
+                out_grads[(pid, attr)] += x_grad[:, j, :]
+                losses[f"g_{pid}_{attr}"] += cfg.beta1 * shared_term
 
-    elif cfg.topology == "centralized":
-        x_fake = np.concatenate([_party_block(state, p, fakes) for p in state.parties], axis=1)
-        tr_c = nn.forward(state.shared_disc, x_fake)
-        shared_term, dshared = _fooling_term(tr_c.output, cfg.non_saturating)
-        _, x_grad = nn.backward(state.shared_disc, tr_c, cfg.lam * dshared / b, params=False)
-        offset = 0
-        for p in state.parties:
-            block = x_grad[:, offset : offset + p.attribute_indices.__len__() * state.t_steps]
-            offset += p.attribute_indices.__len__() * state.t_steps
-            block = block.reshape(b, p.attribute_indices.__len__(), state.t_steps)
-            for j, attr in enumerate(p.attribute_indices):
-                out_grads[(p.party_id, attr)] += block[:, j, :]
-                losses[f"g_{p.party_id}_{attr}"] += cfg.lam * shared_term
-
-    return {
-        "losses": losses,
-        "out_grads": out_grads,
-        "traces": gen_traces,
-        "z_hash": payload_digest(z),
-        "z_hashes": z_hashes,
-    }
+    return {"losses": losses, "out_grads": out_grads, "traces": gen_traces}
 
 
 def generator_phase(state: FederationState) -> dict:
@@ -499,7 +478,7 @@ def generator_phase(state: FederationState) -> dict:
             key = (p.party_id, attr)
             grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
             nn.adam_step(p.generators[j], grads, p.gen_opts[j])
-    return {"losses": step["losses"], "z_hash": step["z_hash"], "z_hashes": step["z_hashes"]}
+    return {"losses": step["losses"]}
 
 
 @dataclass
@@ -600,3 +579,20 @@ def train(config: TrainConfig, views: list[PartyView]) -> TrainResult:
         history.append(row)
 
     return TrainResult(state, history, best_bank, best_awd, best_iteration, diverged)
+
+
+def shadow_trainer(
+    train_cfg: TrainConfig, assignment: dict[int, list[int]], n_synth: int | None = None
+):
+    """Shadow-run trainer for the audit: retrains the configured federation
+    on whatever dataset the audit hands it, with the given seed, and
+    releases ``n_synth`` samples (the dataset's size by default) from the
+    best checkpoint, or None when the run diverged."""
+
+    def trainer(dataset: TimeSeriesDataset, seed: int) -> TimeSeriesDataset | None:
+        result = train(replace(train_cfg, seed=seed), partition(dataset, assignment))
+        if result.diverged:
+            return None
+        return synthesize(result.best_bank, n_synth or dataset.n_samples, seed)
+
+    return trainer

@@ -207,18 +207,8 @@ def tpd(
         synth.n_samples * real_test.n_samples / (real_train.n_samples + real_test.n_samples)
     )
     n_test = min(max(n_test, 1), synth.n_samples - 1)
-    synth_train = TimeSeriesDataset(
-        synth.data[:-n_test],
-        None if synth.labels is None else synth.labels[:-n_test],
-        list(synth.attribute_names),
-        dict(synth.meta),
-    )
-    synth_test = TimeSeriesDataset(
-        synth.data[-n_test:],
-        None if synth.labels is None else synth.labels[-n_test:],
-        list(synth.attribute_names),
-        dict(synth.meta),
-    )
+    synth_train = synth.take(slice(None, -n_test))
+    synth_test = synth.take(slice(-n_test, None))
 
     if task == "classify":
         for name, ds in (("real_train", real_train), ("real_test", real_test), ("synth", synth)):
@@ -265,29 +255,13 @@ class PcaProjection:
     degenerate: bool  # True when the data had rank < 2
 
 
-def _power_iteration(cov: np.ndarray, start: np.ndarray, iters=10000, tol=1e-14):
-    v = start / np.linalg.norm(start)
-    lam = 0.0
-    for _ in range(iters):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v
-        w /= norm
-        if np.linalg.norm(w - v) < tol or np.linalg.norm(w + v) < tol:
-            v = w
-            break
-        v = w
-    lam = float(v @ cov @ v)
-    return lam, v
-
-
 def pca_2d(datasets: list) -> PcaProjection:
     """Project flattened samples onto the top-2 covariance eigenvectors.
 
     The components are fit on the first dataset (the real one) and applied
-    to all. Deterministic: power iteration with deflation from a fixed
-    start, each component's largest-magnitude coordinate made positive.
+    to all. Deterministic: the top eigenpairs of the symmetric covariance
+    (``np.linalg.eigh``), each component's largest-magnitude coordinate
+    made positive.
     Rank-deficient data yields a 1-D projection with ``degenerate`` set.
     """
     if not datasets:
@@ -303,19 +277,16 @@ def pca_2d(datasets: list) -> PcaProjection:
     centered = ref - mu
     cov = centered.T @ centered / (ref.shape[0] - 1)
 
-    start_rng = np.random.default_rng(20240817)
+    values, vectors = np.linalg.eigh(cov)  # ascending
     comps, eigs = [], []
-    work = cov.copy()
-    for _ in range(2):
-        lam, v = _power_iteration(work, start_rng.standard_normal(cov.shape[0]))
+    for lam, v in zip(values[::-1][:2], vectors.T[::-1][:2]):
         if lam <= max(1e-12, 1e-12 * (eigs[0] if eigs else 1.0)):
             break
         peak = np.argmax(np.abs(v))
         if v[peak] < 0:
             v = -v
         comps.append(v)
-        eigs.append(lam)
-        work = work - lam * np.outer(v, v)
+        eigs.append(float(lam))
 
     degenerate = len(comps) < 2
     components = np.vstack(comps) if comps else np.zeros((0, cov.shape[0]))

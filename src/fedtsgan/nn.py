@@ -408,13 +408,6 @@ def init_mlp(
     return MlpModel(layers)
 
 
-def identity_mlp(dim: int, n_layers: int = 2) -> MlpModel:
-    """Exact passthrough: identity weights, zero bias, identity activation."""
-    return MlpModel(
-        [Layer(np.eye(dim), np.zeros(dim), "identity") for _ in range(n_layers)]
-    )
-
-
 def clamped_log(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(s) with s clamped to [1e-7, 1-1e-7]; returns (value, d/ds)."""
     lo, hi = SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP

@@ -7,7 +7,6 @@ minutes in total.
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -361,17 +360,6 @@ OVERFIT_TRAIN = dict(
 )
 
 
-def _overfit_trainer(dp=None, n_synth=64):
-    base = fed.TrainConfig(**OVERFIT_TRAIN, dp=dp)
-
-    def trainer(dataset, seed):
-        cfg = replace(base, seed=seed)
-        res = fed.train(cfg, data.partition(dataset, {0: [0], 1: [1]}))
-        return None if res.diverged else fed.synthesize(res.best_bank, n_synth, seed)
-
-    return trainer
-
-
 def test_criterion_7a_rigged_copier_fully_leaks():
     with criterion("7a", "copy-generator: AUC 1.0, LOO win rate > 0.9"):
         ds = data.gen_sine2(n_per_class=8, t_steps=20, seed=2)
@@ -390,12 +378,7 @@ def test_criterion_7b_identical_worlds_null():
     with criterion("7b", "identical-worlds null AUC in 0.5 +/- 0.15"):
         ds = data.gen_sine2(**OVERFIT_DATASET_KW)
         short = dict(OVERFIT_TRAIN, max_iters=150, checkpoint_every=50)
-        base = fed.TrainConfig(**short)
-
-        def trainer(dataset, seed):
-            res = fed.train(replace(base, seed=seed), data.partition(dataset, {0: [0], 1: [1]}))
-            return None if res.diverged else fed.synthesize(res.best_bank, 64, seed)
-
+        trainer = fed.shadow_trainer(fed.TrainConfig(**short), {0: [0], 1: [1]}, n_synth=64)
         report = audit.run_assd_worlds(
             ds, ds, ds, 0, trainer, audit.AuditConfig(shadow_pairs=10, knn_k=3, seed=23)
         )
@@ -409,7 +392,10 @@ def test_criterion_7cd_overfit_and_dp_direction():
         target = audit.select_target_outlier(ds)
 
         report = audit.run_assd(
-            ds, target, _overfit_trainer(), audit.AuditConfig(shadow_pairs=10, knn_k=3, seed=5)
+            ds,
+            target,
+            fed.shadow_trainer(fed.TrainConfig(**OVERFIT_TRAIN), {0: [0], 1: [1]}, n_synth=64),
+            audit.AuditConfig(shadow_pairs=10, knn_k=3, seed=5),
         )
         assert report.auc >= 0.6, report.auc
 
@@ -417,7 +403,9 @@ def test_criterion_7cd_overfit_and_dp_direction():
         gamma = OVERFIT_TRAIN["batch_size"] / ds.n_samples
         sigma, _, achieved = acc.calibrate(10.0, 1e-3, gamma, OVERFIT_TRAIN["max_iters"])
         assert achieved <= 10.0
-        dp_trainer = _overfit_trainer(dp=DpParams(1.0, sigma))
+        dp_trainer = fed.shadow_trainer(
+            fed.TrainConfig(**OVERFIT_TRAIN, dp=DpParams(1.0, sigma)), {0: [0], 1: [1]}, n_synth=64
+        )
         lower = 0
         for audit_seed in (5, 6, 7):
             rep_dp = audit.run_assd(

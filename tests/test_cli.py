@@ -137,6 +137,15 @@ class TestTrain:
         cfg.write_text(cfg.read_text().replace("seed = 11", ""))
         assert cli.main(["train", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "train_extra", ["lambda = 0.5", "beta1 = 0.5", "beta1 = 0.5\nlambda = 0.5"]
+    )
+    def test_lambda_is_an_alias_of_beta1(self, tmp_path, train_extra):
+        from fedtsgan.config import parse_config
+
+        cfg, _ = write_config(tmp_path, train_extra=train_extra)
+        assert parse_config(cfg).train.beta1 == 0.5
+
 
 class TestEvaluate:
     def test_identity_control_zeroes(self, tmp_path, capsys):
@@ -373,6 +382,37 @@ dir = {tmp_path / 'out'}
     def test_frequency_metric_on_csv_without_sidecar(self, tmp_path, wanted):
         cfg = self.csv_eval_config(tmp_path, f"control = identity\nmetrics = {wanted}")
         code, err = run_cli("evaluate", "--config", str(cfg))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [
+            ("train", "missing_csv"),
+            ("evaluate", "missing_csv"),
+            ("train", "malformed_csv"),
+            ("evaluate", "malformed_csv"),
+            ("train", "attribute_without_party"),
+            ("train", "beta1_and_lambda_disagree"),
+        ],
+    )
+    def test_bad_dataset_partition_or_weight(self, tmp_path, command, case):
+        if case.endswith("csv"):
+            cfg = self.csv_eval_config(tmp_path, "control = identity\nmetrics = awd")
+            path = tmp_path / "plain.csv"
+            if case == "missing_csv":
+                path.unlink()
+            else:  # a non-numeric last cell
+                lines = path.read_text().splitlines()
+                lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+                path.write_text("\n".join(lines) + "\n")
+        elif case == "attribute_without_party":
+            cfg, _ = write_config(tmp_path)
+            cfg.write_text(cfg.read_text().replace("party_1 = 1", ""))
+        else:
+            cfg, _ = write_config(tmp_path, train_extra="beta1 = 0.5\nlambda = 0.7")
+        code, err = run_cli(command, "--config", str(cfg))
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1

@@ -200,3 +200,11 @@ class TestDatasetInvariants:
         assert smaller.n_samples == ds.n_samples - 1
         np.testing.assert_array_equal(smaller.data[2], ds.data[3])
         np.testing.assert_array_equal(smaller.labels, np.delete(ds.labels, 2))
+        # take: a slice, an index array and a boolean mask select alike
+        for idx in (slice(0, 6, 2), np.array([0, 2, 4]), np.arange(ds.n_samples) % 2 == 0):
+            part = ds.take(idx)
+            np.testing.assert_array_equal(part.data, ds.data[[0, 2, 4]])
+            np.testing.assert_array_equal(part.labels, ds.labels[[0, 2, 4]])
+            assert part.attribute_names == ds.attribute_names
+            assert part.attribute_names is not ds.attribute_names
+            assert part.meta == ds.meta and part.meta is not ds.meta

@@ -53,13 +53,28 @@ def federation_blob(state):
 
 
 class TestLatentBroadcast:
-    def test_identical_z_for_all_generators(self, sine_views):
+    def test_identical_z_for_all_generators(self, sine_views, monkeypatch):
         state = fed.init_federation(tiny_config(), sine_views)
+        generators = {id(g) for p in state.parties for g in p.generators}
+        seen = []
+        real_forward = nn.forward
+
+        def recording(model, batch):
+            if id(model) in generators:
+                seen.append(batch.copy())
+            return real_forward(model, batch)
+
+        monkeypatch.setattr(nn, "forward", recording)
         state.iteration = 1
-        info = fed.discriminator_phase(state, np.arange(6))
-        hashes = set(info["z_hashes"].values())
-        assert len(hashes) == 1
-        assert info["z_hash"] in hashes
+        for run_phase in (
+            lambda: fed.discriminator_phase(state, np.arange(6)),
+            lambda: fed.generator_phase(state),
+        ):
+            seen.clear()
+            run_phase()
+            assert len(seen) == len(generators)
+            assert seen[0].shape == (6, 3)
+            assert all(z.tobytes() == seen[0].tobytes() for z in seen)
 
     def test_stream_advances_between_draws(self, sine_views):
         state = fed.init_federation(tiny_config(), sine_views)
@@ -192,25 +207,186 @@ class TestGeneratorPhase:
         assert worst < 1e-5
 
 
-class TestTopologyDegeneration:
-    def test_single_party_vfl_equals_centralized_at_iteration_one(self):
-        # identity feature extractor, beta2=0 (extractor frozen), lambda=beta1
-        ds = data.gen_sine2(n_per_class=8, t_steps=10, seed=9)
-        views = data.partition(ds, {0: [0, 1]})
-        kw = dict(batch_size=4, seed=21, beta1=1.0, lam=1.0, beta2=0.0)
-        cfg_vfl = tiny_config(topology="vfl", fe_mode="identity", **kw)
-        cfg_cent = tiny_config(topology="centralized", **kw)
-        sa = fed.init_federation(cfg_vfl, views)
-        sb = fed.init_federation(cfg_cent, views)
-        batch = data.subsample_batch(ds.n_samples, 4, np.random.default_rng(0))
-        da = fed.discriminator_phase(sa, batch)
-        db = fed.discriminator_phase(sb, batch)
-        assert da["losses"]["d_0_0"] == db["losses"]["d_0_0"]
-        assert da["losses"]["d_0_1"] == db["losses"]["d_0_1"]
-        assert da["losses"]["d_shared"] == db["losses"]["d_shared"]
-        ga = fed.generator_phase(sa)
-        gb = fed.generator_phase(sb)
-        assert ga["losses"] == gb["losses"]
+# -- reference: the shared pathway as separate per-topology code ---------------
+#
+# The phases below keep the earlier form of the shared pathway: a ``vfl``
+# block (one feature extractor per party, every crossing logged) and a
+# ``centralized`` block (the shared discriminator on raw concatenated
+# attributes, weighted by what was then a separate ``lambda``, here beta1).
+# The branch-list pathway must reproduce them byte for byte.
+
+
+def _party_block(p, source, batch=None):
+    if isinstance(source, dict):
+        return np.concatenate([source[(p.party_id, a)] for a in p.attribute_indices], axis=1)
+    return source[np.ix_(batch, p.attribute_indices)].reshape(len(batch), -1)
+
+
+def ref_discriminator_phase(state, batch_indices):
+    cfg = state.config
+    batch = np.asarray(batch_indices)
+    b = batch.shape[0]
+    data_ = state.dataset.data
+    z = fed.broadcast_latent(state, b)
+    fakes, _ = fed._generate_fakes(state, z, keep_traces=False)
+    losses, pending = {}, []
+    for p in state.parties:
+        for j, attr in enumerate(p.attribute_indices):
+            disc = p.discriminators[j]
+            tr_r = nn.forward(disc, data_[batch, attr, :])
+            tr_f = nn.forward(disc, fakes[(p.party_id, attr)])
+            log_r, dlog_r = nn.clamped_log(tr_r.output)
+            log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
+            losses[f"d_{p.party_id}_{attr}"] = float(-(log_r.mean() + log1m_f.mean()))
+            grads, _ = nn.backward(disc, tr_r, -dlog_r / b)
+            grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b)
+            grads.add_(grads_f)
+            grads = fed._maybe_dp(state, ("D", p.party_id, attr), grads)
+            pending.append((disc, grads, p.disc_opts[j]))
+
+    if cfg.topology == "vfl":
+        fe_traces_f, feat_real, feat_fake, widths = [], [], [], []
+        for p in state.parties:
+            tr_fe_r = nn.forward(p.feature_extractor, _party_block(p, data_, batch))
+            tr_fe_f = nn.forward(p.feature_extractor, _party_block(p, fakes))
+            fe_traces_f.append(tr_fe_f)
+            feat_real.append(tr_fe_r.output)
+            feat_fake.append(tr_fe_f.output)
+            widths.append(tr_fe_f.output.shape[1])
+            for payload in (tr_fe_r.output, tr_fe_f.output):
+                state.log.log(state.iteration, "party->server", p.party_id, "feature", payload)
+        tr_ds_r = nn.forward(state.shared_disc, np.concatenate(feat_real, axis=1))
+        tr_ds_f = nn.forward(state.shared_disc, np.concatenate(feat_fake, axis=1))
+        log_r, dlog_r = nn.clamped_log(tr_ds_r.output)
+        log1m_f, dlog1m_f = nn.clamped_log1m(tr_ds_f.output)
+        losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
+        ds_grads, _ = nn.backward(state.shared_disc, tr_ds_r, -dlog_r / b)
+        ds_grads_f, _ = nn.backward(state.shared_disc, tr_ds_f, -dlog1m_f / b)
+        ds_grads.add_(ds_grads_f)
+        pending.append((state.shared_disc, ds_grads, state.shared_opt))
+        fe_loss = float(cfg.beta2 * log1m_f.mean())
+        _, feat_grad = nn.backward(
+            state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
+        )
+        offset = 0
+        for p, tr_fe_f, width in zip(state.parties, fe_traces_f, widths):
+            g_slice = feat_grad[:, offset : offset + width]
+            offset += width
+            state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
+            fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
+            fe_grads = fed._maybe_dp(state, ("FE", p.party_id), fe_grads)
+            pending.append((p.feature_extractor, fe_grads, p.fe_opt))
+            losses[f"fe_{p.party_id}"] = fe_loss
+    elif cfg.topology == "centralized":
+        x_real = np.concatenate([_party_block(p, data_, batch) for p in state.parties], axis=1)
+        x_fake = np.concatenate([_party_block(p, fakes) for p in state.parties], axis=1)
+        tr_c_r = nn.forward(state.shared_disc, x_real)
+        tr_c_f = nn.forward(state.shared_disc, x_fake)
+        log_r, dlog_r = nn.clamped_log(tr_c_r.output)
+        log1m_f, dlog1m_f = nn.clamped_log1m(tr_c_f.output)
+        losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
+        c_grads, _ = nn.backward(state.shared_disc, tr_c_r, -dlog_r / b)
+        c_grads_f, _ = nn.backward(state.shared_disc, tr_c_f, -dlog1m_f / b)
+        c_grads.add_(c_grads_f)
+        pending.append((state.shared_disc, c_grads, state.shared_opt))
+
+    fed._check_finite(losses, "discriminator phase")
+    for model, grads, opt in pending:
+        nn.adam_step(model, grads, opt)
+    return {"losses": losses}
+
+
+def ref_generator_step(state, z):
+    cfg = state.config
+    b = z.shape[0]
+    t_steps = state.t_steps
+    fakes, gen_traces = fed._generate_fakes(state, z, keep_traces=True)
+    losses, out_grads = {}, {}
+    for p in state.parties:
+        for j, attr in enumerate(p.attribute_indices):
+            disc = p.discriminators[j]
+            tr_d = nn.forward(disc, fakes[(p.party_id, attr)])
+            term, dterm = fed._fooling_term(tr_d.output, cfg.non_saturating)
+            losses[f"g_{p.party_id}_{attr}"] = term
+            _, out_grads[(p.party_id, attr)] = nn.backward(disc, tr_d, dterm / b, params=False)
+
+    if cfg.topology == "vfl":
+        fe_traces, feat_fake, widths = [], [], []
+        for p in state.parties:
+            tr_fe = nn.forward(p.feature_extractor, _party_block(p, fakes))
+            fe_traces.append(tr_fe)
+            feat_fake.append(tr_fe.output)
+            widths.append(tr_fe.output.shape[1])
+            state.log.log(state.iteration, "party->server", p.party_id, "feature", tr_fe.output)
+        tr_ds = nn.forward(state.shared_disc, np.concatenate(feat_fake, axis=1))
+        shared_term, dshared = fed._fooling_term(tr_ds.output, cfg.non_saturating)
+        _, feat_grad = nn.backward(
+            state.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False
+        )
+        offset = 0
+        for p, tr_fe, width in zip(state.parties, fe_traces, widths):
+            g_slice = feat_grad[:, offset : offset + width]
+            offset += width
+            state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
+            _, x_grad = nn.backward(p.feature_extractor, tr_fe, g_slice, params=False)
+            x_grad = x_grad.reshape(b, len(p.attribute_indices), t_steps)
+            for j, attr in enumerate(p.attribute_indices):
+                out_grads[(p.party_id, attr)] += x_grad[:, j, :]
+        for p in state.parties:
+            for attr in p.attribute_indices:
+                losses[f"g_{p.party_id}_{attr}"] += cfg.beta1 * shared_term
+    elif cfg.topology == "centralized":
+        x_fake = np.concatenate([_party_block(p, fakes) for p in state.parties], axis=1)
+        tr_c = nn.forward(state.shared_disc, x_fake)
+        shared_term, dshared = fed._fooling_term(tr_c.output, cfg.non_saturating)
+        _, x_grad = nn.backward(state.shared_disc, tr_c, cfg.beta1 * dshared / b, params=False)
+        offset = 0
+        for p in state.parties:
+            width = len(p.attribute_indices) * t_steps
+            block = x_grad[:, offset : offset + width].reshape(b, len(p.attribute_indices), t_steps)
+            offset += width
+            for j, attr in enumerate(p.attribute_indices):
+                out_grads[(p.party_id, attr)] += block[:, j, :]
+                losses[f"g_{p.party_id}_{attr}"] += cfg.beta1 * shared_term
+
+    return {"losses": losses, "out_grads": out_grads, "traces": gen_traces}
+
+
+MULTI_ATTRIBUTE_PARTITIONS = {
+    "two_parties": {0: [0, 1, 2], 1: [3, 4, 5]},
+    "three_parties": {0: [0, 1], 1: [2, 3], 2: [4, 5]},
+}
+
+
+class TestSharedPathway:
+    @pytest.mark.parametrize("topology", fed.TOPOLOGIES)
+    @pytest.mark.parametrize(
+        "assignment", MULTI_ATTRIBUTE_PARTITIONS.values(), ids=MULTI_ATTRIBUTE_PARTITIONS
+    )
+    @pytest.mark.parametrize("dp", [None, DpParams(1.0, 0.5)], ids=["dp_off", "dp_on"])
+    def test_branch_list_reproduces_per_topology_code(self, topology, assignment, dp, monkeypatch):
+        ds = data.gen_sine6(n_per_class=8, t_steps=10, seed=3)
+        views = data.partition(ds, assignment)
+        cfg = tiny_config(
+            topology=topology, dp=dp, max_iters=6, checkpoint_every=2, beta1=0.7, beta2=0.9
+        )
+        got = fed.train(cfg, views)
+        monkeypatch.setattr(fed, "discriminator_phase", ref_discriminator_phase)
+        monkeypatch.setattr(fed, "generator_step", ref_generator_step)
+        want = fed.train(cfg, views)
+
+        assert sum("awd" in row for row in got.history) >= 3
+        assert [list(r.items()) for r in got.history] == [list(r.items()) for r in want.history]
+        assert federation_blob(got.state) == federation_blob(want.state)
+        assert [params_blob(g) for _, g in sorted(got.best_bank.generators.items())] == [
+            params_blob(g) for _, g in sorted(want.best_bank.generators.items())
+        ]
+        messages = lambda log: [
+            (r.iteration, r.direction, r.party_id, r.kind, r.shape, r.payload_hash)
+            for r in log.records
+        ]
+        assert messages(got.state.log) == messages(want.state.log)
+        assert len(got.state.log.records) == (30 * len(assignment) if topology == "vfl" else 0)
 
 
 class TestDpWiring:

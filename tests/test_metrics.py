@@ -180,8 +180,8 @@ class TestTpd:
     def test_identity_control_is_exactly_zero(self):
         ds = data.gen_sine2(n_per_class=12, t_steps=16, seed=3)
         n_test = ds.n_samples // 4
-        real_train = _subset(ds, slice(0, ds.n_samples - n_test))
-        real_test = _subset(ds, slice(ds.n_samples - n_test, None))
+        real_train = ds.take(slice(0, ds.n_samples - n_test))
+        real_test = ds.take(slice(ds.n_samples - n_test, None))
         report = metrics.tpd(real_train, real_test, ds, "forecast", seed=0, steps=30)
         assert report.value == 0.0
         report_c = metrics.tpd(real_train, real_test, ds, "classify", seed=0, steps=30)
@@ -191,8 +191,8 @@ class TestTpd:
         ds = data.gen_sine2(n_per_class=48, t_steps=24, seed=5)
         # class-balanced split: the generator orders samples by class
         test_mask = np.arange(ds.n_samples) % 4 == 0
-        real_train = _mask_subset(ds, ~test_mask)
-        real_test = _mask_subset(ds, test_mask)
+        real_train = ds.take(~test_mask)
+        real_test = ds.take(test_mask)
         rng = np.random.default_rng(0)
         shuffled = data.TimeSeriesDataset(
             ds.data, rng.permutation(ds.labels), meta=dict(ds.meta)
@@ -212,24 +212,6 @@ class TestTpd:
         ds = data.gen_sine2(n_per_class=4, t_steps=8, seed=0)
         with pytest.raises(ValueError):
             metrics.tpd(ds, ds, ds, "regress")
-
-
-def _subset(ds, sl):
-    return data.TimeSeriesDataset(
-        ds.data[sl],
-        None if ds.labels is None else ds.labels[sl],
-        list(ds.attribute_names),
-        dict(ds.meta),
-    )
-
-
-def _mask_subset(ds, mask):
-    return data.TimeSeriesDataset(
-        ds.data[mask],
-        None if ds.labels is None else ds.labels[mask],
-        list(ds.attribute_names),
-        dict(ds.meta),
-    )
 
 
 class TestPca:

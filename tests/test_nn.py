@@ -248,8 +248,3 @@ class TestModelInvariants:
         w[0, 0] = np.nan
         with pytest.raises(nn.NonFiniteError):
             nn.MlpModel([nn.Layer(w, np.zeros(2), "identity")])
-
-    def test_identity_mlp_is_exact(self, rng):
-        model = nn.identity_mlp(5)
-        x = rng.standard_normal((3, 5))
-        np.testing.assert_array_equal(nn.forward(model, x).output, x)

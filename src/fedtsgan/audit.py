@@ -73,28 +73,30 @@ def normalized_flat(data: np.ndarray, stats: tuple[np.ndarray, np.ndarray]) -> n
 
 
 def _distances(x: np.ndarray, pool: np.ndarray, norm: int) -> np.ndarray:
-    diff = pool - x[None, :]
+    """Distances from x (a flat vector, or a block of them) to each pool row."""
+    diff = pool - x[..., None, :]
     if norm == 1:
-        return np.abs(diff).sum(axis=1)
-    return np.sqrt((diff * diff).sum(axis=1))
+        return np.abs(diff).sum(axis=-1)
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def min_nn_distance(x: np.ndarray, pool: np.ndarray, norm: int = 2) -> float:
-    """Distance from x to its nearest neighbour in the pool (flat vectors)."""
-    pool = np.atleast_2d(pool)
-    if pool.shape[0] == 0:
-        raise ValueError("pool must be non-empty")
-    return float(_distances(np.asarray(x, dtype=np.float64).ravel(), pool, norm).min())
+BLOCK_FLOATS = 2**20  # size of one block of pairwise differences (8 MiB)
 
 
 def _isolation(flat: np.ndarray, norm: int) -> np.ndarray:
-    """Nearest-neighbour distance of each sample to the rest."""
+    """Nearest-neighbour distance of each sample to the rest.
+
+    Rows go in blocks through ``_distances``, so every value is the one a
+    per-row loop computes."""
     n = flat.shape[0]
     out = np.empty(n)
-    for i in range(n):
-        d = _distances(flat[i], flat, norm)
-        d[i] = np.inf
-        out[i] = d.min()
+    step = max(1, BLOCK_FLOATS // flat.size)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        d = _distances(flat[i0:i1], flat, norm)
+        rows = np.arange(i1 - i0)
+        d[rows, i0 + rows] = np.inf
+        out[i0:i1] = d.min(axis=1)
     return out
 
 
@@ -168,18 +170,31 @@ def _world_features(
     config: AuditConfig,
 ) -> tuple[list[float], list[float], int]:
     target_flat = normalized_flat(target, stats)
+    worlds = [
+        (world, train_data, stream_seed_for(config.seed, world, m))
+        for world, train_data in ((0, data0), (1, data1))
+        for m in range(config.shadow_pairs)
+    ]
+    releases = _train_all(trainer, [(train_data, seed) for _, train_data, seed in worlds])
     feats: tuple[list[float], list[float]] = ([], [])
     invalid = 0
-    for world, train_data in ((0, data0), (1, data1)):
-        for m in range(config.shadow_pairs):
-            seed = stream_seed_for(config.seed, world, m)
-            synth = trainer(train_data, seed)
-            if synth is None:
-                invalid += 1
-                continue
-            synth_flat = normalized_flat(synth.data, stats)
-            feats[world].append(knn_feature(target_flat, synth_flat, config.knn_k, config.norm))
+    for (world, _, _), synth in zip(worlds, releases):
+        if synth is None:
+            invalid += 1
+            continue
+        synth_flat = normalized_flat(synth.data, stats)
+        feats[world].append(knn_feature(target_flat, synth_flat, config.knn_k, config.norm))
     return feats[0], feats[1], invalid
+
+
+def _train_all(trainer, jobs: list[tuple[TimeSeriesDataset, int]]) -> list:
+    """One release per ``(dataset, seed)`` job, in order: through
+    ``trainer.many`` when the trainer has it (``federation.shadow_trainer``
+    trains the jobs as one stack), else one call per job."""
+    many = getattr(trainer, "many", None)
+    if many is not None:
+        return many(jobs)
+    return [trainer(dataset, seed) for dataset, seed in jobs]
 
 
 def stream_seed_for(seed: int, world: int, index: int) -> int:
@@ -284,12 +299,12 @@ def loo_game(
     coins = loo_coins(seed, rounds)
     world0 = dataset.without_sample(target_index)
     target = dataset.data[target_index]
+    jobs = [
+        (world0 if b == 0 else dataset, int(stream(seed, "loo-round", r).integers(0, 2**63 - 1)))
+        for r, b in enumerate(coins)
+    ]
     wins = 0
-    for r, b in enumerate(coins):
-        run_seed = int(stream(seed, "loo-round", r).integers(0, 2**63 - 1))
-        synth = trainer(world0 if b == 0 else dataset, run_seed)
-        if synth is None:
-            continue
-        if adversary(synth, target) == b:
+    for b, synth in zip(coins, _train_all(trainer, jobs)):
+        if synth is not None and adversary(synth, target) == b:
             wins += 1
     return wins / rounds

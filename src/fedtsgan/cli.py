@@ -201,7 +201,10 @@ def cmd_evaluate(args) -> int:
         checkpoint = args.checkpoint or ev.get("checkpoint")
         if not checkpoint:
             raise ConfigError("evaluate needs a checkpoint (flag or [eval] section)")
-        bank = load_bank(Path(checkpoint))
+        try:
+            bank = load_bank(Path(checkpoint))
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConfigError(f"unreadable checkpoint {checkpoint}: {exc}") from exc
         n = int(ev.get("synth_samples", dataset.n_samples))
         synth = synthesize(bank, n, int(ev.get("seed", 0)))
 
@@ -262,14 +265,18 @@ def cmd_audit(args) -> int:
     # every shadow federation trains under the mechanism a release of the
     # full dataset would be calibrated to
     extra = _resolve_dp(cfg, dataset.n_samples)
-    audit_cfg = audit_mod.AuditConfig(
-        shadow_pairs=int(au.get("shadow_pairs", 10)),
-        knn_k=int(au.get("knn_k", 5)),
-        candidate_m=int(au.get("candidate_m", 10)),
-        norm=int(au.get("norm", 2)),
-        seed=int(au.get("seed", 0)),
-    )
-    n_synth = int(au["synth_samples"]) if "synth_samples" in au else None
+    try:
+        audit_cfg = audit_mod.AuditConfig(
+            shadow_pairs=int(au.get("shadow_pairs", 10)),
+            knn_k=int(au.get("knn_k", 5)),
+            candidate_m=int(au.get("candidate_m", 10)),
+            norm=int(au.get("norm", 2)),
+            seed=int(au.get("seed", 0)),
+        )
+        n_synth = int(au["synth_samples"]) if "synth_samples" in au else None
+        rounds = int(au.get("rounds", 0))
+    except ValueError as exc:
+        raise ConfigError(f"bad [audit] section: {exc}") from exc
     trainer = shadow_trainer(cfg.train, cfg.assignment, n_synth)
 
     selector = au.get("selector", "outlier")
@@ -286,7 +293,6 @@ def cmd_audit(args) -> int:
             raise ConfigError(f"selector must be outlier, influential, or an index; got {selector!r}")
 
     report = audit_mod.run_assd(dataset, target, trainer, audit_cfg, selector=selector)
-    rounds = int(au.get("rounds", 0))
     if rounds > 0:
         adversary = audit_mod.threshold_adversary(report, dataset, audit_cfg)
         report.win_rate = audit_mod.loo_game(

@@ -68,9 +68,14 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("missing [partition] section")
     assignment: dict[int, list[int]] = {}
     for key, value in parser["partition"].items():
-        if not key.startswith("party_"):
-            raise ConfigError(f"partition keys look like party_<id>, got {key!r}")
-        assignment[int(key.split("_", 1)[1])] = list(_ints(value))
+        try:
+            if not key.startswith("party_"):
+                raise ValueError
+            assignment[int(key.split("_", 1)[1])] = list(_ints(value))
+        except ValueError:
+            raise ConfigError(
+                f"partition entries look like party_<id> = <attribute>,..., got {key} = {value}"
+            ) from None
 
     if "train" not in parser:
         raise ConfigError("missing [train] section")

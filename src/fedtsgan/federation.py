@@ -20,6 +20,13 @@ Each iteration runs a discriminator phase then a generator phase. All
 gradients of a phase are computed from pre-update parameters before any
 update is applied. All latent draws are broadcast: every generator in every
 party consumes the same z matrix in an iteration.
+
+Federations that differ only in seed and dataset (the audit's shadow runs)
+train as one ``FederationStack``: each model holds the runs' parameters
+along a leading run axis, and the phases serve a stack and a single
+federation with the same code. Every run keeps its own seed-keyed streams,
+message log and checkpoints, and ends with the bytes it would have produced
+training alone; ``train`` is the one-run case.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -95,26 +103,43 @@ class MessageRecord:
 
 
 class MessageLog:
-    """Append-only record of everything that crosses a party boundary."""
+    """Append-only record of everything that crosses a party boundary.
+
+    Kept by column, since an audit holds the logs of all its shadow runs at
+    once: each message's iteration, its (direction, party, kind, shape)
+    header, shared between equal headers, and the raw bytes of its payload
+    digest. ``records`` lists them as ``MessageRecord``s."""
 
     def __init__(self, keep_payloads: bool = False):
         self.keep_payloads = keep_payloads
-        self.records: list[MessageRecord] = []
+        self._iterations: list[int] = []
+        self._headers: list[tuple] = []
+        self._digests = bytearray()
+        self._payloads: list[np.ndarray] = []
+        self._shared: dict[tuple, tuple] = {}
 
     def log(self, iteration: int, direction: str, party_id: int, kind: str, payload: np.ndarray):
         if kind not in MESSAGE_KINDS:
             raise ValueError(f"refusing to log message kind {kind!r}")
-        self.records.append(
+        header = (direction, party_id, kind, payload.shape)
+        self._iterations.append(iteration)
+        self._headers.append(self._shared.setdefault(header, header))
+        self._digests += bytes.fromhex(payload_digest(payload))
+        if self.keep_payloads:
+            self._payloads.append(payload.copy())
+
+    @property
+    def records(self) -> list[MessageRecord]:
+        digests = self._digests.hex()
+        return [
             MessageRecord(
                 iteration,
-                direction,
-                party_id,
-                kind,
-                payload.shape,
-                payload_digest(payload),
-                payload.copy() if self.keep_payloads else None,
+                *header,
+                digests[64 * i : 64 * (i + 1)],
+                self._payloads[i] if self.keep_payloads else None,
             )
-        )
+            for i, (iteration, header) in enumerate(zip(self._iterations, self._headers))
+        ]
 
 
 def payload_digest(arr: np.ndarray) -> str:
@@ -145,6 +170,9 @@ class SharedBranch:
 
 @dataclass
 class FederationState:
+    """One federation: its models and optimizers, message log and the random
+    streams keyed by its seed."""
+
     config: TrainConfig
     views: list[PartyView]
     t_steps: int
@@ -158,9 +186,37 @@ class FederationState:
     batch_rng: np.random.Generator = None  # type: ignore[assignment]
     noise_rngs: dict = field(default_factory=dict)
 
+    stacked: ClassVar[bool] = False
+
+    @property
+    def runs(self) -> list["FederationState"]:
+        return [self]
+
     @property
     def dataset(self) -> TimeSeriesDataset:
         return self.views[0].dataset
+
+
+@dataclass
+class FederationStack:
+    """K federations that differ only in seed and dataset, trained as one.
+
+    The parties, branches and shared discriminator mirror one federation's,
+    but every model and optimizer holds the K runs' values along a leading
+    run axis. ``runs`` keeps each run's own state: dataset views, message
+    log, seed-keyed streams, and models and optimizer moments that are views
+    of the run's row of the stack.
+    """
+
+    config: TrainConfig
+    t_steps: int
+    parties: list[PartyState]
+    branches: list[SharedBranch]
+    shared_disc: nn.MlpModel | None
+    shared_opt: nn.AdamState | None
+    runs: list[FederationState]
+
+    stacked: ClassVar[bool] = True
 
 
 def _adam(model: nn.MlpModel, cfg: TrainConfig) -> nn.AdamState:
@@ -253,7 +309,7 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
                 config.seed, "dp-noise", "FE", view.party_id
             )
 
-    return FederationState(
+    state = FederationState(
         config=config,
         views=views,
         t_steps=t_steps,
@@ -266,27 +322,193 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
         batch_rng=stream(config.seed, "batches"),
         noise_rngs=noise_rngs,
     )
+    _share_scratch(state)
+    return state
 
 
-def broadcast_latent(state: FederationState, batch_size: int) -> np.ndarray:
-    """One standard-normal (B, l) draw shared by every attribute generator."""
-    return state.z_rng.standard_normal((batch_size, state.config.latent_dim))
+def _share_scratch(state) -> None:
+    """One Adam work space for all optimizers: they step one at a time."""
+    scratch = np.empty(2 * max(opt.m.size for _, opt in _slots(state)))
+    for _, opt in _slots(state):
+        opt.scratch = scratch
 
 
-def _maybe_dp(state: FederationState, key, grads: nn.GradientSet) -> nn.GradientSet:
+def _slots(state):
+    """Every (model, optimizer) pair of a federation or stack, in one fixed
+    order."""
+    for p in state.parties:
+        yield from zip(p.generators, p.gen_opts)
+        yield from zip(p.discriminators, p.disc_opts)
+        if p.feature_extractor is not None:
+            yield p.feature_extractor, p.fe_opt
+    if state.shared_disc is not None:
+        yield state.shared_disc, state.shared_opt
+
+
+def empty_stack(like: FederationState, size: int) -> FederationStack:
+    """A stack with room for ``size`` runs shaped like ``like``; ``add_run``
+    fills its rows."""
+    rows = iter(
+        [(nn.MlpModel.stack([m] * size), nn.AdamState.stack([o] * size)) for m, o in _slots(like)]
+    )
+    parties = {}
+    for p in like.parties:
+        gens = [next(rows) for _ in p.generators]
+        discs = [next(rows) for _ in p.discriminators]
+        fe, fe_opt = next(rows) if p.feature_extractor is not None else (None, None)
+        parties[id(p)] = PartyState(
+            p.party_id,
+            list(p.attribute_indices),
+            [m for m, _ in gens],
+            [o for _, o in gens],
+            [m for m, _ in discs],
+            [o for _, o in discs],
+            fe,
+            fe_opt,
+        )
+    shared, shared_opt = next(rows) if like.shared_disc is not None else (None, None)
+    branches = [
+        SharedBranch(br.keys, None if br.party is None else parties[id(br.party)])
+        for br in like.branches
+    ]
+    stack = FederationStack(
+        like.config, like.t_steps, list(parties.values()), branches, shared, shared_opt, []
+    )
+    _share_scratch(stack)
+    return stack
+
+
+def add_run(stack: FederationStack, run: FederationState) -> None:
+    """Copy the run's parameters and optimizer moments into the next row of
+    the stack; from then on the run's models and moments are views of that
+    row. All runs of a stack are at the same step."""
+    k = len(stack.runs)
+    for (model, opt), (own, own_opt) in zip(_slots(stack), _slots(run)):
+        if own_opt.t != opt.t:
+            raise ValueError("stacked runs must be at the same step")
+        model.params[k] = own.params
+        opt.m[k], opt.v[k] = own_opt.m, own_opt.v
+        row = nn.MlpModel.from_params(model.params[k], model.shapes, model.layers)
+        own.params, own.layers = row.params, row.layers
+        own_opt.m, own_opt.v, own_opt.scratch = opt.m[k], opt.v[k], opt.scratch
+    stack.runs.append(run)
+
+
+def stack_federations(runs: list[FederationState]) -> FederationStack:
+    """One stack over federations built from one config, whose seeds and
+    datasets may differ."""
+    stack = empty_stack(runs[0], len(runs))
+    for run in runs:
+        add_run(stack, run)
+    return stack
+
+
+def sync_runs(stack: FederationStack) -> None:
+    """Bring the runs' optimizer step counts up to date with the stack's;
+    their models and moments are views of its rows already."""
+    for run in stack.runs:
+        for (_, opt), (_, own_opt) in zip(_slots(stack), _slots(run)):
+            own_opt.t = opt.t
+
+
+def _join(state, per_run: list[np.ndarray]) -> np.ndarray:
+    """One array per run as the phases' operand: stacked along the run axis,
+    or the single federation's own array."""
+    return np.stack(per_run) if state.stacked else per_run[0]
+
+
+def _by_run(state, a) -> np.ndarray:
+    """``a`` with a leading run axis: a stack's array as it is, a single
+    federation's as a (1, ...) view."""
+    return a if state.stacked else np.asarray(a)[None]
+
+
+def broadcast_latent(state, batch_size: int) -> np.ndarray:
+    """One standard-normal (B, l) draw per run, shared by every attribute
+    generator of that run."""
+    return _join(
+        state,
+        [run.z_rng.standard_normal((batch_size, state.config.latent_dim)) for run in state.runs],
+    )
+
+
+# Each phase collects ``failed``: run index -> the error that would have
+# stopped that run had it trained alone. A failed run's later work in the
+# phase is computed on placeholders and discarded: it logs nothing more,
+# draws no noise and updates no model, so the other runs go on unchanged.
+
+
+def _forward(state, failed: dict, model: nn.MlpModel, batch: np.ndarray) -> nn.ActivationTrace:
+    """``nn.forward``; a run whose input is not finite fails here and goes on
+    with zeros in its place."""
+    try:
+        return nn.forward(model, batch)
+    except nn.NonFiniteError as exc:
+        rows = _by_run(state, batch)
+        bad = ~np.isfinite(rows).all(axis=(-2, -1))
+        for k in np.flatnonzero(bad):
+            failed.setdefault(int(k), exc)
+        clean = np.where(bad[:, None, None], 0.0, rows)
+        return nn.forward(model, clean if state.stacked else clean[0])
+
+
+def _log(state, failed: dict, direction: str, party_id: int, kind: str, payload: np.ndarray):
+    """Record each live run's block of ``payload`` in that run's log."""
+    for k, (run, block) in enumerate(zip(state.runs, _by_run(state, payload))):
+        if k not in failed:
+            run.log.log(run.iteration, direction, party_id, kind, block)
+
+
+def _maybe_dp(state, failed: dict, key, grads: nn.GradientSet) -> None:
+    """Clip and noise each live run's gradient in place, from the run's own
+    noise stream for ``key``."""
     dp = state.config.dp
     if dp is None:
-        return grads
-    return perturb_first_layer(grads, dp.clip, dp.sigma, state.noise_rngs[key])
+        return
+    for k, (run, row) in enumerate(zip(state.runs, _by_run(state, grads.flat))):
+        if k not in failed:
+            one = nn.GradientSet.from_flat(row, grads.shapes)
+            row[...] = perturb_first_layer(one, dp.clip, dp.sigma, run.noise_rngs[key]).flat
 
 
-def _check_finite(losses: dict, where: str):
-    bad = {k: v for k, v in losses.items() if not math.isfinite(v)}
-    if bad:
-        raise DivergenceError(f"non-finite loss in {where}", {"losses": bad})
+def _check_finite(state, failed: dict, losses: dict, where: str):
+    values = np.array([_by_run(state, v) for v in losses.values()])  # (losses, runs)
+    for k in np.flatnonzero(~np.isfinite(values).all(axis=0)):
+        bad = {key: float(v) for key, v in zip(losses, values[:, k]) if not math.isfinite(v)}
+        failed.setdefault(int(k), DivergenceError(f"non-finite loss in {where}", {"losses": bad}))
 
 
-def _generate_fakes(state: FederationState, z: np.ndarray, keep_traces: bool):
+def _apply_updates(state, failed: dict, pending: list) -> None:
+    """Adam steps in order. A run stops at its first non-finite gradient, as
+    ``nn.adam_step`` would stop a lone run there: the models before it are
+    updated, that one and the later ones are not."""
+    live = np.array([k not in failed for k in range(len(state.runs))])
+    for model, grads, opt in pending:
+        if live.all():
+            try:
+                nn.adam_step(model, grads, opt)
+                continue
+            except nn.NonFiniteError:
+                pass
+        finite = np.isfinite(_by_run(state, grads.flat)).all(axis=-1)
+        for k in np.flatnonzero(live & ~finite):
+            failed[int(k)] = nn.NonFiniteError("non-finite gradient; model left unchanged")
+        live &= finite
+        if live.any():  # a stack with some runs out: step the others' rows
+            rows = np.flatnonzero(live)
+            part = nn.MlpModel.from_params(model.params[rows], model.shapes, model.layers)
+            part_opt = replace(opt, m=opt.m[rows], v=opt.v[rows])
+            nn.adam_step(part, nn.GradientSet.from_flat(grads.flat[rows], grads.shapes), part_opt)
+            model.params[rows], opt.m[rows], opt.v[rows] = part.params, part_opt.m, part_opt.v
+            opt.t = part_opt.t
+
+
+def _mean(a: np.ndarray):
+    """Each run's mean over a (..., B, 1) loss column."""
+    return a.mean(axis=(-2, -1))
+
+
+def _generate_fakes(state, z: np.ndarray, keep_traces: bool):
     """Every generator runs on the shared z. Returns per-key fake blocks
     and, when requested, the generator traces for backprop."""
     traces: dict[tuple[int, int], nn.ActivationTrace] = {}
@@ -302,75 +524,75 @@ def _generate_fakes(state: FederationState, z: np.ndarray, keep_traces: bool):
 
 
 def _fake_block(branch: SharedBranch, fakes: dict) -> np.ndarray:
-    return np.concatenate([fakes[k] for k in branch.keys], axis=1)
+    return np.concatenate([fakes[k] for k in branch.keys], axis=-1)
 
 
 def _column_blocks(grad: np.ndarray, blocks: list[np.ndarray]):
     """Split grad's columns into consecutive pieces as wide as ``blocks``."""
     offset = 0
     for block in blocks:
-        width = block.shape[1]
-        yield grad[:, offset : offset + width]
+        width = block.shape[-1]
+        yield grad[..., offset : offset + width]
         offset += width
 
 
-def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> dict:
-    """Update all discriminators and feature extractors on one mini-batch.
+def discriminator_phase(state, batch_indices: np.ndarray) -> dict:
+    """Update all discriminators and feature extractors on one mini-batch
+    (a (B,) index vector, or one row per run of a stack).
 
     Gradients are all taken at pre-update parameters, DP clip+noise is
     applied to the first layers of the per-attribute discriminators and
     feature extractors (never the shared discriminator), then every update
-    lands. Generators are untouched.
+    lands. Generators are untouched. Returns each loss (one value per run of
+    a stack) and the runs that failed.
     """
     cfg = state.config
-    batch = np.asarray(batch_indices)
-    b = batch.shape[0]
-    data = state.dataset.data
+    batch = _by_run(state, np.asarray(batch_indices))
+    b = batch.shape[-1]
+    real = _join(state, [run.dataset.data[rows] for run, rows in zip(state.runs, batch)])
 
     z = broadcast_latent(state, b)
     fakes, _ = _generate_fakes(state, z, keep_traces=False)
 
-    losses: dict[str, float] = {}
+    failed: dict = {}
+    losses: dict = {}
     pending: list[tuple[nn.MlpModel, nn.GradientSet, nn.AdamState]] = []
 
     for p in state.parties:
         for j, attr in enumerate(p.attribute_indices):
             disc = p.discriminators[j]
-            real = data[batch, attr, :]
-            tr_r = nn.forward(disc, real)
-            tr_f = nn.forward(disc, fakes[(p.party_id, attr)])
+            tr_r = _forward(state, failed, disc, np.ascontiguousarray(real[..., attr, :]))
+            tr_f = _forward(state, failed, disc, fakes[(p.party_id, attr)])
             log_r, dlog_r = nn.clamped_log(tr_r.output)
             log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
-            losses[f"d_{p.party_id}_{attr}"] = float(-(log_r.mean() + log1m_f.mean()))
+            losses[f"d_{p.party_id}_{attr}"] = -(_mean(log_r) + _mean(log1m_f))
             grads, _ = nn.backward(disc, tr_r, -dlog_r / b)
             grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b)
             grads.add_(grads_f)
-            grads = _maybe_dp(state, ("D", p.party_id, attr), grads)
+            _maybe_dp(state, failed, ("D", p.party_id, attr), grads)
             pending.append((disc, grads, p.disc_opts[j]))
 
     if state.branches:
         real_in, fake_in, fe_traces = [], [], []
         for br in state.branches:
-            x_real = data[np.ix_(batch, [a for _, a in br.keys])].reshape(b, -1)
+            x_real = real[..., [a for _, a in br.keys], :].reshape(*real.shape[:-3], b, -1)
             x_fake = _fake_block(br, fakes)
             tr_fe_f = None
             if br.party is not None:
-                tr_fe_r = nn.forward(br.party.feature_extractor, x_real)
-                tr_fe_f = nn.forward(br.party.feature_extractor, x_fake)
+                tr_fe_r = _forward(state, failed, br.party.feature_extractor, x_real)
+                tr_fe_f = _forward(state, failed, br.party.feature_extractor, x_fake)
                 x_real, x_fake = tr_fe_r.output, tr_fe_f.output
                 for payload in (x_real, x_fake):
-                    state.log.log(
-                        state.iteration, "party->server", br.party.party_id, "feature", payload
-                    )
+                    _log(state, failed, "party->server", br.party.party_id, "feature", payload)
             real_in.append(x_real)
             fake_in.append(x_fake)
             fe_traces.append(tr_fe_f)
 
-        tr_ds_r = nn.forward(state.shared_disc, np.concatenate(real_in, axis=1))
-        tr_ds_f = nn.forward(state.shared_disc, np.concatenate(fake_in, axis=1))
+        tr_ds_r = _forward(state, failed, state.shared_disc, np.concatenate(real_in, axis=-1))
+        tr_ds_f = _forward(state, failed, state.shared_disc, np.concatenate(fake_in, axis=-1))
         log_r, dlog_r = nn.clamped_log(tr_ds_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_ds_f.output)
-        losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
+        losses["d_shared"] = -(_mean(log_r) + _mean(log1m_f))
         ds_grads, _ = nn.backward(state.shared_disc, tr_ds_r, -dlog_r / b)
         ds_grads_f, _ = nn.backward(state.shared_disc, tr_ds_f, -dlog1m_f / b)
         ds_grads.add_(ds_grads_f)
@@ -378,7 +600,7 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
 
         if any(tr is not None for tr in fe_traces):
             # feature extractors descend beta2 * E[log(1 - D_S(fake features))]
-            fe_loss = float(cfg.beta2 * log1m_f.mean())
+            fe_loss = cfg.beta2 * _mean(log1m_f)
             _, feat_grad = nn.backward(
                 state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
             )
@@ -387,16 +609,15 @@ def discriminator_phase(state: FederationState, batch_indices: np.ndarray) -> di
                 if tr_fe_f is None:
                     continue
                 p = br.party
-                state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
+                _log(state, failed, "server->party", p.party_id, "feature_grad", g_slice)
                 fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
-                fe_grads = _maybe_dp(state, ("FE", p.party_id), fe_grads)
+                _maybe_dp(state, failed, ("FE", p.party_id), fe_grads)
                 pending.append((p.feature_extractor, fe_grads, p.fe_opt))
                 losses[f"fe_{p.party_id}"] = fe_loss
 
-    _check_finite(losses, "discriminator phase")
-    for model, grads, opt in pending:
-        nn.adam_step(model, grads, opt)
-    return {"losses": losses}
+    _check_finite(state, failed, losses, "discriminator phase")
+    _apply_updates(state, failed, pending)
+    return {"losses": losses, "failed": failed}
 
 
 def _fooling_term(output: np.ndarray, non_saturating: bool):
@@ -405,30 +626,32 @@ def _fooling_term(output: np.ndarray, non_saturating: bool):
     does not vanish when the discriminator dominates."""
     if non_saturating:
         val, dval = nn.clamped_log(output)
-        return float(-val.mean()), -dval
+        return -_mean(val), -dval
     val, dval = nn.clamped_log1m(output)
-    return float(val.mean()), dval
+    return _mean(val), dval
 
 
-def generator_step(state: FederationState, z: np.ndarray) -> dict:
-    """Generator losses and output-side gradients for a given z; pure.
+def generator_step(state, z: np.ndarray) -> dict:
+    """Generator losses and output-side gradients for a given z; nothing is
+    updated here.
 
     Each generator's output gradient is the sum of its local-discriminator
     pathway and its slice of the shared pathway (back through its branch's
     feature extractor, if the branch has one, and the shared
-    discriminator), weighted by beta1. Nothing is updated here.
+    discriminator), weighted by beta1.
     """
     cfg = state.config
-    b = z.shape[0]
+    b = z.shape[-2]
     fakes, gen_traces = _generate_fakes(state, z, keep_traces=True)
 
-    losses: dict[str, float] = {}
+    failed: dict = {}
+    losses: dict = {}
     out_grads: dict[tuple[int, int], np.ndarray] = {}
 
     for p in state.parties:
         for j, attr in enumerate(p.attribute_indices):
             disc = p.discriminators[j]
-            tr_d = nn.forward(disc, fakes[(p.party_id, attr)])
+            tr_d = _forward(state, failed, disc, fakes[(p.party_id, attr)])
             term, dterm = _fooling_term(tr_d.output, cfg.non_saturating)
             losses[f"g_{p.party_id}_{attr}"] = term
             _, g_local = nn.backward(disc, tr_d, dterm / b, params=False)
@@ -440,45 +663,44 @@ def generator_step(state: FederationState, z: np.ndarray) -> dict:
             x_fake = _fake_block(br, fakes)
             tr_fe = None
             if br.party is not None:
-                tr_fe = nn.forward(br.party.feature_extractor, x_fake)
+                tr_fe = _forward(state, failed, br.party.feature_extractor, x_fake)
                 x_fake = tr_fe.output
-                state.log.log(state.iteration, "party->server", br.party.party_id, "feature", x_fake)
+                _log(state, failed, "party->server", br.party.party_id, "feature", x_fake)
             fake_in.append(x_fake)
             fe_traces.append(tr_fe)
-        tr_ds = nn.forward(state.shared_disc, np.concatenate(fake_in, axis=1))
+        tr_ds = _forward(state, failed, state.shared_disc, np.concatenate(fake_in, axis=-1))
         shared_term, dshared = _fooling_term(tr_ds.output, cfg.non_saturating)
         _, in_grad = nn.backward(state.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False)
         slices = _column_blocks(in_grad, fake_in)
         for br, tr_fe, grad in zip(state.branches, fe_traces, slices):
             if tr_fe is not None:
-                state.log.log(
-                    state.iteration, "server->party", br.party.party_id, "feature_grad", grad
-                )
+                _log(state, failed, "server->party", br.party.party_id, "feature_grad", grad)
                 _, grad = nn.backward(br.party.feature_extractor, tr_fe, grad, params=False)
-            x_grad = grad.reshape(b, len(br.keys), state.t_steps)
+            x_grad = grad.reshape(*grad.shape[:-1], len(br.keys), state.t_steps)
             for j, (pid, attr) in enumerate(br.keys):
-                out_grads[(pid, attr)] += x_grad[:, j, :]
+                out_grads[(pid, attr)] += x_grad[..., j, :]
                 losses[f"g_{pid}_{attr}"] += cfg.beta1 * shared_term
 
-    return {"losses": losses, "out_grads": out_grads, "traces": gen_traces}
+    return {"losses": losses, "out_grads": out_grads, "traces": gen_traces, "failed": failed}
 
 
-def generator_phase(state: FederationState) -> dict:
+def generator_phase(state) -> dict:
     """Update every attribute generator on a fresh shared z.
 
-    All gradients come from one pure generator_step at pre-update
-    parameters; discriminators and feature extractors are read, never
-    written.
+    All gradients come from one generator_step at pre-update parameters;
+    discriminators and feature extractors are read, never written. Returns
+    each loss (one value per run of a stack) and the runs that failed.
     """
     z = broadcast_latent(state, state.config.batch_size)
     step = generator_step(state, z)
-    _check_finite(step["losses"], "generator phase")
+    failed = step["failed"]
+    _check_finite(state, failed, step["losses"], "generator phase")
     for p in state.parties:
         for j, attr in enumerate(p.attribute_indices):
             key = (p.party_id, attr)
             grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
-            nn.adam_step(p.generators[j], grads, p.gen_opts[j])
-    return {"losses": step["losses"]}
+            _apply_updates(state, failed, [(p.generators[j], grads, p.gen_opts[j])])
+    return {"losses": step["losses"], "failed": failed}
 
 
 @dataclass
@@ -541,44 +763,92 @@ class TrainResult:
     diverged: bool = False
 
 
-def train(config: TrainConfig, views: list[PartyView]) -> TrainResult:
-    """Run the full protocol for max_iters iterations.
+def _run_losses(state, losses: dict) -> list[dict]:
+    """The phase's losses as one dict of floats per run."""
+    columns = {key: _by_run(state, v).tolist() for key, v in losses.items()}
+    return [{key: col[k] for key, col in columns.items()} for k in range(len(state.runs))]
 
-    Every checkpoint_every iterations (and once before training) the
-    current generators synthesize an evaluation batch; the snapshot with
-    the minimum distance to the training data is retained as the final
-    model. Divergence stops the run and returns the best snapshot so far.
+
+def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> list[TrainResult]:
+    """Run the full protocol for max_iters iterations once per ``(views,
+    seed)`` job, all jobs at once; ``config.seed`` is replaced by each job's.
+
+    Every checkpoint_every iterations (and once before training) each run's
+    current generators synthesize an evaluation batch; the snapshot with the
+    minimum distance to the run's training data is retained as its final
+    model. Divergence stops a run and keeps the best snapshot so far; the
+    other runs go on. Several jobs train as one ``FederationStack``. The
+    results come in job order, each as the run would have ended alone.
     """
-    state = init_federation(config, views)
-    n = state.dataset.n_samples
-    eval_seed = stream(config.seed, "eval-seed").integers(0, 2**63 - 1)
+    results, eval_seeds, stack = [], [], None
+    for views, seed in jobs:
+        run = init_federation(replace(config, seed=seed), views)
+        eval_seeds.append(stream(seed, "eval-seed").integers(0, 2**63 - 1))
+        awd0 = checkpoint_awd(run, eval_seeds[-1])
+        history = [{"iteration": 0, "awd": awd0}]
+        results.append(TrainResult(run, history, bank_from_state(run).copy(), awd0, 0))
+        if len(jobs) > 1:
+            # into the stack one by one, so that one run's own buffers exist at a time
+            stack = stack or empty_stack(run, len(jobs))
+            add_run(stack, run)
+    if not results:
+        return []
 
-    best_awd = checkpoint_awd(state, eval_seed)
-    best_bank = bank_from_state(state).copy()
-    best_iteration = 0
-    history: list[dict] = [{"iteration": 0, "awd": best_awd}]
-    diverged = False
-
+    state = stack or results[0].state
+    live = list(range(len(jobs)))  # the job of each run of ``state``
     for it in range(1, config.max_iters + 1):
-        state.iteration = it
-        batch = subsample_batch(n, config.batch_size, state.batch_rng)
-        try:
-            d_info = discriminator_phase(state, batch)
-            g_info = generator_phase(state)
-        except (DivergenceError, nn.NonFiniteError) as exc:
-            history.append({"iteration": it, "diverged": str(exc)})
-            diverged = True
-            break
-        row = {"iteration": it, **d_info["losses"], **g_info["losses"]}
-        if it % config.checkpoint_every == 0 or it == config.max_iters:
-            row["awd"] = checkpoint_awd(state, eval_seed)
-            if row["awd"] < best_awd:
-                best_awd = row["awd"]
-                best_bank = bank_from_state(state).copy()
-                best_iteration = it
-        history.append(row)
+        for run in state.runs:
+            run.iteration = it
+        batch = _join(
+            state,
+            [
+                subsample_batch(run.dataset.n_samples, config.batch_size, run.batch_rng)
+                for run in state.runs
+            ],
+        )
+        rows = [{"iteration": it} for _ in live]
+        for phase in (lambda s: discriminator_phase(s, batch), generator_phase):
+            info = phase(state)
+            for row, losses in zip(rows, _run_losses(state, info["losses"])):
+                row.update(losses)
+            if info["failed"]:
+                state, live, rows = _retire(state, live, rows, info["failed"], results, it)
+                if state is None:
+                    return results
+        checkpoint = it % config.checkpoint_every == 0 or it == config.max_iters
+        for j, row in zip(live, rows):
+            result = results[j]
+            if checkpoint:
+                row["awd"] = checkpoint_awd(result.state, eval_seeds[j])
+                if row["awd"] < result.best_awd:
+                    result.best_awd = row["awd"]
+                    result.best_bank = bank_from_state(result.state).copy()
+                    result.best_iteration = it
+            result.history.append(row)
 
-    return TrainResult(state, history, best_bank, best_awd, best_iteration, diverged)
+    if state.stacked:
+        sync_runs(state)
+    return results
+
+
+def _retire(state, live: list[int], rows: list[dict], failed: dict, results, it: int):
+    """End the failed runs at iteration ``it``; the others go on as a
+    smaller stack, or alone, or (if none is left) not at all."""
+    if state.stacked:
+        sync_runs(state)
+    for k, exc in failed.items():
+        results[live[k]].history.append({"iteration": it, "diverged": str(exc)})
+        results[live[k]].diverged = True
+    keep = [k for k in range(len(live)) if k not in failed]
+    runs = [state.runs[k] for k in keep]
+    rest = None if not runs else runs[0] if len(runs) == 1 else stack_federations(runs)
+    return rest, [live[k] for k in keep], [rows[k] for k in keep]
+
+
+def train(config: TrainConfig, views: list[PartyView]) -> TrainResult:
+    """Run the full protocol on one federation: ``train_runs`` with the one
+    job ``(views, config.seed)``."""
+    return train_runs(config, [(views, config.seed)])[0]
 
 
 def shadow_trainer(
@@ -587,12 +857,25 @@ def shadow_trainer(
     """Shadow-run trainer for the audit: retrains the configured federation
     on whatever dataset the audit hands it, with the given seed, and
     releases ``n_synth`` samples (the dataset's size by default) from the
-    best checkpoint, or None when the run diverged."""
+    best checkpoint, or None when the run diverged.
 
-    def trainer(dataset: TimeSeriesDataset, seed: int) -> TimeSeriesDataset | None:
-        result = train(replace(train_cfg, seed=seed), partition(dataset, assignment))
+    ``trainer(dataset, seed)`` trains one run; ``trainer.many(jobs)`` trains
+    a list of ``(dataset, seed)`` jobs as one stack and returns the same
+    releases as ``[trainer(d, s) for d, s in jobs]``.
+    """
+
+    def release(result: TrainResult, dataset: TimeSeriesDataset, seed: int):
         if result.diverged:
             return None
         return synthesize(result.best_bank, n_synth or dataset.n_samples, seed)
 
+    def trainer(dataset: TimeSeriesDataset, seed: int) -> TimeSeriesDataset | None:
+        result = train(replace(train_cfg, seed=seed), partition(dataset, assignment))
+        return release(result, dataset, seed)
+
+    def many(jobs) -> list[TimeSeriesDataset | None]:
+        results = train_runs(train_cfg, [(partition(d, assignment), s) for d, s in jobs])
+        return [release(r, d, s) for r, (d, s) in zip(results, jobs)]
+
+    trainer.many = many
     return trainer

@@ -15,12 +15,19 @@ layout, so an Adam step, gradient accumulation and the first-layer gradient
 vector are each a few operations on one vector. Change parameters in place
 (``layer.weight[...] = ...``); rebinding a layer's array detaches it from the
 model.
+
+Run axis: ``MlpModel.stack`` builds one model out of K models of the same
+shapes. Its ``params`` is (K, P), its weights are (K, out, in), its biases
+(K, 1, out), and it takes (K, B, in) batches, so K independent models train
+in one call each of ``forward``, ``backward`` and ``adam_step``. The same
+code serves both forms (``x @ w.mT + b``, reductions over axis -2), and each
+row of a stack computes the bytes its model would compute alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,22 +61,24 @@ class Layer:
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
+        # (out, in) and (out,), or stacked (K, out, in) and (K, 1, out)
+        stacked = self.weight.ndim == 3 and self.bias.ndim == 3
+        if not (stacked or (self.weight.ndim == 2 and self.bias.ndim == 1)):
             raise ShapeError("layer expects 2-D weight and 1-D bias")
-        if self.weight.shape[0] != self.bias.shape[0]:
+        if self.weight.shape[:-1] != (self.bias.shape[:-2] + self.bias.shape[-1:]):
             raise ShapeError(
-                f"bias length {self.bias.shape[0]} != weight rows {self.weight.shape[0]}"
+                f"bias shape {self.bias.shape} does not match weight shape {self.weight.shape}"
             )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
 
 Shapes = tuple[tuple[int, int], ...]  # (out, in) of each layer's weight
@@ -90,14 +99,17 @@ def _pack(weights, biases) -> tuple[np.ndarray, Shapes]:
 
 
 def _split(flat: np.ndarray, shapes: Shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views of a [w0, b0, w1, b1, ...] vector."""
+    """Per-layer weight and bias views of a [w0, b0, w1, b1, ...] vector, or
+    of each row of a (K, P) stack: weights (K, out, in), biases (K, 1, out)."""
+    lead = flat.shape[:-1]
     weights, biases = [], []
     start = 0
     for out_dim, in_dim in shapes:
         mid = start + out_dim * in_dim
-        weights.append(flat[start:mid].reshape(out_dim, in_dim))
+        weights.append(flat[..., start:mid].reshape(*lead, out_dim, in_dim))
         start = mid + out_dim
-        biases.append(flat[mid:start])
+        bias = flat[..., mid:start]
+        biases.append(bias.reshape(*lead, 1, out_dim) if lead else bias)
     return weights, biases
 
 
@@ -139,11 +151,32 @@ class MlpModel:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    @classmethod
+    def from_params(cls, params: np.ndarray, shapes: Shapes, layers: list[Layer]) -> "MlpModel":
+        """Wrap an existing (P,) or (K, P) buffer without copying it; ``layers``
+        give each layer's activation and slope."""
+        model = cls.__new__(cls)
+        model.params, model.shapes = params, shapes
+        weights, biases = _split(params, shapes)
+        model.layers = [
+            Layer(w, b, l.activation, l.slope) for l, w, b in zip(layers, weights, biases)
+        ]
+        return model
+
+    @classmethod
+    def stack(cls, models: list["MlpModel"]) -> "MlpModel":
+        """One model holding copies of ``models`` (all of one shape) along a
+        leading run axis; row k of its ``params`` is ``models[k].params``."""
+        first = models[0]
+        if any(m.shapes != first.shapes for m in models):
+            raise ShapeError("stacked models must share their layer shapes")
+        return cls.from_params(np.stack([m.params for m in models]), first.shapes, first.layers)
+
     def copy(self) -> "MlpModel":
         return MlpModel(self.layers)
 
     def param_count(self) -> int:
-        return self.params.size
+        return self.params.shape[-1]
 
 
 class GradientSet:
@@ -172,10 +205,10 @@ class GradientSet:
         return self.d_weights[0], self.d_biases[0]
 
     def first_layer_vector(self) -> np.ndarray:
-        """First-layer weight and bias gradients as one vector: a view of
-        the leading part of ``flat``."""
+        """First-layer weight and bias gradients as one vector (one per run
+        of a stack): a view of the leading part of ``flat``."""
         out_dim, in_dim = self.shapes[0]
-        return self.flat[: out_dim * (in_dim + 1)]
+        return self.flat[..., : out_dim * (in_dim + 1)]
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.flat).all())
@@ -185,10 +218,6 @@ class GradientSet:
 
     def add_(self, other: "GradientSet") -> "GradientSet":
         self.flat += other.flat
-        return self
-
-    def scale_(self, c: float) -> "GradientSet":
-        self.flat *= c
         return self
 
 
@@ -206,10 +235,6 @@ class ActivationTrace:
     @property
     def output(self) -> np.ndarray:
         return self.post[-1]
-
-
-def zero_gradients(model: MlpModel) -> GradientSet:
-    return GradientSet.from_flat(np.zeros_like(model.params), model.shapes)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -253,17 +278,19 @@ def _act_backward(
 def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
     """Run the model on a batch, retaining all intermediates.
 
-    ``batch`` is (B, in_dim) with B >= 1; raises ShapeError on width mismatch
-    and NonFiniteError on NaN/inf input.
+    ``batch`` is (B, in_dim) with B >= 1, or (K, B, in_dim) for a stack of K
+    models; raises ShapeError on a shape mismatch and NonFiniteError on
+    NaN/inf input.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2:
-        raise ShapeError(f"batch must be 2-D, got shape {batch.shape}")
-    if batch.shape[0] < 1:
+    rank = model.params.ndim + 1
+    if batch.ndim != rank or batch.shape[:-2] != model.params.shape[:-1]:
+        raise ShapeError(f"batch must be {rank}-D with one block per run, got shape {batch.shape}")
+    if batch.shape[-2] < 1:
         raise ShapeError("batch must hold at least one row")
-    if batch.shape[1] != model.in_dim:
+    if batch.shape[-1] != model.in_dim:
         raise ShapeError(
-            f"batch width {batch.shape[1]} != model input width {model.in_dim}"
+            f"batch width {batch.shape[-1]} != model input width {model.in_dim}"
         )
     if not np.isfinite(batch).all():
         raise NonFiniteError("non-finite value in input batch")
@@ -271,7 +298,7 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
     trace = ActivationTrace(model=model, batch=batch)
     x = batch
     for layer in model.layers:
-        pre = x @ layer.weight.T + layer.bias
+        pre = x @ layer.weight.mT + layer.bias
         post = _act(layer.activation, pre, layer.slope)
         trace.pre.append(pre)
         trace.post.append(post)
@@ -299,14 +326,15 @@ def backward(
         )
 
     grads = GradientSet.from_flat(np.empty_like(model.params), model.shapes) if params else None
+    stacked = model.params.ndim > 1
     delta = output_grad
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         delta = _act_backward(layer.activation, trace.pre[i], trace.post[i], layer.slope, delta)
         if grads is not None:
             below = trace.post[i - 1] if i > 0 else trace.batch
-            np.matmul(delta.T, below, out=grads.d_weights[i])
-            np.add.reduce(delta, axis=0, out=grads.d_biases[i])
+            np.matmul(delta.mT, below, out=grads.d_weights[i])
+            np.add.reduce(delta, axis=-2, out=grads.d_biases[i], keepdims=stacked)
         delta = delta @ layer.weight
 
     return grads, delta
@@ -325,6 +353,10 @@ class AdamState:
     m: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
     v: np.ndarray = field(default_factory=lambda: np.zeros(0), repr=False)
     shapes: Shapes = ()
+    # adam_step's work space, kept between steps (allocating it anew each
+    # step costs as much as the update itself); optimizers that never step
+    # at the same time may share one
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def for_model(
@@ -351,6 +383,16 @@ class AdamState:
         """Per-layer weight views of the first moment."""
         return _split(self.m, self.shapes)[0]
 
+    @classmethod
+    def stack(cls, states: list["AdamState"]) -> "AdamState":
+        """The optimizer of ``MlpModel.stack``: the states' moments along a
+        leading run axis. All states must be at the same step."""
+        first = states[0]
+        if any(s.t != first.t for s in states):
+            raise ValueError("stacked optimizers must be at the same step")
+        m = np.stack([s.m for s in states])
+        return replace(first, m=m, v=np.stack([s.v for s in states]), scratch=None)
+
 
 def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:
     """One Adam update with bias correction, in place, over the whole
@@ -368,10 +410,14 @@ def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
     g, m, v = grads.flat, state.m, state.v
+    if state.scratch is None or state.scratch.size < 2 * m.size:
+        state.scratch = np.empty(2 * m.size)
+    buf = state.scratch[: m.size].reshape(m.shape)
+    den = state.scratch[m.size : 2 * m.size].reshape(m.shape)
     # Each line is one rounding of the textbook update, in its order, so the
     # result is bit-equal to applying it tensor by tensor.
     # m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
-    buf = np.multiply(g, 1.0 - state.beta1)
+    np.multiply(g, 1.0 - state.beta1, out=buf)
     m *= state.beta1
     m += buf
     np.multiply(g, 1.0 - state.beta2, out=buf)
@@ -381,7 +427,7 @@ def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:
     # params -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
     np.divide(m, bc1, out=buf)
     buf *= state.lr
-    den = np.divide(v, bc2)
+    np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
     den += state.eps
     buf /= den
@@ -408,10 +454,15 @@ def init_mlp(
     return MlpModel(layers)
 
 
+def _clamp(s: np.ndarray) -> np.ndarray:
+    # np.clip's value, NaN included, without its Python-level wrapper
+    return np.minimum(np.maximum(s, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
+
+
 def clamped_log(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(s) with s clamped to [1e-7, 1-1e-7]; returns (value, d/ds)."""
     lo, hi = SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP
-    c = np.clip(s, lo, hi)
+    c = _clamp(s)
     inside = (s > lo) & (s < hi)
     return np.log(c), np.where(inside, 1.0 / c, 0.0)
 
@@ -419,7 +470,7 @@ def clamped_log(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def clamped_log1m(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(1-s) with s clamped to [1e-7, 1-1e-7]; returns (value, d/ds)."""
     lo, hi = SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP
-    c = np.clip(s, lo, hi)
+    c = _clamp(s)
     inside = (s > lo) & (s < hi)
     return np.log(1.0 - c), np.where(inside, -1.0 / (1.0 - c), 0.0)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtsgan import audit, data
+from fedtsgan import federation as fed
 
 
 def toy_dataset(values, t_steps=4):
@@ -17,17 +18,36 @@ def copier(dataset, seed):
     return dataset
 
 
+def min_nn_distance(x, pool, norm=2):
+    """Distance from x to its nearest neighbour in the pool (flat vectors)."""
+    pool = np.atleast_2d(pool)
+    if pool.shape[0] == 0:
+        raise ValueError("pool must be non-empty")
+    return float(audit._distances(np.asarray(x, dtype=np.float64).ravel(), pool, norm).min())
+
+
+def isolation_by_rows(flat, norm):
+    """The per-row loop that the blocked isolation replaced."""
+    out = np.empty(flat.shape[0])
+    for i in range(flat.shape[0]):
+        diff = flat - flat[i][None, :]
+        d = np.abs(diff).sum(axis=1) if norm == 1 else np.sqrt((diff * diff).sum(axis=1))
+        d[i] = np.inf
+        out[i] = d.min()
+    return out
+
+
 class TestMinNnDistance:
     def test_internal_point_gives_zero(self):
         pool = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert audit.min_nn_distance(pool[0], pool) == 0.0
+        assert min_nn_distance(pool[0], pool) == 0.0
 
     def test_scalar_series(self):
-        assert audit.min_nn_distance(np.array([5.0]), np.array([[0.0], [0.1]])) == pytest.approx(4.9)
+        assert min_nn_distance(np.array([5.0]), np.array([[0.0], [0.1]])) == pytest.approx(4.9)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            audit.min_nn_distance(np.zeros(2), np.zeros((0, 2)))
+            min_nn_distance(np.zeros(2), np.zeros((0, 2)))
 
     def test_matches_brute_force(self, rng):
         for _ in range(30):
@@ -35,7 +55,7 @@ class TestMinNnDistance:
             pool = rng.standard_normal((20, 6))
             for norm in (1, 2):
                 want = min(np.linalg.norm(x - p, ord=norm) for p in pool)
-                assert audit.min_nn_distance(x, pool, norm) == pytest.approx(want, rel=1e-12)
+                assert min_nn_distance(x, pool, norm) == pytest.approx(want, rel=1e-12)
 
 
 class TestOutlierSelector:
@@ -56,7 +76,7 @@ class TestOutlierSelector:
         shifted = data.TimeSeriesDataset(ds.data + 7.5, meta=dict(ds.meta))
         assert audit.select_target_outlier(ds) == audit.select_target_outlier(shifted)
 
-    def test_matches_brute_force(self, rng):
+    def test_matches_brute_force(self, rng, monkeypatch):
         for trial in range(10):
             n = int(rng.integers(3, 40))
             ds = data.TimeSeriesDataset(rng.standard_normal((n, 2, 5)))
@@ -67,6 +87,18 @@ class TestOutlierSelector:
                 for i in range(n)
             ]
             assert audit.select_target_outlier(ds) == int(np.argmax(iso))
+            for norm in (1, 2):
+                assert np.array_equal(audit._isolation(flat, norm), isolation_by_rows(flat, norm))
+
+        # tied distances, and blocks of a few rows each
+        monkeypatch.setattr(audit, "BLOCK_FLOATS", 7 * 4)
+        ties = np.repeat(rng.integers(0, 3, size=(9, 1)).astype(float), 4, axis=1)
+        ties = np.concatenate([ties, ties[:3] + 1e-300, rng.standard_normal((5, 4))])
+        for norm in (1, 2):
+            assert np.array_equal(audit._isolation(ties, norm), isolation_by_rows(ties, norm))
+        ds = data.TimeSeriesDataset(ties.reshape(-1, 1, 4))
+        flat = audit.normalized_flat(ds.data, audit.attribute_stats(ds))
+        assert audit.select_target_outlier(ds) == int(np.argmax(isolation_by_rows(flat, 2)))
 
 
 class TestInfluentialSelector:
@@ -225,6 +257,40 @@ class TestRunAssd:
 
         with pytest.raises(RuntimeError):
             audit.run_assd(ds, 0, dead, audit.AuditConfig(shadow_pairs=4, knn_k=2))
+
+
+    def test_stacked_shadow_runs_match_one_at_a_time(self):
+        ds = data.gen_sine2(n_per_class=4, t_steps=8, seed=1)
+        cfg = fed.TrainConfig(
+            latent_dim=3, batch_size=4, max_iters=4, checkpoint_every=2, eval_samples=8,
+            gen_hidden=(6,), disc_hidden=(5,), fe_hidden=(5,), feature_dim=3, shared_hidden=(4,),
+        )
+        trainer = fed.shadow_trainer(cfg, {0: [0], 1: [1]}, n_synth=6)
+        seen = []
+
+        def many(jobs):
+            seen.append([(d.n_samples, s) for d, s in jobs])
+            return trainer.many(jobs)
+
+        plain = lambda d, s: trainer(d, s)  # no ``many``: one call per job
+        stacked = lambda d, s: trainer(d, s)
+        stacked.many = many
+        audit_cfg = audit.AuditConfig(shadow_pairs=3, knn_k=2, seed=4)
+        got = audit.run_assd(ds, 5, stacked, audit_cfg)
+        want = audit.run_assd(ds, 5, plain, audit_cfg)
+        assert seen == [
+            [(7 + world, audit.stream_seed_for(4, world, m)) for world in (0, 1) for m in range(3)]
+        ]
+        assert (got.features_world0, got.features_world1, got.auc, got.invalid_runs) == (
+            want.features_world0,
+            want.features_world1,
+            want.auc,
+            want.invalid_runs,
+        )
+
+        adversary = audit.threshold_adversary(got, ds, audit_cfg)
+        rates = [audit.loo_game(ds, 5, t, adversary, rounds=6, seed=2) for t in (trainer, plain)]
+        assert rates[0] == rates[1]
 
 
 class TestLooGame:

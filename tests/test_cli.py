@@ -417,6 +417,34 @@ dir = {tmp_path / 'out'}
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "shadow_pairs_not_a_number",
+            "one_shadow_pair",
+            "missing_checkpoint",
+            "party_id_not_a_number",
+        ],
+    )
+    def test_bad_audit_checkpoint_or_party_id(self, tmp_path, case):
+        if case == "shadow_pairs_not_a_number":
+            cfg, _ = write_config(tmp_path, sections="[audit]\nshadow_pairs = x")
+            argv = ("audit", "--config", str(cfg))
+        elif case == "one_shadow_pair":
+            cfg, _ = write_config(tmp_path, sections="[audit]\nshadow_pairs = 1")
+            argv = ("audit", "--config", str(cfg))
+        elif case == "missing_checkpoint":
+            cfg, _ = write_config(tmp_path)
+            argv = ("evaluate", "--config", str(cfg), "--checkpoint", str(tmp_path / "nope.npz"))
+        else:
+            cfg, _ = write_config(tmp_path)
+            cfg.write_text(cfg.read_text().replace("party_1 = 1", "party_one = 1"))
+            argv = ("train", "--config", str(cfg))
+        code, err = run_cli(*argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_mae_takes_frequencies_from_the_checkpoint(self, tmp_path):
         train_cfg, run = write_config(tmp_path)
         assert cli.main(["train", "--config", str(train_cfg)]) == 0

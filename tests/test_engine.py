@@ -143,11 +143,80 @@ def test_training_steps_match_per_tensor_reference_bytes(slope):
         assert blob(state.m_weights) == blob(ref.m[0::2])
 
 
+def ref_clamped_log(s):
+    lo, hi = nn.SIGMOID_CLAMP, 1.0 - nn.SIGMOID_CLAMP
+    c = np.clip(s, lo, hi)
+    inside = (s > lo) & (s < hi)
+    log, dlog = np.log(c), np.where(inside, 1.0 / c, 0.0)
+    return log, dlog, np.log(1.0 - c), np.where(inside, -1.0 / (1.0 - c), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_clamped_logs_match_np_clip_form_bytes():
+    rng = np.random.default_rng(9)
+    lo = nn.SIGMOID_CLAMP
+    edges = [0.0, -0.0, 1.0, lo, 1.0 - lo, np.nextafter(lo, 0), np.nextafter(1 - lo, 2)]
+    edges += [np.nan, -1.0, 2.0]
+    s = np.concatenate([edges, rng.random(200)]).reshape(-1, 1)
+    got = nn.clamped_log(s) + nn.clamped_log1m(s)
+    assert blob(got) == blob(ref_clamped_log(s))
+
+
 def test_sigmoid_matches_masked_form_bytes():
     rng = np.random.default_rng(5)
     special = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2])
     x = np.concatenate([special, rng.standard_normal(500) * 30.0]).reshape(-1, 3)
     assert nn._sigmoid(x).tobytes() == ref_sigmoid(x).tobytes()
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_stack_rows_match_their_models_bytes(strided):
+    """A stack of K models trains each row to the bytes of its model alone,
+    given each row's operands in the layout the model would get alone."""
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        k = int(rng.integers(1, 7))
+        acts = list(rng.permutation(ALL_ACTIVATIONS))[: int(rng.integers(1, 4))]
+        dims = [int(d) for d in rng.integers(1, 40, size=len(acts) + 1)]
+        models = [nn.init_mlp(dims, acts, rng) for _ in range(k)]
+        stack = nn.MlpModel.stack(models)
+        for layer in stack.layers:
+            assert np.shares_memory(layer.weight, stack.params)
+            assert layer.bias.shape == (k, 1, layer.out_dim)
+        opts = [nn.AdamState.for_model(m, lr=1e-2) for m in models]
+        stack_opt = nn.AdamState.stack(opts)
+        for _ in range(6):
+            b = int(rng.integers(1, 20))
+            x = rng.standard_normal((k, b, 2 * dims[0])) * 3.0
+            g = rng.standard_normal((k, b, 2 * dims[-1]))
+            if strided:
+                x, g = x[..., ::2], g[..., : dims[-1]]
+            else:
+                x, g = x[..., : dims[0]].copy(), g[..., : dims[-1]].copy()
+            trace = nn.forward(stack, x)
+            grads, in_grad = nn.backward(stack, trace, g)
+            nn.adam_step(stack, grads, stack_opt)
+            for i, (model, opt) in enumerate(zip(models, opts)):
+                solo = nn.forward(model, x[i])
+                assert blob(solo.pre + solo.post) == blob([a[i] for a in trace.pre + trace.post])
+                solo_grads, solo_in = nn.backward(model, solo, g[i])
+                assert solo_grads.flat.tobytes() == grads.flat[i].tobytes()
+                assert solo_in.tobytes() == in_grad[i].tobytes()
+                nn.adam_step(model, solo_grads, opt)
+                assert model.params.tobytes() == stack.params[i].tobytes()
+        assert stack_opt.m.tobytes() == blob(o.m for o in opts)
+
+
+def test_stack_rejects_mismatched_shapes_and_batches():
+    rng = np.random.default_rng(2)
+    a = nn.init_mlp([3, 4, 1], ["tanh", "sigmoid"], rng)
+    with pytest.raises(nn.ShapeError):
+        nn.MlpModel.stack([a, nn.init_mlp([3, 5, 1], ["tanh", "sigmoid"], rng)])
+    stack = nn.MlpModel.stack([a, a.copy()])
+    with pytest.raises(nn.ShapeError):
+        nn.forward(stack, np.zeros((4, 3)))
+    with pytest.raises(nn.ShapeError):
+        nn.forward(stack, np.zeros((3, 4, 3)))
 
 
 class TestFlatStorage:

@@ -1,4 +1,4 @@
-import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 
 from fedtsgan import data, federation as fed, nn
 from fedtsgan.dpmech import DpParams
+from fedtsgan.rng import stream, stream_seed
 
 from conftest import params_blob
 
@@ -130,8 +131,12 @@ class TestDiscriminatorPhase:
     def test_non_finite_loss_aborts_with_diagnostics(self, sine_views):
         state = fed.init_federation(tiny_config(), sine_views)
         state.parties[0].discriminators[0].layers[0].weight[:] = 1e308
-        with pytest.raises((fed.DivergenceError, nn.NonFiniteError)):
-            fed.discriminator_phase(state, np.arange(6))
+        before = federation_blob(state)
+        info = fed.discriminator_phase(state, np.arange(6))
+        exc = info["failed"][0]
+        assert isinstance(exc, fed.DivergenceError)
+        assert not np.isfinite(exc.diagnostics["losses"]["d_0_0"])
+        assert federation_blob(state) == before
 
 
 class TestGeneratorPhase:
@@ -207,13 +212,49 @@ class TestGeneratorPhase:
         assert worst < 1e-5
 
 
-# -- reference: the shared pathway as separate per-topology code ---------------
+# -- reference: one federation at a time, per-topology code ------------------
 #
-# The phases below keep the earlier form of the shared pathway: a ``vfl``
-# block (one feature extractor per party, every crossing logged) and a
-# ``centralized`` block (the shared discriminator on raw concatenated
-# attributes, weighted by what was then a separate ``lambda``, here beta1).
-# The branch-list pathway must reproduce them byte for byte.
+# The functions below keep earlier forms of the training code. ``ref_train``
+# is the solo loop that trained one federation per call, before runs were
+# stacked; a phase that fails raises and ends the run. Its phases keep the
+# shared pathway as separate per-topology code: a ``vfl`` block (one feature
+# extractor per party, every crossing logged) and a ``centralized`` block
+# (the shared discriminator on raw concatenated attributes, weighted by what
+# was then a separate ``lambda``, here beta1). Both ``train`` and every run
+# of a stack must reproduce them byte for byte.
+
+
+def ref_latent(state, b):
+    return state.z_rng.standard_normal((b, state.config.latent_dim))
+
+
+def ref_fakes(state, z):
+    traces = {}
+    for p in state.parties:
+        for j, attr in enumerate(p.attribute_indices):
+            traces[(p.party_id, attr)] = nn.forward(p.generators[j], z)
+    return {key: tr.output for key, tr in traces.items()}, traces
+
+
+def ref_maybe_dp(state, key, grads):
+    dp = state.config.dp
+    if dp is None:
+        return grads
+    return fed.perturb_first_layer(grads, dp.clip, dp.sigma, state.noise_rngs[key])
+
+
+def ref_check_finite(losses, where):
+    bad = {k: v for k, v in losses.items() if not math.isfinite(v)}
+    if bad:
+        raise fed.DivergenceError(f"non-finite loss in {where}", {"losses": bad})
+
+
+def ref_fooling_term(output, non_saturating):
+    if non_saturating:
+        val, dval = nn.clamped_log(output)
+        return float(-val.mean()), -dval
+    val, dval = nn.clamped_log1m(output)
+    return float(val.mean()), dval
 
 
 def _party_block(p, source, batch=None):
@@ -227,8 +268,7 @@ def ref_discriminator_phase(state, batch_indices):
     batch = np.asarray(batch_indices)
     b = batch.shape[0]
     data_ = state.dataset.data
-    z = fed.broadcast_latent(state, b)
-    fakes, _ = fed._generate_fakes(state, z, keep_traces=False)
+    fakes, _ = ref_fakes(state, ref_latent(state, b))
     losses, pending = {}, []
     for p in state.parties:
         for j, attr in enumerate(p.attribute_indices):
@@ -241,7 +281,7 @@ def ref_discriminator_phase(state, batch_indices):
             grads, _ = nn.backward(disc, tr_r, -dlog_r / b)
             grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b)
             grads.add_(grads_f)
-            grads = fed._maybe_dp(state, ("D", p.party_id, attr), grads)
+            grads = ref_maybe_dp(state, ("D", p.party_id, attr), grads)
             pending.append((disc, grads, p.disc_opts[j]))
 
     if cfg.topology == "vfl":
@@ -274,7 +314,7 @@ def ref_discriminator_phase(state, batch_indices):
             offset += width
             state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
             fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
-            fe_grads = fed._maybe_dp(state, ("FE", p.party_id), fe_grads)
+            fe_grads = ref_maybe_dp(state, ("FE", p.party_id), fe_grads)
             pending.append((p.feature_extractor, fe_grads, p.fe_opt))
             losses[f"fe_{p.party_id}"] = fe_loss
     elif cfg.topology == "centralized":
@@ -290,7 +330,7 @@ def ref_discriminator_phase(state, batch_indices):
         c_grads.add_(c_grads_f)
         pending.append((state.shared_disc, c_grads, state.shared_opt))
 
-    fed._check_finite(losses, "discriminator phase")
+    ref_check_finite(losses, "discriminator phase")
     for model, grads, opt in pending:
         nn.adam_step(model, grads, opt)
     return {"losses": losses}
@@ -300,13 +340,13 @@ def ref_generator_step(state, z):
     cfg = state.config
     b = z.shape[0]
     t_steps = state.t_steps
-    fakes, gen_traces = fed._generate_fakes(state, z, keep_traces=True)
+    fakes, gen_traces = ref_fakes(state, z)
     losses, out_grads = {}, {}
     for p in state.parties:
         for j, attr in enumerate(p.attribute_indices):
             disc = p.discriminators[j]
             tr_d = nn.forward(disc, fakes[(p.party_id, attr)])
-            term, dterm = fed._fooling_term(tr_d.output, cfg.non_saturating)
+            term, dterm = ref_fooling_term(tr_d.output, cfg.non_saturating)
             losses[f"g_{p.party_id}_{attr}"] = term
             _, out_grads[(p.party_id, attr)] = nn.backward(disc, tr_d, dterm / b, params=False)
 
@@ -319,7 +359,7 @@ def ref_generator_step(state, z):
             widths.append(tr_fe.output.shape[1])
             state.log.log(state.iteration, "party->server", p.party_id, "feature", tr_fe.output)
         tr_ds = nn.forward(state.shared_disc, np.concatenate(feat_fake, axis=1))
-        shared_term, dshared = fed._fooling_term(tr_ds.output, cfg.non_saturating)
+        shared_term, dshared = ref_fooling_term(tr_ds.output, cfg.non_saturating)
         _, feat_grad = nn.backward(
             state.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False
         )
@@ -338,7 +378,7 @@ def ref_generator_step(state, z):
     elif cfg.topology == "centralized":
         x_fake = np.concatenate([_party_block(p, fakes) for p in state.parties], axis=1)
         tr_c = nn.forward(state.shared_disc, x_fake)
-        shared_term, dshared = fed._fooling_term(tr_c.output, cfg.non_saturating)
+        shared_term, dshared = ref_fooling_term(tr_c.output, cfg.non_saturating)
         _, x_grad = nn.backward(state.shared_disc, tr_c, cfg.beta1 * dshared / b, params=False)
         offset = 0
         for p in state.parties:
@@ -350,6 +390,72 @@ def ref_generator_step(state, z):
                 losses[f"g_{p.party_id}_{attr}"] += cfg.beta1 * shared_term
 
     return {"losses": losses, "out_grads": out_grads, "traces": gen_traces}
+
+
+def ref_generator_phase(state):
+    step = ref_generator_step(state, ref_latent(state, state.config.batch_size))
+    ref_check_finite(step["losses"], "generator phase")
+    for p in state.parties:
+        for j, attr in enumerate(p.attribute_indices):
+            key = (p.party_id, attr)
+            grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
+            nn.adam_step(p.generators[j], grads, p.gen_opts[j])
+    return {"losses": step["losses"]}
+
+
+def ref_train(config, views):
+    state = fed.init_federation(config, views)
+    n = state.dataset.n_samples
+    eval_seed = stream(config.seed, "eval-seed").integers(0, 2**63 - 1)
+    best_awd = fed.checkpoint_awd(state, eval_seed)
+    best_bank = fed.bank_from_state(state).copy()
+    best_iteration = 0
+    history = [{"iteration": 0, "awd": best_awd}]
+    diverged = False
+    for it in range(1, config.max_iters + 1):
+        state.iteration = it
+        batch = data.subsample_batch(n, config.batch_size, state.batch_rng)
+        try:
+            d_info = ref_discriminator_phase(state, batch)
+            g_info = ref_generator_phase(state)
+        except (fed.DivergenceError, nn.NonFiniteError) as exc:
+            history.append({"iteration": it, "diverged": str(exc)})
+            diverged = True
+            break
+        row = {"iteration": it, **d_info["losses"], **g_info["losses"]}
+        if it % config.checkpoint_every == 0 or it == config.max_iters:
+            row["awd"] = fed.checkpoint_awd(state, eval_seed)
+            if row["awd"] < best_awd:
+                best_awd = row["awd"]
+                best_bank = fed.bank_from_state(state).copy()
+                best_iteration = it
+        history.append(row)
+    return fed.TrainResult(state, history, best_bank, best_awd, best_iteration, diverged)
+
+
+def messages(log):
+    return [
+        (r.iteration, r.direction, r.party_id, r.kind, r.shape, r.payload_hash)
+        for r in log.records
+    ]
+
+
+def bank_blob(bank):
+    return [params_blob(g) for _, g in sorted(bank.generators.items())]
+
+
+def assert_same_run(got, want):
+    """Bytes of history, every model, the best snapshot and the messages."""
+    assert [list(r.items()) for r in got.history] == [list(r.items()) for r in want.history]
+    assert federation_blob(got.state) == federation_blob(want.state)
+    assert bank_blob(got.best_bank) == bank_blob(want.best_bank)
+    assert (got.best_awd, got.best_iteration, got.diverged) == (
+        want.best_awd,
+        want.best_iteration,
+        want.diverged,
+    )
+    assert got.state.iteration == want.state.iteration
+    assert messages(got.state.log) == messages(want.state.log)
 
 
 MULTI_ATTRIBUTE_PARTITIONS = {
@@ -364,29 +470,147 @@ class TestSharedPathway:
         "assignment", MULTI_ATTRIBUTE_PARTITIONS.values(), ids=MULTI_ATTRIBUTE_PARTITIONS
     )
     @pytest.mark.parametrize("dp", [None, DpParams(1.0, 0.5)], ids=["dp_off", "dp_on"])
-    def test_branch_list_reproduces_per_topology_code(self, topology, assignment, dp, monkeypatch):
+    def test_branch_list_reproduces_per_topology_code(self, topology, assignment, dp):
         ds = data.gen_sine6(n_per_class=8, t_steps=10, seed=3)
         views = data.partition(ds, assignment)
         cfg = tiny_config(
             topology=topology, dp=dp, max_iters=6, checkpoint_every=2, beta1=0.7, beta2=0.9
         )
         got = fed.train(cfg, views)
-        monkeypatch.setattr(fed, "discriminator_phase", ref_discriminator_phase)
-        monkeypatch.setattr(fed, "generator_step", ref_generator_step)
-        want = fed.train(cfg, views)
+        want = ref_train(cfg, views)
 
         assert sum("awd" in row for row in got.history) >= 3
-        assert [list(r.items()) for r in got.history] == [list(r.items()) for r in want.history]
-        assert federation_blob(got.state) == federation_blob(want.state)
-        assert [params_blob(g) for _, g in sorted(got.best_bank.generators.items())] == [
-            params_blob(g) for _, g in sorted(want.best_bank.generators.items())
-        ]
-        messages = lambda log: [
-            (r.iteration, r.direction, r.party_id, r.kind, r.shape, r.payload_hash)
-            for r in log.records
-        ]
-        assert messages(got.state.log) == messages(want.state.log)
+        assert_same_run(got, want)
         assert len(got.state.log.records) == (30 * len(assignment) if topology == "vfl" else 0)
+
+
+STACK_PARTITIONS = {
+    "sine2_two_parties": (
+        lambda: data.gen_sine2(n_per_class=8, t_steps=10, seed=3),
+        {0: [0], 1: [1]},
+    ),
+    "sine6_three_parties": (
+        lambda: data.gen_sine6(n_per_class=4, t_steps=10, seed=3),
+        {0: [0, 1], 1: [2, 3], 2: [4, 5]},
+    ),
+}
+
+
+def stack_jobs(make_dataset):
+    """Four runs with distinct seeds over a dataset of N rows and one of N - 1."""
+    full = make_dataset()
+    short = full.without_sample(2)
+    return [(full, 5), (short, 6), (full, 7), (short, 8)]
+
+
+class TestRunStack:
+    @pytest.mark.parametrize("topology", fed.TOPOLOGIES)
+    @pytest.mark.parametrize("name", STACK_PARTITIONS)
+    @pytest.mark.parametrize("dp", [None, DpParams(1.0, 0.5)], ids=["dp_off", "dp_on"])
+    def test_each_run_matches_its_solo_reference(self, topology, name, dp):
+        make_dataset, assignment = STACK_PARTITIONS[name]
+        jobs = stack_jobs(make_dataset)
+        cfg = tiny_config(
+            topology=topology, dp=dp, max_iters=6, checkpoint_every=2, beta1=0.7, beta2=0.9, lr=2e-2
+        )
+        got = fed.train_runs(cfg, [(data.partition(d, assignment), s) for d, s in jobs])
+        assert len(got) == len(jobs)
+        for result, (d, s) in zip(got, jobs):
+            want = ref_train(replace(cfg, seed=s), data.partition(d, assignment))
+            assert not want.diverged
+            assert result.state.dataset is d
+            assert_same_run(result, want)
+        assert any(r.best_iteration > 0 for r in got)
+
+    def test_diverging_runs_leave_the_stack(self, monkeypatch):
+        # two runs get a NaN first-layer gradient from the DP mechanism, each
+        # at one iteration: adam_step stops such a run at that model, after
+        # the models before it in the phase have been updated
+        poison = {
+            stream_seed(6, "dp-noise", "D", 1, 1): 3,  # a later discriminator
+            stream_seed(9, "dp-noise", "FE", 0): 5,  # the first extractor
+        }
+        calls = {}
+        real = fed.perturb_first_layer
+
+        def perturb(grads, clip, sigma, rng):
+            out = real(grads, clip, sigma, rng)
+            key = rng.bit_generator.seed_seq.entropy
+            calls[id(rng)] = calls.get(id(rng), 0) + 1
+            if poison.get(key) == calls[id(rng)]:
+                out.d_weights[0][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(fed, "perturb_first_layer", perturb)
+        make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
+        full = make_dataset()
+        jobs = [(full, 5), (full, 6), (full.without_sample(2), 7), (full, 9), (full, 8)]
+        cfg = tiny_config(max_iters=8, checkpoint_every=2, dp=DpParams(1.0, 0.5))
+        got = fed.train_runs(cfg, [(data.partition(d, assignment), s) for d, s in jobs])
+        for result, (d, s) in zip(got, jobs):
+            calls.clear()
+            want = ref_train(replace(cfg, seed=s), data.partition(d, assignment))
+            assert want.diverged == (s in (6, 9))
+            assert_same_run(result, want)
+        assert [r.state.iteration for r in got] == [8, 3, 8, 5, 8]
+
+        calls.clear()
+        releases = fed.shadow_trainer(cfg, assignment, n_synth=5).many(jobs)
+        assert [r is None for r in releases] == [False, True, False, True, False]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_input_fails_only_its_run(self, sine_views):
+        cfg = tiny_config(dp=DpParams(1.0, 0.5))
+        runs = [fed.init_federation(replace(cfg, seed=s), sine_views) for s in (1, 2, 3)]
+        alone = [fed.init_federation(replace(cfg, seed=s), sine_views) for s in (1, 2, 3)]
+        stack = fed.stack_federations(runs)
+        # run 1's first generator overflows, so its fakes are not finite
+        stack.parties[0].generators[0].params[1] = 1e308
+        alone[1].parties[0].generators[0].params[...] = 1e308
+        batches = [np.arange(6), np.arange(1, 7), np.arange(2, 8)]
+        for run in runs + alone:
+            run.iteration = 1
+        d_info = fed.discriminator_phase(stack, np.stack(batches))
+        g_info = fed.generator_phase(stack)
+        for k, solo in enumerate(alone):
+            want_d = fed.discriminator_phase(solo, batches[k])
+            want_g = fed.generator_phase(solo)
+            for got, want in ((d_info, want_d), (g_info, want_g)):
+                assert (k in got["failed"]) == bool(want["failed"])
+                if want["failed"]:
+                    assert str(got["failed"][k]) == str(want["failed"][0])
+                else:
+                    for key, value in want["losses"].items():
+                        assert got["losses"][key][k] == value
+            assert federation_blob(runs[k]) == federation_blob(solo)
+            assert messages(runs[k].log) == messages(solo.log)
+        assert set(d_info["failed"]) == {1}
+        assert str(d_info["failed"][1]) == "non-finite value in input batch"
+
+    def test_many_returns_the_single_releases(self):
+        make_dataset, assignment = STACK_PARTITIONS["sine6_three_parties"]
+        jobs = stack_jobs(make_dataset)
+        trainer = fed.shadow_trainer(tiny_config(max_iters=4), assignment, n_synth=7)
+        together = trainer.many(jobs)
+        alone = [trainer(d, s) for d, s in jobs]
+        assert [r.data.tobytes() for r in together] == [r.data.tobytes() for r in alone]
+        assert [r.data.shape for r in together] == [(7, 6, 10)] * len(jobs)
+
+    def test_runs_read_their_rows_of_the_stack(self, sine_views):
+        runs = [fed.init_federation(tiny_config(seed=s), sine_views) for s in (1, 2, 3)]
+        before = [federation_blob(run) for run in runs]
+        stack = fed.stack_federations(runs)
+        assert [federation_blob(run) for run in runs] == before
+        for run in runs:
+            run.iteration = 1
+        fed.discriminator_phase(stack, np.stack([np.arange(6), np.arange(1, 7), np.arange(2, 8)]))
+        fed.sync_runs(stack)
+        for k, run in enumerate(runs):
+            assert federation_blob(run) != before[k]
+            for (model, opt), (own, own_opt) in zip(fed._slots(stack), fed._slots(run)):
+                assert np.shares_memory(own.params, model.params)
+                assert own.layers[0].weight.tobytes() == model.layers[0].weight[k].tobytes()
+                assert own_opt.m.tobytes() == opt.m[k].tobytes() and own_opt.t == opt.t
 
 
 class TestDpWiring:

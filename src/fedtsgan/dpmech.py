@@ -46,12 +46,18 @@ def clip_first_layer(grads: GradientSet, clip: float) -> GradientSet:
     The bound is enforced exactly, not to rounding: division can leave the
     recomputed norm an ulp or two above clip, so the scale is nudged up
     until the bound holds.
+
+    A first layer holding NaN or inf has no bounded rescaling and comes back
+    unclipped, for the caller's finiteness check to reject. (Finite entries
+    whose squared norm overflows are still clipped.)
     """
     if not clip > 0.0:
         raise ValueError("clip bound must be positive")
     out = grads.copy()
     norm = first_layer_norm(out)
-    scale = max(1.0, norm / clip)
+    scale = max(1.0, norm / clip)  # 1.0 for a NaN norm
+    if math.isinf(norm) and not np.isfinite(out.first_layer_vector()).all():
+        return out
     if scale > 1.0:
         w, b = grads.first_layer()
         out_w, out_b = out.first_layer()

@@ -124,7 +124,7 @@ class MessageLog:
         header = (direction, party_id, kind, payload.shape)
         self._iterations.append(iteration)
         self._headers.append(self._shared.setdefault(header, header))
-        self._digests += bytes.fromhex(payload_digest(payload))
+        self._digests += _sha256(payload)
         if self.keep_payloads:
             self._payloads.append(payload.copy())
 
@@ -142,8 +142,13 @@ class MessageLog:
         ]
 
 
+def _sha256(arr: np.ndarray) -> bytes:
+    """SHA-256 of the array's float64 bytes in C order, hashed from its buffer."""
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64)).digest()
+
+
 def payload_digest(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()
+    return _sha256(arr).hex()
 
 
 @dataclass

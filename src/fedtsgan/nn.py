@@ -22,11 +22,19 @@ shapes. Its ``params`` is (K, P), its weights are (K, out, in), its biases
 in one call each of ``forward``, ``backward`` and ``adam_step``. The same
 code serves both forms (``x @ w.mT + b``, reductions over axis -2), and each
 row of a stack computes the bytes its model would compute alone.
+
+Leaky ReLU: for a slope in (0, 1] the forward pass is ``max(x, slope * x)``
+(``min`` for a finite slope above 1) and the backward pass multiplies delta
+by ``max(pre >= 0, slope)``. Neither branches on the sign pattern, and both
+give the bytes of ``np.where(x >= 0, x, slope * x)`` and its derivative,
+signed zeros, infinities, NaN and subnormals included. Other slopes keep the
+``np.where`` form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -250,6 +258,13 @@ def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
     if tag == "relu":
         return np.maximum(x, 0.0)
     if tag == "leaky_relu":
+        # branch-free and byte-equal to the np.where form: the larger (or, for
+        # slope > 1, the smaller) of x and slope*x. Slope 0 keeps np.where,
+        # since 0 * inf is NaN where np.where returns inf.
+        if 0.0 < slope < math.inf:
+            pick = np.maximum if slope <= 1.0 else np.minimum
+            out = slope * x
+            return pick(x, out, out=out)
         return np.where(x >= 0.0, x, slope * x)
     if tag == "tanh":
         return np.tanh(x)
@@ -267,6 +282,11 @@ def _act_backward(
     if tag == "relu":
         return delta * (pre > 0.0)
     if tag == "leaky_relu":
+        # delta times 1 or slope: one multiply, byte-equal to np.where's pick
+        if 0.0 < slope <= 1.0:
+            out = np.maximum(pre >= 0.0, slope)
+            out *= delta
+            return out
         return np.where(pre >= 0.0, delta, slope * delta)
     if tag == "tanh":
         return delta * (1.0 - post * post)
@@ -298,7 +318,8 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
     trace = ActivationTrace(model=model, batch=batch)
     x = batch
     for layer in model.layers:
-        pre = x @ layer.weight.mT + layer.bias
+        pre = x @ layer.weight.mT
+        pre += layer.bias
         post = _act(layer.activation, pre, layer.slope)
         trace.pre.append(pre)
         trace.post.append(post)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,41 @@ class TestClip:
         g = grads_with_first_layer([100.0, -3.0, 7.0])
         out = clip_first_layer(g, np.inf)
         assert out.first_layer_vector().tobytes() == g.first_layer_vector().tobytes()
+
+    def test_non_finite_entry_comes_back_unclipped_without_hanging(self):
+        # in a fresh interpreter with a timeout: an inf entry once kept the
+        # nudge loop running forever, and in a stack that stalls every run
+        import os
+        import subprocess
+        import sys
+
+        import fedtsgan
+
+        code = (
+            "import numpy as np\n"
+            "from fedtsgan import nn\n"
+            "from fedtsgan.dpmech import clip_first_layer, perturb_first_layer\n"
+            "for vec in ([np.inf, 1.0, 2.0], [-np.inf, np.inf, 0.0], [np.nan, np.inf, 1.0]):\n"
+            "    g = nn.GradientSet([np.array([vec[:-1]]), np.ones((3, 2))], [np.array(vec[-1:]), np.ones(3)])\n"
+            "    out = clip_first_layer(g, 1.0)\n"
+            "    assert out.flat.tobytes() == g.flat.tobytes()\n"
+            "    noisy = perturb_first_layer(g, 1.0, 0.5, np.random.default_rng(0))\n"
+            "    assert not np.isfinite(noisy.first_layer_vector()).all()\n"
+            "print('returned')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fedtsgan.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "returned"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_entries_whose_norm_overflows_are_clipped(self):
+        g = grads_with_first_layer([1e200, -1e200, 3.0])
+        assert first_layer_norm(g) == np.inf
+        assert first_layer_norm(clip_first_layer(g, 1.0)) <= 1.0
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=8),
            st.floats(0.01, 10.0))

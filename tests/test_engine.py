@@ -207,6 +207,100 @@ def test_stack_rows_match_their_models_bytes(strided):
         assert stack_opt.m.tobytes() == blob(o.m for o in opts)
 
 
+# -- leaky ReLU: the branch-free forms against np.where -------------------------
+
+LEAKY_SLOPES = [0.0, 0.2, 0.5, 1.0, 1.0 - 2.0**-53, 1.7, -0.3]
+TINY = np.nextafter(0.0, 1.0)  # smallest subnormal
+LEAKY_EDGES = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, TINY, -TINY, 3 * TINY, -3 * TINY,
+     2.0**-1022 / 3, -(2.0**-1022) / 3, 2.0**-1022, -(2.0**-1022),
+     1.0, -1.0, 1.0 + 2.0**-52, -1.0 - 2.0**-52, 1e308, -1e308]
+)
+
+
+def where_leaky(x, slope):
+    return np.where(x >= 0.0, x, slope * x)
+
+
+def where_leaky_backward(pre, slope, delta):
+    return np.where(pre >= 0.0, delta, slope * delta)
+
+
+def test_leaky_edge_values_include_products_that_round_back():
+    """For a slope just below 1, slope * x is x again on the subnormal
+    edges, so max(x, slope * x) compares two equal values there."""
+    finite = LEAKY_EDGES[np.isfinite(LEAKY_EDGES) & (LEAKY_EDGES != 0.0)]
+    rounds_back = (1.0 - 2.0**-53) * finite == finite
+    assert rounds_back.any() and not rounds_back.all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("slope", LEAKY_SLOPES)
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+def test_leaky_relu_matches_where_form_on_edge_values_bytes(slope, lead):
+    rng = np.random.default_rng(17)
+    scales = 10.0 ** rng.integers(-320, 309, size=300)
+    values = np.concatenate([LEAKY_EDGES, rng.standard_normal(300) * scales])
+    n = len(LEAKY_EDGES)
+    # every (pre, delta) pair of edge values, then random values of all scales
+    pre = np.concatenate([np.repeat(LEAKY_EDGES, n), rng.permutation(values)])
+    delta = np.concatenate([np.tile(LEAKY_EDGES, n), rng.permutation(values)])
+    shape = lead + (-1, 4)
+    pre, delta = pre[: pre.size // 12 * 12].reshape(shape), delta[: delta.size // 12 * 12].reshape(shape)
+    post = nn._act("leaky_relu", pre, slope)
+    assert post.tobytes() == where_leaky(pre, slope).tobytes()
+    got = nn._act_backward("leaky_relu", pre, post, slope, delta)
+    assert got.tobytes() == where_leaky_backward(pre, slope, delta).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("slope", LEAKY_SLOPES)
+def test_leaky_relu_models_match_where_reference_bytes(slope):
+    """nn.forward and nn.backward of single and stacked leaky-ReLU models,
+    against a per-layer loop in the np.where forms. Inputs range from
+    subnormal to 1.7e308, so pre-activations also overflow to inf and NaN."""
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        k = int(rng.integers(2, 5))
+        dims = [int(d) for d in rng.integers(1, 9, size=4)]
+        models = [nn.init_mlp(dims, ["leaky_relu"] * 3, rng) for _ in range(k)]
+        for model in models:
+            for layer in model.layers:
+                layer.slope = slope
+                layer.weight *= 8.0
+        stack = nn.MlpModel.stack(models)
+        exponents = rng.choice([-320, -310, -300, -2, 0, 2, 150, 300, 307, 308], (k, 5, 1))
+        x = rng.uniform(-1.7, 1.7, (k, 5, dims[0])) * 10.0**exponents
+        g = rng.standard_normal((k, 5, dims[-1]))
+        g[0, 0, 0], g[-1, -1, -1] = np.inf, np.nan
+        stacked = nn.forward(stack, x)
+        stack_grads, stack_in = nn.backward(stack, stacked, g)
+        for i, model in enumerate(models):
+            pre, post, h = [], [], x[i]
+            for layer in model.layers:
+                pre.append(h @ layer.weight.T + layer.bias)
+                h = where_leaky(pre[-1], slope)
+                post.append(h)
+            d_w, d_b, delta = [None] * 3, [None] * 3, g[i]
+            for j in (2, 1, 0):
+                delta = where_leaky_backward(pre[j], slope, delta)
+                d_w[j] = delta.T @ (post[j - 1] if j else x[i])
+                d_b[j] = delta.sum(axis=0)
+                delta = delta @ model.layers[j].weight
+            ref_grads = blob(a for pair in zip(d_w, d_b) for a in pair)
+            solo = nn.forward(model, x[i])
+            solo_grads, solo_in = nn.backward(model, solo, g[i])
+            for trace, grads, in_grad in (
+                (solo, solo_grads.flat, solo_in),
+                (nn.ActivationTrace(model, x[i], [p[i] for p in stacked.pre],
+                                    [p[i] for p in stacked.post]),
+                 stack_grads.flat[i], stack_in[i]),
+            ):
+                assert blob(trace.pre + trace.post) == blob(pre + post)
+                assert grads.tobytes() == ref_grads
+                assert in_grad.tobytes() == delta.tobytes()
+
+
 def test_stack_rejects_mismatched_shapes_and_batches():
     rng = np.random.default_rng(2)
     a = nn.init_mlp([3, 4, 1], ["tanh", "sigmoid"], rng)

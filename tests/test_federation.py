@@ -559,6 +559,40 @@ class TestRunStack:
         assert [r is None for r in releases] == [False, True, False, True, False]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_protected_gradient_fails_only_its_run(self, monkeypatch):
+        # the DP mechanism gets an inf first-layer gradient in one run, and
+        # one whose squared norm overflows (finite entries) in another: the
+        # first diverges as it does alone, the second is clipped and goes on
+        poison = {
+            stream_seed(6, "dp-noise", "D", 0, 0): (2, np.inf),
+            stream_seed(9, "dp-noise", "FE", 1): (4, 1e200),
+        }
+        calls, fired = {}, []
+        real = fed.perturb_first_layer
+
+        def perturb(grads, clip, sigma, rng):
+            key = rng.bit_generator.seed_seq.entropy
+            calls[id(rng)] = calls.get(id(rng), 0) + 1
+            if key in poison and poison[key][0] == calls[id(rng)]:
+                grads.d_weights[0][0, :] = poison[key][1]
+                fired.append(key)
+            return real(grads, clip, sigma, rng)
+
+        monkeypatch.setattr(fed, "perturb_first_layer", perturb)
+        make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
+        full = make_dataset()
+        jobs = [(full, 5), (full, 6), (full.without_sample(2), 9), (full, 8)]
+        cfg = tiny_config(max_iters=6, checkpoint_every=2, dp=DpParams(1.0, 0.5))
+        got = fed.train_runs(cfg, [(data.partition(d, assignment), s) for d, s in jobs])
+        assert sorted(fired) == sorted(poison)
+        for result, (d, s) in zip(got, jobs):
+            calls.clear()
+            want = ref_train(replace(cfg, seed=s), data.partition(d, assignment))
+            assert want.diverged == (s == 6)
+            assert_same_run(result, want)
+        assert [r.state.iteration for r in got] == [6, 2, 6, 6]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_input_fails_only_its_run(self, sine_views):
         cfg = tiny_config(dp=DpParams(1.0, 0.5))
         runs = [fed.init_federation(replace(cfg, seed=s), sine_views) for s in (1, 2, 3)]

@@ -263,8 +263,7 @@ def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
         # since 0 * inf is NaN where np.where returns inf.
         if 0.0 < slope < math.inf:
             pick = np.maximum if slope <= 1.0 else np.minimum
-            out = slope * x
-            return pick(x, out, out=out)
+            return pick(x, slope * x)
         return np.where(x >= 0.0, x, slope * x)
     if tag == "tanh":
         return np.tanh(x)

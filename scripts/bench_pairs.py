@@ -123,7 +123,7 @@ def main() -> int:
 
     shas = {side: git("rev-parse", f"{rev}^{{commit}}").decode().strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
-    rows, environment, timed = [], None, None
+    rows, timed = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: checkout(sha, Path(tmp) / side) for side, sha in shas.items()}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -170,12 +170,7 @@ def main() -> int:
     report = {
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
-        "environment": {
-            "cores": environment["cores"] if environment else os.cpu_count(),
-            "numpy": environment["numpy"] if environment else np.__version__,
-            "python": environment["python"] if environment else sys.version.split()[0],
-            "blas_threads": environment["blas_threads"] if environment else None,
-        },
+        "environment": {k: environment[k] for k in ("cores", "numpy", "python", "blas_threads")},
         "method": {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
             "pairs": f"{args.pairs} pairs per row; odd pairs run the parent first, even pairs the "

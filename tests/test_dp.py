@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedtsgan
 from fedtsgan import nn
 from fedtsgan.dpmech import (
     DpParams,
@@ -67,12 +71,6 @@ class TestClip:
     def test_non_finite_entry_comes_back_unclipped_without_hanging(self):
         # in a fresh interpreter with a timeout: an inf entry once kept the
         # nudge loop running forever, and in a stack that stalls every run
-        import os
-        import subprocess
-        import sys
-
-        import fedtsgan
-
         code = (
             "import numpy as np\n"
             "from fedtsgan import nn\n"

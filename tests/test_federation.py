@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -707,6 +708,19 @@ class TestRawDataLocality:
         for topo in ("centralized", "local_only"):
             result = fed.train(tiny_config(topology=topo, max_iters=2), sine_views)
             assert result.state.log.records == []
+
+    def test_digest_is_sha256_of_the_float64_bytes_in_c_order(self):
+        block = np.random.default_rng(4).standard_normal((3, 6, 4))
+        payloads = [block[1], block[:, 2], block[1].T, block[0, :, ::2], np.arange(6).reshape(2, 3)]
+        log = fed.MessageLog()
+        for p in payloads:
+            log.log(1, "party->server", 0, "feature", p)
+        want = [
+            hashlib.sha256(np.ascontiguousarray(p, dtype=np.float64).tobytes()).hexdigest()
+            for p in payloads
+        ]
+        assert [r.payload_hash for r in log.records] == want
+        assert [fed.payload_digest(p) for p in payloads] == want
 
     def test_log_rejects_raw_kind(self):
         log = fed.MessageLog()

@@ -8,13 +8,17 @@ written holds each side's runs, median and quartiles, the pairs the change
 won, the parent's interquartile range, whether the change stays inside the
 metric's bound and whether it resolves a gain (at least 9 of 10 pair wins
 and a median difference larger than the parent's IQR). Each row also
-records whether both sides wrote byte-identical outputs.
+records whether both sides wrote byte-identical outputs, and the same
+summary, ungated, of each run's process-tree peak RSS: the peak resident
+memory of the largest process in the tree of ``run.py``, forked workers
+included (``peak_rss_mib`` counts the workload process alone).
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workload sine2-topologies --seed 7 8 --pairs 10 --out BENCH_N.json
 
 ``--timed CMD`` also runs CMD once in each checkout (``PYTHONPATH=src``,
-one BLAS thread) and records its wall time, ungated. Run it from the
+one BLAS thread) and records its wall time and tree peak RSS, ungated. Run
+it from the
 repository root; it uses the standard library and numpy only, and removes
 its checkouts and every process it started before it exits.
 """
@@ -31,6 +35,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -54,26 +59,42 @@ def checkout(sha: str, into: Path) -> Path:
     return into
 
 
-def run(argv: list[str], cwd: Path, env: dict | None = None) -> str:
-    """Run argv in its own process group; kill the whole group if it
-    overruns or we are interrupted, so no workload process outlives us."""
-    proc = subprocess.Popen(
-        argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True, start_new_session=True,
-    )
+def kill_group(pgid: int) -> None:
     try:
-        out, err = proc.communicate(timeout=RUN_TIMEOUT_S)
-    finally:
-        if proc.poll() is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-    if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} in {cwd} exited {proc.returncode}:\n{err[-3000:]}")
-    return out
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def run(argv: list[str], cwd: Path, env: dict | None = None) -> tuple[str, float]:
+    """Run argv in its own process group and return its stdout and the peak
+    RSS in MiB of the largest process in its tree. ``wait4`` reports that
+    peak over the child and every descendant it waited for (on Linux
+    ``ru_maxrss`` is in KiB). Kill the whole group if it overruns or we are
+    interrupted, so no workload process outlives us."""
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            argv, cwd=cwd, env=env, stdout=out, stderr=err, text=True, start_new_session=True
+        )
+        timer = threading.Timer(RUN_TIMEOUT_S, kill_group, (proc.pid,))
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        finally:
+            timer.cancel()
+            if proc.returncode is None:
+                kill_group(proc.pid)
+                proc.wait()
+        out.seek(0)
+        err.seek(0)
+        if proc.returncode != 0:
+            raise SystemExit(f"{' '.join(argv)} in {cwd} exited {proc.returncode}:\n{err.read()[-3000:]}")
+        return out.read(), usage.ru_maxrss / 1024.0
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    out = run(
+    out, tree_peak_rss_mib = run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         tree,
@@ -84,16 +105,19 @@ def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         "environment": lines[0],
         "result": lines[-1],
         "digests": [r["digests"] for r in session["rounds"]],
+        "tree_peak_rss_mib": tree_peak_rss_mib,
     }
 
 
-def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+def summarize(parent: list[float], change: list[float], better: str, bound: float | None) -> dict:
+    """One metric's two sides; ``bound=None`` for an ungated record, which
+    gets no ``within_bound``."""
     p_q1, p_med, p_q3 = (float(v) for v in np.percentile(parent, [25, 50, 75]))
     c_q1, c_med, c_q3 = (float(v) for v in np.percentile(change, [25, 50, 75]))
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ratio = c_med / p_med
-    return {
+    summary = {
         "better": better,
         "parent": {"median": round(p_med, 4), "q1": round(p_q1, 4), "q3": round(p_q3, 4),
                    "runs": [round(v, 4) for v in parent]},
@@ -102,11 +126,15 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
         "change_wins": int(wins),
         "change_over_parent_median": round(ratio, 4),
         "parent_iqr": round(p_q3 - p_q1, 4),
-        "within_bound": bool(ratio >= 1.0 - bound if better == "higher" else ratio <= 1.0 + bound),
         "resolved_gain": bool(
             wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1
         ),
     }
+    if bound is not None:
+        summary["within_bound"] = bool(
+            ratio >= 1.0 - bound if better == "higher" else ratio <= 1.0 + bound
+        )
+    return summary
 
 
 def main() -> int:
@@ -136,7 +164,8 @@ def main() -> int:
                         runs[side].append(bench(trees[side], workload, seed, args.seconds))
                         r = runs[side][-1]["result"]
                         print(f"{workload} seed {seed} pair {pair} {side}: correct={r['correct']} "
-                              + " ".join(f"{k}={v['value']:.4g}" for k, v in r["metrics"].items()),
+                              + " ".join(f"{k}={v['value']:.4g}" for k, v in r["metrics"].items())
+                              + f" tree_peak_rss_mib={runs[side][-1]['tree_peak_rss_mib']:.4g}",
                               file=sys.stderr, flush=True)
                 environment = runs["change"][0]["environment"]
                 reference = runs["parent"][0]["digests"][0]
@@ -158,13 +187,19 @@ def main() -> int:
                         )
                         for m in spec["end_to_end"]
                     },
+                    "tree_peak_rss_mib": summarize(
+                        [r["tree_peak_rss_mib"] for r in runs["parent"]],
+                        [r["tree_peak_rss_mib"] for r in runs["change"]],
+                        "lower", None,
+                    ),
                 })
         if args.timed:
             timed = {"command": args.timed}
             for side, tree in trees.items():
                 start = time.monotonic()
-                run(shlex.split(args.timed), tree, dict(os.environ, PYTHONPATH="src", **BLAS_ENV))
+                _, peak = run(shlex.split(args.timed), tree, dict(os.environ, PYTHONPATH="src", **BLAS_ENV))
                 timed[f"{side}_s"] = round(time.monotonic() - start, 1)
+                timed[f"{side}_tree_peak_rss_mib"] = round(peak, 1)
                 print(f"timed {side}: {timed[f'{side}_s']} s", file=sys.stderr, flush=True)
 
     report = {
@@ -180,6 +215,9 @@ def main() -> int:
                           "direction; parent_iqr is q3 - q1 of the parent runs; within_bound compares "
                           "the median ratio with the BENCHMARK.json bound; resolved_gain needs 9/10 "
                           "pair wins and a median difference larger than parent_iqr",
+            "tree_peak_rss_mib": "ru_maxrss from os.wait4 on the run.py child: the peak RSS of "
+                                 "the largest process in its tree (set-up processes, the workload "
+                                 "process and its forked workers), ungated",
             "outputs_identical": "every round's digests of the workload outputs (history.csv, "
                                  "*_generators.npz, evaluation.json, audit.json, audit_features.csv) "
                                  "equal those of the first parent round",

@@ -190,7 +190,7 @@ def _world_features(
 def _train_all(trainer, jobs: list[tuple[TimeSeriesDataset, int]]) -> list:
     """One release per ``(dataset, seed)`` job, in order: through
     ``trainer.many`` when the trainer has it (``federation.shadow_trainer``
-    trains the jobs as one stack), else one call per job."""
+    trains the jobs as one stack per usable core), else one call per job."""
     many = getattr(trainer, "many", None)
     if many is not None:
         return many(jobs)

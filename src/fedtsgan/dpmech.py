@@ -48,26 +48,34 @@ def clip_first_layer(grads: GradientSet, clip: float) -> GradientSet:
     until the bound holds.
 
     A first layer holding NaN or inf has no bounded rescaling and comes back
-    unclipped, for the caller's finiteness check to reject. (Finite entries
-    whose squared norm overflows are still clipped.)
+    unclipped, for the caller's finiteness check to reject. Finite entries
+    whose squared norm overflows are first divided by their largest
+    magnitude, which makes the norm finite and keeps the direction; the
+    result is then scaled to norm clip.
     """
     if not clip > 0.0:
         raise ValueError("clip bound must be positive")
     out = grads.copy()
+    w, b = grads.first_layer()
     norm = first_layer_norm(out)
-    scale = max(1.0, norm / clip)  # 1.0 for a NaN norm
-    if math.isinf(norm) and not np.isfinite(out.first_layer_vector()).all():
-        return out
-    if scale > 1.0:
-        w, b = grads.first_layer()
-        out_w, out_b = out.first_layer()
-        while True:
-            # in place: the views share storage with out.flat, which Adam reads
-            np.divide(w, scale, out=out_w)
-            np.divide(b, scale, out=out_b)
-            if first_layer_norm(out) <= clip:
-                break
-            scale = math.nextafter(scale, math.inf)
+    if math.isinf(norm):
+        if math.isinf(clip) or not np.isfinite(out.first_layer_vector()).all():
+            return out
+        peak = np.max(np.abs(out.first_layer_vector()))
+        w, b = w / peak, b / peak
+        scale = float(np.linalg.norm(np.concatenate((w, b), axis=None))) / clip
+    else:
+        scale = max(1.0, norm / clip)  # 1.0 for a NaN norm
+        if scale == 1.0:
+            return out
+    out_w, out_b = out.first_layer()
+    while True:
+        # in place: the views share storage with out.flat, which Adam reads
+        np.divide(w, scale, out=out_w)
+        np.divide(b, scale, out=out_b)
+        if first_layer_norm(out) <= clip:
+            break
+        scale = math.nextafter(scale, math.inf)
     return out
 
 

@@ -26,13 +26,16 @@ train as one ``FederationStack``: each model holds the runs' parameters
 along a leading run axis, and the phases serve a stack and a single
 federation with the same code. Every run keeps its own seed-keyed streams,
 message log and checkpoints, and ends with the bytes it would have produced
-training alone; ``train`` is the one-run case.
+training alone; ``train`` is the one-run case. ``shadow_trainer(...).many``
+splits its jobs into one such stack per usable core, trained in forked
+workers, with the same bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -856,6 +859,51 @@ def train(config: TrainConfig, views: list[PartyView]) -> TrainResult:
     return train_runs(config, [(views, config.seed)])[0]
 
 
+def _release_runs(
+    train_cfg: TrainConfig,
+    assignment: dict[int, list[int]],
+    n_synth: int | None,
+    jobs: list[tuple[TimeSeriesDataset, int]],
+) -> list[TimeSeriesDataset | None]:
+    """Train the ``(dataset, seed)`` jobs as one stack and release
+    ``n_synth`` samples (the dataset's size by default) from each run's best
+    checkpoint, or None for a run that diverged. Module-level, so that a
+    worker process can be handed it."""
+    results = train_runs(train_cfg, [(partition(d, assignment), s) for d, s in jobs])
+    return [
+        None if r.diverged else synthesize(r.best_bank, n_synth or d.n_samples, s)
+        for r, (d, s) in zip(results, jobs)
+    ]
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (so ``taskset`` limits the
+    workers), or the machine's count where there is no affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _release_in_workers(args: tuple, chunks: list[list]) -> list[TimeSeriesDataset | None]:
+    """``_release_runs(*args, chunk)`` for every chunk, concatenated: the
+    first chunk in this process, each other one in a forked worker (all in
+    this process where ``fork`` is missing). The pool is shut down before
+    this returns or raises, so no worker outlives it."""
+    # imported here: at module level they would add ~25 ms to every CLI start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return _release_runs(*args, [job for chunk in chunks for job in chunk])
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(chunks) - 1, mp_context=context) as pool:
+        futures = [pool.submit(_release_runs, *args, chunk) for chunk in chunks[1:]]
+        releases = _release_runs(*args, chunks[0])
+        for future in futures:
+            releases += future.result()
+    return releases
+
+
 def shadow_trainer(
     train_cfg: TrainConfig, assignment: dict[int, list[int]], n_synth: int | None = None
 ):
@@ -865,22 +913,24 @@ def shadow_trainer(
     best checkpoint, or None when the run diverged.
 
     ``trainer(dataset, seed)`` trains one run; ``trainer.many(jobs)`` trains
-    a list of ``(dataset, seed)`` jobs as one stack and returns the same
-    releases as ``[trainer(d, s) for d, s in jobs]``.
+    a list of ``(dataset, seed)`` jobs and returns the same releases as
+    ``[trainer(d, s) for d, s in jobs]``. It splits the jobs into contiguous
+    chunks, one per usable core (at most one per job), and trains each chunk
+    as one stack: the first in this process, the others in forked workers.
+    With one chunk, or where ``fork`` is missing, everything trains here.
     """
-
-    def release(result: TrainResult, dataset: TimeSeriesDataset, seed: int):
-        if result.diverged:
-            return None
-        return synthesize(result.best_bank, n_synth or dataset.n_samples, seed)
+    args = (train_cfg, assignment, n_synth)
 
     def trainer(dataset: TimeSeriesDataset, seed: int) -> TimeSeriesDataset | None:
-        result = train(replace(train_cfg, seed=seed), partition(dataset, assignment))
-        return release(result, dataset, seed)
+        return _release_runs(*args, [(dataset, seed)])[0]
 
     def many(jobs) -> list[TimeSeriesDataset | None]:
-        results = train_runs(train_cfg, [(partition(d, assignment), s) for d, s in jobs])
-        return [release(r, d, s) for r, (d, s) in zip(results, jobs)]
+        jobs = list(jobs)
+        n, parts = len(jobs), min(_usable_cores(), len(jobs))
+        if parts < 2:
+            return _release_runs(*args, jobs)
+        chunks = [jobs[i * n // parts : (i + 1) * n // parts] for i in range(parts)]
+        return _release_in_workers(args, chunks)
 
     trainer.many = many
     return trainer

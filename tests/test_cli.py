@@ -246,11 +246,14 @@ dir = {out}
     def test_budget_mode_protects_every_shadow_run(self, tmp_path, monkeypatch):
         from fedtsgan import federation
 
-        calls = []
+        # one line per call, appended from whichever process trains the run:
+        # the shadow runs are split over this process and forked workers
+        log = tmp_path / "perturb_calls.txt"
         real = federation.perturb_first_layer
 
         def counting(grads, clip, sigma, rng):
-            calls.append(sigma)
+            with open(log, "a") as f:
+                f.write(f"{sigma!r}\n")
             return real(grads, clip, sigma, rng)
 
         monkeypatch.setattr(federation, "perturb_first_layer", counting)
@@ -263,6 +266,7 @@ dir = {out}
         cal = json.loads((out / "manifest.json").read_text())["calibration"]
         assert cal["gamma"] == 4 / 16 and cal["achieved_epsilon"] <= 10.0
         # 4 shadow runs x 3 iterations x (2 discriminators + 2 extractors)
+        calls = [float(line) for line in log.read_text().splitlines()]
         assert calls == [cal["sigma"]] * 48
 
 
@@ -453,3 +457,23 @@ dir = {tmp_path / 'out'}
         assert cli.main(["evaluate", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "evaluation.json").read_text())
         assert math.isfinite(report["metrics"]["mae"])
+
+
+def test_import_leaves_the_process_pool_modules_unloaded():
+    # the shadow trainer imports them only when it forks workers; at import
+    # they would add some 25 ms to every command's start
+    import os
+    import subprocess
+    import sys
+
+    import fedtsgan
+
+    code = (
+        "import sys, fedtsgan.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fedtsgan.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -63,8 +63,10 @@ class TestClip:
         clip_first_layer(g, 1.0)
         np.testing.assert_array_equal(g.first_layer_vector(), before)
 
-    def test_infinite_bound_is_identity(self):
-        g = grads_with_first_layer([100.0, -3.0, 7.0])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("vec", [[100.0, -3.0, 7.0], [1e200, -1e200, 3.0]])
+    def test_infinite_bound_is_identity(self, vec):
+        g = grads_with_first_layer(vec)
         out = clip_first_layer(g, np.inf)
         assert out.first_layer_vector().tobytes() == g.first_layer_vector().tobytes()
 
@@ -92,10 +94,18 @@ class TestClip:
         assert proc.stdout.strip() == "returned"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_finite_entries_whose_norm_overflows_are_clipped(self):
+    @pytest.mark.parametrize("bound", [1.0, 1e3, 0.25])
+    def test_finite_entries_whose_norm_overflows_are_clipped(self, bound):
+        # the norm is inf, yet the clipped vector has norm bound, not 0, and
+        # keeps the direction: the signs and the ratio of the two large entries
         g = grads_with_first_layer([1e200, -1e200, 3.0])
         assert first_layer_norm(g) == np.inf
-        assert first_layer_norm(clip_first_layer(g, 1.0)) <= 1.0
+        out = clip_first_layer(g, bound)
+        vec = out.first_layer_vector()
+        assert bound * (1 - 1e-12) <= first_layer_norm(out) <= bound
+        assert np.array_equal(np.sign(vec), [1.0, -1.0, 1.0])
+        assert vec[0] == -vec[1]
+        assert out.d_weights[1].tobytes() == g.d_weights[1].tobytes()
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=8),
            st.floats(0.01, 10.0))

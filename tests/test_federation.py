@@ -1,5 +1,7 @@
 import hashlib
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -646,6 +648,101 @@ class TestRunStack:
                 assert np.shares_memory(own.params, model.params)
                 assert own.layers[0].weight.tobytes() == model.layers[0].weight[k].tobytes()
                 assert own_opt.m.tobytes() == opt.m[k].tobytes() and own_opt.t == opt.t
+
+
+def release_blob(release):
+    return None if release is None else (release.data.tobytes(), release.attribute_names)
+
+
+class TestManyAcrossCores:
+    """``many`` trains one stack per usable core, the first in this process
+    and the others in forked workers, and returns the single releases."""
+
+    @staticmethod
+    def poison_seeds(monkeypatch, seeds):
+        # a NaN first-layer gradient from the DP mechanism at iteration 2
+        # makes each run of these seeds diverge, in whichever process it trains
+        keys = {stream_seed(s, "dp-noise", "D", 0, 0) for s in seeds}
+        calls = {}  # id -> (stream, calls); holding the stream keeps its id unique
+        real = fed.perturb_first_layer
+
+        def perturb(grads, clip, sigma, rng):
+            out = real(grads, clip, sigma, rng)
+            calls[id(rng)] = (rng, calls.get(id(rng), (rng, 0))[1] + 1)
+            if rng.bit_generator.seed_seq.entropy in keys and calls[id(rng)][1] == 2:
+                out.d_weights[0][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(fed, "perturb_first_layer", perturb)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_equals_one_call_per_job_bytes(self, monkeypatch, cores):
+        make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
+        full = make_dataset()
+        short = full.without_sample(2)
+        # five jobs: two cores split them 2 + 3, three cores 1 + 2 + 2, so
+        # the first diverging run trains here and the last in a worker
+        jobs = [(full, 5), (short, 6), (full, 7), (short, 8), (full, 9)]
+        self.poison_seeds(monkeypatch, {5, 9})
+        monkeypatch.setattr(fed, "_usable_cores", lambda: cores)
+        trainer = fed.shadow_trainer(
+            tiny_config(max_iters=4, dp=DpParams(1.0, 0.5)), assignment, n_synth=5
+        )
+        together = trainer.many(jobs)
+        assert multiprocessing.active_children() == []
+        alone = [trainer(d, s) for d, s in jobs]
+        assert [r is None for r in alone] == [True, False, False, False, True]
+        assert [release_blob(r) for r in together] == [release_blob(r) for r in alone]
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_a_failing_chunk_raises_its_error_and_leaves_no_worker(self, monkeypatch, where):
+        make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
+        full = make_dataset()
+        parent = os.getpid()
+        real = fed.train_runs
+
+        def train_runs(config, jobs):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise OverflowError(f"chunk of {len(jobs)} runs failed")
+            return real(config, jobs)
+
+        monkeypatch.setattr(fed, "train_runs", train_runs)
+        monkeypatch.setattr(fed, "_usable_cores", lambda: 2)
+        trainer = fed.shadow_trainer(tiny_config(max_iters=2), assignment, n_synth=5)
+        jobs = [(full, 5), (full, 6), (full.without_sample(2), 7)]
+        size = 2 if where == "worker" else 1
+        with pytest.raises(OverflowError, match=f"^chunk of {size} runs failed$"):
+            trainer.many(jobs)
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_every_chunk_trains_here(self, monkeypatch):
+        make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
+        full = make_dataset()
+        jobs = [(full, 5), (full.without_sample(2), 6), (full, 7)]
+        trainer = fed.shadow_trainer(tiny_config(max_iters=2), assignment, n_synth=5)
+        parent = os.getpid()
+        real = fed.train_runs
+        sizes = []
+
+        def train_runs(config, jobs):
+            assert os.getpid() == parent
+            sizes.append(len(jobs))
+            return real(config, jobs)
+
+        monkeypatch.setattr(fed, "train_runs", train_runs)
+        monkeypatch.setattr(fed, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        together = trainer.many(jobs)
+        assert sizes == [3]
+        assert [release_blob(r) for r in together] == [
+            release_blob(trainer(d, s)) for d, s in jobs
+        ]
+
+    def test_usable_cores_follow_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert fed._usable_cores() == len(os.sched_getaffinity(0))
+        else:
+            assert fed._usable_cores() == (os.cpu_count() or 1)
 
 
 class TestDpWiring:

@@ -35,6 +35,12 @@ class DpParams:
         return math.isfinite(self.clip) and self.sigma > 0.0
 
 
+# Half the square root of the largest float64: a vector of this norm has a
+# finite squared norm, so its computed norm can be checked against a bound.
+# A vector of norm above about 1.34e154 cannot, and no nudge fixes that.
+MAX_CLIPPED_NORM = math.sqrt(np.finfo(np.float64).max) / 2
+
+
 def first_layer_norm(grads: GradientSet) -> float:
     return float(np.linalg.norm(grads.first_layer_vector()))
 
@@ -51,28 +57,27 @@ def clip_first_layer(grads: GradientSet, clip: float) -> GradientSet:
     unclipped, for the caller's finiteness check to reject. Finite entries
     whose squared norm overflows are first divided by their largest
     magnitude, which makes the norm finite and keeps the direction; the
-    result is then scaled to norm clip.
+    result is then scaled to norm clip, or to ``MAX_CLIPPED_NORM`` when clip
+    is a larger finite bound.
     """
     if not clip > 0.0:
         raise ValueError("clip bound must be positive")
     out = grads.copy()
-    w, b = grads.first_layer()
-    norm = first_layer_norm(out)
+    vec = grads.first_layer_vector()
+    norm = first_layer_norm(grads)
     if math.isinf(norm):
-        if math.isinf(clip) or not np.isfinite(out.first_layer_vector()).all():
+        if math.isinf(clip) or not np.isfinite(vec).all():
             return out
-        peak = np.max(np.abs(out.first_layer_vector()))
-        w, b = w / peak, b / peak
-        scale = float(np.linalg.norm(np.concatenate((w, b), axis=None))) / clip
+        vec = vec / np.max(np.abs(vec))
+        scale = float(np.linalg.norm(vec)) / min(clip, MAX_CLIPPED_NORM)
     else:
         scale = max(1.0, norm / clip)  # 1.0 for a NaN norm
         if scale == 1.0:
             return out
-    out_w, out_b = out.first_layer()
+    # in place: the view shares storage with out.flat, which Adam reads
+    clipped = out.first_layer_vector()
     while True:
-        # in place: the views share storage with out.flat, which Adam reads
-        np.divide(w, scale, out=out_w)
-        np.divide(b, scale, out=out_b)
+        np.divide(vec, scale, out=clipped)
         if first_layer_norm(out) <= clip:
             break
         scale = math.nextafter(scale, math.inf)

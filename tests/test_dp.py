@@ -31,6 +31,18 @@ def grads_with_first_layer(vec, deeper_shape=(3, 2)):
     )
 
 
+def run_fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter with a timeout, so that a
+    clip that never returns fails the test instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fedtsgan.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestClip:
     def test_large_norm_scaled_to_bound(self):
         g = grads_with_first_layer([6.0, 8.0, 0.0])  # norm 10
@@ -85,13 +97,7 @@ class TestClip:
             "    assert not np.isfinite(noisy.first_layer_vector()).all()\n"
             "print('returned')\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(fedtsgan.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "ignore", "-c", code],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "returned"
+        assert run_fresh(code) == "returned"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bound", [1.0, 1e3, 0.25])
@@ -106,6 +112,23 @@ class TestClip:
         assert np.array_equal(np.sign(vec), [1.0, -1.0, 1.0])
         assert vec[0] == -vec[1]
         assert out.d_weights[1].tobytes() == g.d_weights[1].tobytes()
+
+    def test_overflowing_norm_under_a_huge_bound_stops_at_a_measurable_norm(self):
+        # no vector of norm above ~1.34e154 has a finite computed norm, so a
+        # larger bound once kept the nudge loop running forever
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fedtsgan import nn\n"
+            "from fedtsgan.dpmech import MAX_CLIPPED_NORM, clip_first_layer, first_layer_norm\n"
+            "g = nn.GradientSet([np.array([[1e200, -1e200]]), np.ones((3, 2))], [np.array([3.0]), np.ones(3)])\n"
+            "for bound in (1e160, 1e300, sys.float_info.max):\n"
+            "    out = clip_first_layer(g, bound)\n"
+            "    assert MAX_CLIPPED_NORM * (1 - 1e-12) <= first_layer_norm(out) <= MAX_CLIPPED_NORM\n"
+            "    assert np.array_equal(np.sign(out.first_layer_vector()), [1.0, -1.0, 1.0])\n"
+            "print('returned')\n"
+        )
+        assert run_fresh(code) == "returned"
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=8),
            st.floats(0.01, 10.0))

@@ -59,11 +59,13 @@ def checkout(sha: str, into: Path) -> Path:
     return into
 
 
-def kill_group(pgid: int) -> None:
+def kill_group(pgid: int) -> bool:
+    """SIGKILL every process left in the group; False if there was none."""
     try:
         os.killpg(pgid, signal.SIGKILL)
     except ProcessLookupError:
-        pass
+        return False
+    return True
 
 
 def run(argv: list[str], cwd: Path, env: dict | None = None) -> tuple[str, float]:
@@ -71,7 +73,8 @@ def run(argv: list[str], cwd: Path, env: dict | None = None) -> tuple[str, float
     RSS in MiB of the largest process in its tree. ``wait4`` reports that
     peak over the child and every descendant it waited for (on Linux
     ``ru_maxrss`` is in KiB). Kill the whole group if it overruns or we are
-    interrupted, so no workload process outlives us."""
+    interrupted, and fail if any process of it outlives argv, so no
+    workload process outlives us."""
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         proc = subprocess.Popen(
             argv, cwd=cwd, env=env, stdout=out, stderr=err, text=True, start_new_session=True
@@ -90,6 +93,8 @@ def run(argv: list[str], cwd: Path, env: dict | None = None) -> tuple[str, float
         err.seek(0)
         if proc.returncode != 0:
             raise SystemExit(f"{' '.join(argv)} in {cwd} exited {proc.returncode}:\n{err.read()[-3000:]}")
+        if kill_group(proc.pid):
+            raise SystemExit(f"{' '.join(argv)} in {cwd} left processes running (killed)")
         return out.read(), usage.ru_maxrss / 1024.0
 
 

@@ -25,20 +25,28 @@ from .rng import stream
 
 @dataclass
 class AuditConfig:
+    selector: str = "outlier"  # outlier, influential, or a sample index
     shadow_pairs: int = 10  # M generators per world
     knn_k: int = 5
     candidate_m: int = 10
     norm: int = 2
     synth_samples: int | None = None  # default: same size as the training set
     seed: int = 0
+    rounds: int = 0  # challenge-game rounds played after the audit
 
     def __post_init__(self):
+        if self.selector not in ("outlier", "influential") and not self.selector.isdecimal():
+            raise ValueError(f"selector must be outlier, influential or an index: {self.selector!r}")
         if self.shadow_pairs < 2:
             raise ValueError("need at least 2 shadow generators per world")
         if self.knn_k < 1 or self.candidate_m < 1:
             raise ValueError("knn_k and candidate_m must be >= 1")
         if self.norm not in (1, 2):
             raise ValueError("norm order must be 1 or 2")
+        if self.synth_samples is not None and self.synth_samples < 1:
+            raise ValueError("synth_samples must be >= 1")
+        if self.rounds < 0:
+            raise ValueError("rounds must be >= 0")
 
 
 @dataclass
@@ -119,28 +127,21 @@ def knn_feature(target_flat: np.ndarray, synth_flat: np.ndarray, k: int, norm: i
     return float(np.sort(d)[:k].sum())
 
 
-def select_target_influential(
-    dataset: TimeSeriesDataset,
-    trainer,
-    m: int = 10,
-    k: int = 5,
-    norm: int = 2,
-    seed: int = 0,
-) -> int:
-    """Among the m most isolated samples, pick the one a model trained on
-    the full data reproduces best (smallest k-NN feature against one
-    synthetic release)."""
-    if m > dataset.n_samples:
+def select_target_influential(dataset: TimeSeriesDataset, trainer, config: AuditConfig) -> int:
+    """Among the ``candidate_m`` most isolated samples, pick the one a model
+    trained on the full data reproduces best (smallest k-NN feature against
+    one synthetic release, trained with the audit's seed)."""
+    if config.candidate_m > dataset.n_samples:
         raise ValueError("candidate count exceeds dataset size")
     stats = attribute_stats(dataset)
     flat = normalized_flat(dataset.data, stats)
-    iso = _isolation(flat, norm)
-    candidates = np.argsort(-iso, kind="stable")[:m]
-    synth = trainer(dataset, seed)
+    iso = _isolation(flat, config.norm)
+    candidates = np.argsort(-iso, kind="stable")[: config.candidate_m]
+    synth = trainer(dataset, config.seed)
     if synth is None:
         raise RuntimeError("trainer diverged while selecting the target")
     synth_flat = normalized_flat(synth.data, stats)
-    feats = [knn_feature(flat[c], synth_flat, k, norm) for c in candidates]
+    feats = [knn_feature(flat[c], synth_flat, config.knn_k, config.norm) for c in candidates]
     return int(candidates[int(np.argmin(feats))])
 
 
@@ -206,7 +207,6 @@ def run_assd(
     target_index: int,
     trainer,
     config: AuditConfig,
-    selector: str = "explicit",
 ) -> AuditReport:
     """Shadow-pair membership audit of one target sample.
 
@@ -215,9 +215,7 @@ def run_assd(
     releases per world to score.
     """
     world0 = dataset.without_sample(target_index)
-    return run_assd_worlds(
-        dataset, world0, dataset, target_index, trainer, config, selector
-    )
+    return run_assd_worlds(dataset, world0, dataset, target_index, trainer, config)
 
 
 def run_assd_worlds(
@@ -227,7 +225,6 @@ def run_assd_worlds(
     target_index: int,
     trainer,
     config: AuditConfig,
-    selector: str = "explicit",
 ) -> AuditReport:
     """Audit with explicit world datasets; the null-calibration tests feed
     the same dataset to both worlds."""
@@ -241,7 +238,7 @@ def run_assd_worlds(
     auc = auc_roc(f0, f1, larger_means_present=False)
     return AuditReport(
         target_index=target_index,
-        selector=selector,
+        selector=config.selector,
         auc=auc,
         features_world0=f0,
         features_world1=f1,

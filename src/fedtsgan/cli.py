@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, accounting, audit as audit_mod, metrics
-from .config import ConfigError, ExperimentConfig, build_dataset, parse_config
+from . import __version__, accounting, audit as audit_mod, metrics, nn
+from .config import ConfigError, ExperimentConfig, build_dataset, check_audit_sizes, parse_config
 from .data import PartitionError, partition, save_csv, save_sidecar
 from .dpmech import DpParams
 from .federation import (
@@ -34,7 +34,6 @@ from .federation import (
     synthesize,
     train,
 )
-from . import nn
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,7 +43,7 @@ EXIT_INFEASIBLE = 4
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     root = os.environ.get("FEDTSGAN_OUTPUT_ROOT")
-    out = Path(root) / cfg.output_dir if root else Path(cfg.output_dir)
+    out = Path(root) / cfg.output.dir if root else Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -64,25 +63,27 @@ def _write_manifest(
     manifest |= {
         "version": __version__,
         "config_sha256": hashlib.sha256(cfg.raw_text.encode()).hexdigest(),
-        "dataset_seed": cfg.dataset.get("seed"),
+        "dataset_seed": cfg.dataset.seed,
         "train_seed": cfg.train.seed,
     }
     manifest.update(extra or {})
     (out / "config.ini").write_text(cfg.raw_text)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    try:
-        return parse_config(path)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     dataset = build_dataset(cfg)
     out = _out_dir(cfg)
     save_csv(dataset, out / "data.csv")
@@ -114,16 +115,8 @@ def _resolve_dp(cfg: ExperimentConfig, n_samples: int) -> dict:
 
 
 def _write_history(path: Path, history: list[dict]):
-    keys: list[str] = ["iteration"]
-    for row in history:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        for row in history:
-            writer.writerow({k: _fmt(row.get(k)) for k in keys})
+    keys = list(dict.fromkeys(["iteration", *(k for row in history for k in row)]))
+    _write_csv(path, keys, ([_fmt(row.get(k)) for k in keys] for row in history))
 
 
 def _fmt(v):
@@ -136,20 +129,13 @@ def _fmt(v):
 
 def save_bank(bank: GeneratorBank, path: Path):
     nn.save_models(path, {f"g{a}": g for a, g in bank.generators.items()})
-    sidecar = {
-        "latent_dim": bank.latent_dim,
-        "t_steps": bank.t_steps,
-        "meta": bank.meta,
-    }
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar = {"latent_dim": bank.latent_dim, "t_steps": bank.t_steps, "meta": bank.meta}
+    _write_json(path.with_suffix(".json"), sidecar)
 
 
 def load_bank(path: Path) -> GeneratorBank:
     models = nn.load_models(path)
-    with open(Path(path).with_suffix(".json")) as fh:
-        sidecar = json.load(fh)
+    sidecar = json.loads(Path(path).with_suffix(".json").read_text())
     return GeneratorBank(
         {int(name[1:]): m for name, m in models.items()},
         sidecar["latent_dim"],
@@ -160,14 +146,16 @@ def load_bank(path: Path) -> GeneratorBank:
 
 def run_training(cfg: ExperimentConfig) -> tuple[TrainResult, dict]:
     dataset = build_dataset(cfg)
-    views = partition(dataset, cfg.assignment)
+    views = partition(dataset, cfg.partition)
+    if cfg.train.batch_size > dataset.n_samples:
+        raise ConfigError(f"[train] batch_size exceeds the {dataset.n_samples} samples")
     extra = _resolve_dp(cfg, dataset.n_samples)
     result = train(cfg.train, views)
     return result, extra
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     result, extra = run_training(cfg)
     out = _out_dir(cfg)
     _write_history(out / "history.csv", result.history)
@@ -190,138 +178,94 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     dataset = build_dataset(cfg)
     ev = cfg.eval
     out = _out_dir(cfg)
 
-    if ev.get("control") == "identity":
+    if ev.control == "identity":
         synth = dataset
     else:
-        checkpoint = args.checkpoint or ev.get("checkpoint")
+        checkpoint = args.checkpoint or ev.checkpoint
         if not checkpoint:
             raise ConfigError("evaluate needs a checkpoint (flag or [eval] section)")
         try:
             bank = load_bank(Path(checkpoint))
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError(f"unreadable checkpoint {checkpoint}: {exc}") from exc
-        n = int(ev.get("synth_samples", dataset.n_samples))
-        synth = synthesize(bank, n, int(ev.get("seed", 0)))
+        synth = synthesize(bank, ev.synth_samples or dataset.n_samples, ev.seed)
 
     report: dict = {"metrics": {}}
-    wanted = [m.strip() for m in ev.get("metrics", "awd").split(",") if m.strip()]
+    wanted = ev.metrics
     no_frequencies = dataset.frequencies() is None
     if "amplitude_awd" in wanted and no_frequencies:
         raise ConfigError("amplitude_awd needs a csv sidecar that lists the sine frequencies")
     if "mae" in wanted and no_frequencies and synth.frequencies() is None:
         raise ConfigError("mae needs a csv sidecar or checkpoint that lists the sine frequencies")
+    if ev.task == "classify" and (dataset.labels is None or synth.labels is None):
+        raise ConfigError("task classify needs labels on the dataset and the synthetic samples")
     if "awd" in wanted:
         value, cells = metrics.awd_breakdown(dataset, synth)
         report["metrics"]["awd"] = value
-        with open(out / "awd_cells.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["attribute", "time_step", "wd"])
-            for a in range(cells.shape[0]):
-                for t in range(cells.shape[1]):
-                    writer.writerow([a, t, f"{cells[a, t]:.17g}"])
+        rows = ([a, t, f"{wd:.17g}"] for (a, t), wd in np.ndenumerate(cells))
+        _write_csv(out / "awd_cells.csv", ["attribute", "time_step", "wd"], rows)
     if "amplitude_awd" in wanted:
         report["metrics"]["amplitude_awd"] = metrics.amplitude_awd(dataset, synth)
     if "mae" in wanted:
         report["metrics"]["mae"] = metrics.sine_mae(synth, dataset.frequencies())
     if "pca" in wanted:
         proj = metrics.pca_2d([dataset, synth])
-        with open(out / "pca_coords.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source", "pc1", "pc2"])
-            for label, coords in zip(("real", "synth"), proj.coords):
-                for row in coords:
-                    vals = [f"{v:.17g}" for v in row] + [""] * (2 - row.size)
-                    writer.writerow([label] + vals)
+        rows = (
+            [label] + [f"{v:.17g}" for v in row] + [""] * (2 - row.size)
+            for label, coords in zip(("real", "synth"), proj.coords)
+            for row in coords
+        )
+        _write_csv(out / "pca_coords.csv", ["source", "pc1", "pc2"], rows)
         report["metrics"]["pca_explained_ratio"] = proj.explained_ratio
         report["metrics"]["pca_degenerate"] = proj.degenerate
 
-    task = ev.get("task")
-    if task:
+    if ev.task:
         n_test = max(1, dataset.n_samples // 4)
         real_train = dataset.take(slice(0, dataset.n_samples - n_test))
         real_test = dataset.take(slice(dataset.n_samples - n_test, None))
-        tpd_report = metrics.tpd(real_train, real_test, synth, task, seed=int(ev.get("seed", 0)))
+        tpd_report = metrics.tpd(real_train, real_test, synth, ev.task, seed=ev.seed)
         report["metrics"]["tpd"] = tpd_report.value
         report["tpd_breakdown"] = tpd_report.breakdown
 
-    with open(out / "evaluation.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "evaluation.json", report)
     _write_manifest(out, cfg, merge=True)
     print(json.dumps(report["metrics"], indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     dataset = build_dataset(cfg)
+    check_audit_sizes(cfg, dataset.n_samples)
     au = cfg.audit
     out = _out_dir(cfg)
     # every shadow federation trains under the mechanism a release of the
     # full dataset would be calibrated to
     extra = _resolve_dp(cfg, dataset.n_samples)
-    try:
-        audit_cfg = audit_mod.AuditConfig(
-            shadow_pairs=int(au.get("shadow_pairs", 10)),
-            knn_k=int(au.get("knn_k", 5)),
-            candidate_m=int(au.get("candidate_m", 10)),
-            norm=int(au.get("norm", 2)),
-            seed=int(au.get("seed", 0)),
-        )
-        n_synth = int(au["synth_samples"]) if "synth_samples" in au else None
-        rounds = int(au.get("rounds", 0))
-    except ValueError as exc:
-        raise ConfigError(f"bad [audit] section: {exc}") from exc
-    trainer = shadow_trainer(cfg.train, cfg.assignment, n_synth)
-
-    selector = au.get("selector", "outlier")
-    if selector == "outlier":
-        target = audit_mod.select_target_outlier(dataset, audit_cfg.norm)
-    elif selector == "influential":
-        target = audit_mod.select_target_influential(
-            dataset, trainer, audit_cfg.candidate_m, audit_cfg.knn_k, audit_cfg.norm, audit_cfg.seed
-        )
+    trainer = shadow_trainer(cfg.train, cfg.partition, au.synth_samples)
+    if au.selector == "outlier":
+        target = audit_mod.select_target_outlier(dataset, au.norm)
+    elif au.selector == "influential":
+        target = audit_mod.select_target_influential(dataset, trainer, au)
     else:
-        try:
-            target = int(selector)
-        except ValueError:
-            raise ConfigError(f"selector must be outlier, influential, or an index; got {selector!r}")
+        target = int(au.selector)
 
-    report = audit_mod.run_assd(dataset, target, trainer, audit_cfg, selector=selector)
-    if rounds > 0:
-        adversary = audit_mod.threshold_adversary(report, dataset, audit_cfg)
-        report.win_rate = audit_mod.loo_game(
-            dataset, target, trainer, adversary, rounds, audit_cfg.seed
-        )
+    report = audit_mod.run_assd(dataset, target, trainer, au)
+    if au.rounds > 0:
+        adversary = audit_mod.threshold_adversary(report, dataset, au)
+        report.win_rate = audit_mod.loo_game(dataset, target, trainer, adversary, au.rounds, au.seed)
 
-    with open(out / "audit.json", "w") as fh:
-        json.dump(
-            {
-                "target_index": report.target_index,
-                "selector": report.selector,
-                "auc": report.auc,
-                "win_rate": report.win_rate,
-                "invalid_runs": report.invalid_runs,
-                "config": report.config,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    with open(out / "audit_features.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["world", "feature"])
-        for world, feats in ((0, report.features_world0), (1, report.features_world1)):
-            for f in feats:
-                writer.writerow([world, f"{f:.17g}"])
+    worlds = (report.features_world0, report.features_world1)
+    _write_json(out / "audit.json", {k: v for k, v in vars(report).items() if not k.startswith("features")})
+    rows = ([world, f"{f:.17g}"] for world, feats in enumerate(worlds) for f in feats)
+    _write_csv(out / "audit_features.csv", ["world", "feature"], rows)
     _write_manifest(out, cfg, extra)
-    print(f"target {report.target_index} ({selector}): auc {report.auc:.4f}")
+    print(f"target {report.target_index} ({au.selector}): auc {report.auc:.4f}")
     return EXIT_OK
 
 

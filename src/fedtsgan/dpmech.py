@@ -23,8 +23,8 @@ class DpParams:
     sigma: float  # noise multiplier; per-coordinate std is 2*C*sigma
 
     def __post_init__(self):
-        if math.isnan(self.clip) or self.clip <= 0.0:
-            raise ValueError("clip bound must be positive")
+        if not self.clip >= MIN_CLIP:
+            raise ValueError(f"clip bound must be at least {MIN_CLIP:.3g}")
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
             raise ValueError("sigma must be finite and >= 0")
 
@@ -39,6 +39,9 @@ class DpParams:
 # finite squared norm, so its computed norm can be checked against a bound.
 # A vector of norm above about 1.34e154 cannot, and no nudge fixes that.
 MAX_CLIPPED_NORM = math.sqrt(np.finfo(np.float64).max) / 2
+# The square root of the smallest normal float64: at or above it, norm / clip is
+# finite for a finite norm and clip**2 is normal, so the bound check measures.
+MIN_CLIP = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def first_layer_norm(grads: GradientSet) -> float:
@@ -58,10 +61,10 @@ def clip_first_layer(grads: GradientSet, clip: float) -> GradientSet:
     whose squared norm overflows are first divided by their largest
     magnitude, which makes the norm finite and keeps the direction; the
     result is then scaled to norm clip, or to ``MAX_CLIPPED_NORM`` when clip
-    is a larger finite bound.
+    is a larger finite bound. A bound below ``MIN_CLIP`` raises ValueError.
     """
-    if not clip > 0.0:
-        raise ValueError("clip bound must be positive")
+    if not clip >= MIN_CLIP:
+        raise ValueError(f"clip bound must be at least {MIN_CLIP:.3g}")
     out = grads.copy()
     vec = grads.first_layer_vector()
     norm = first_layer_norm(grads)

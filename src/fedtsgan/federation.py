@@ -61,18 +61,21 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """Training settings and the INI [train] schema: field metadata "ini" marks
+    a key the file must give ("required") or may not ("code"); "ini_alias" names a second key."""
+
     topology: str = "vfl"
     latent_dim: int = 32
     batch_size: int = 64
     max_iters: int = 2000
-    beta1: float = 1.0  # weight of the shared-discriminator term in generator losses
+    beta1: float = field(default=1.0, metadata={"ini_alias": "lambda"})  # shared-term weight
     beta2: float = 1.0  # scale of the feature-extractor loss
     lr: float = 2e-4
     adam_beta1: float = 0.5
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    dp: DpParams | None = None
-    seed: int = 0
+    dp: DpParams | None = field(default=None, metadata={"ini": "code"})
+    seed: int = field(default=0, metadata={"ini": "required"})
     checkpoint_every: int = 50
     eval_samples: int = 512
     gen_hidden: tuple[int, ...] = (128, 128)
@@ -81,17 +84,20 @@ class TrainConfig:
     feature_dim: int = 32
     shared_hidden: tuple[int, ...] = (128,)
     non_saturating: bool = False  # generators minimize -log D(fake) instead
-    log_payloads: bool = False  # test mode: keep payload copies in the log
+    log_payloads: bool = field(default=False, metadata={"ini": "code"})  # test mode: keep payloads
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.latent_dim < 1 or self.batch_size < 1 or self.max_iters < 1:
-            raise ValueError("latent_dim, batch_size, max_iters must be >= 1")
+        for name in ("latent_dim", "batch_size", "max_iters", "checkpoint_every",
+                     "eval_samples", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("gen_hidden", "disc_hidden", "fe_hidden", "shared_hidden"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ValueError(f"{name} widths must be >= 1")
         if min(self.beta1, self.beta2) < 0:
             raise ValueError("balancing coefficients must be >= 0")
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
 
 
 @dataclass
@@ -887,20 +893,18 @@ def _usable_cores() -> int:
 def _release_in_workers(args: tuple, chunks: list[list]) -> list[TimeSeriesDataset | None]:
     """``_release_runs(*args, chunk)`` for every chunk, concatenated: the
     first chunk in this process, each other one in a forked worker (all in
-    this process where ``fork`` is missing). The pool is shut down before
-    this returns or raises, so no worker outlives it."""
-    # imported here: at module level they would add ~25 ms to every CLI start
+    this process where ``fork`` is missing). Leaving the pool terminates its
+    workers, so an error here or in a worker reaches the caller at once."""
+    # imported here: at module level it would add ~25 ms to every CLI start
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return _release_runs(*args, [job for chunk in chunks for job in chunk])
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(chunks) - 1, mp_context=context) as pool:
-        futures = [pool.submit(_release_runs, *args, chunk) for chunk in chunks[1:]]
+    with multiprocessing.get_context("fork").Pool(len(chunks) - 1) as pool:
+        pending = [pool.apply_async(_release_runs, (*args, chunk)) for chunk in chunks[1:]]
         releases = _release_runs(*args, chunks[0])
-        for future in futures:
-            releases += future.result()
+        for result in pending:
+            releases += result.get()
     return releases
 
 

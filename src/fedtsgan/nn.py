@@ -183,9 +183,6 @@ class MlpModel:
     def copy(self) -> "MlpModel":
         return MlpModel(self.layers)
 
-    def param_count(self) -> int:
-        return self.params.shape[-1]
-
 
 class GradientSet:
     """Parameter gradients laid out like a model's ``params``: ``flat`` is
@@ -208,9 +205,6 @@ class GradientSet:
         grads.flat, grads.shapes = flat, shapes
         grads.d_weights, grads.d_biases = _split(flat, shapes)
         return grads
-
-    def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.d_weights[0], self.d_biases[0]
 
     def first_layer_vector(self) -> np.ndarray:
         """First-layer weight and bias gradients as one vector (one per run

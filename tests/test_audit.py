@@ -104,14 +104,14 @@ class TestOutlierSelector:
 class TestInfluentialSelector:
     def test_m_1_reduces_to_outlier(self):
         ds = toy_dataset([0.0, 0.1, 5.0, 0.2])
-        got = audit.select_target_influential(ds, copier, m=1, k=1)
+        got = audit.select_target_influential(ds, copier, audit.AuditConfig(candidate_m=1, knn_k=1))
         assert got == audit.select_target_outlier(ds)
 
     def test_zero_distance_domination(self):
         # release == real set: every candidate has an exact duplicate, and
         # the summed k-distances are the candidate's own neighbourhood
         ds = toy_dataset([0.0, 1.0, 3.0, 10.0])
-        got = audit.select_target_influential(ds, copier, m=2, k=2)
+        got = audit.select_target_influential(ds, copier, audit.AuditConfig(candidate_m=2, knn_k=2))
         # candidates by isolation: 10.0 (idx 3), 3.0 (idx 2); k=2 feature is
         # 0 + distance to nearest other synthetic sample: idx2 -> 2.0, idx3 -> 7.0
         assert got == 2
@@ -120,7 +120,8 @@ class TestInfluentialSelector:
         ds = data.TimeSeriesDataset(rng.standard_normal((24, 1, 6)))
         frozen = data.TimeSeriesDataset(rng.standard_normal((40, 1, 6)))
         m, k = 6, 3
-        got = audit.select_target_influential(ds, lambda d, s: frozen, m=m, k=k)
+        cfg = audit.AuditConfig(candidate_m=m, knn_k=k)
+        got = audit.select_target_influential(ds, lambda d, s: frozen, cfg)
 
         stats = audit.attribute_stats(ds)
         flat = audit.normalized_flat(ds.data, stats)

@@ -449,6 +449,64 @@ dir = {tmp_path / 'out'}
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("evaluate", lambda t: t + "[eval]\ncheckpoint = {checkpoint}\nsynth_samples = x\n"),
+            ("evaluate", lambda t: t + "[eval]\ncheckpoint = {checkpoint}\nsynth_samples = 0\n"),
+            ("evaluate", lambda t: t + "[eval]\ncheckpoint = {checkpoint}\nseed = x\n"),
+            ("evaluate", lambda t: t + "[eval]\ncontrol = identity\ntask = bogus\n"),
+            ("evaluate", lambda t: t + "[eval]\ncontrol = identity\nmetrics = bogus\n"),
+            ("audit", lambda t: t + "[audit]\nselector = 99\n"),
+            ("audit", lambda t: t + "[audit]\nrounds = -1\n"),
+            ("audit", lambda t: t + "[audit]\nknn_k = 99\n"),
+            ("train", lambda t: t.replace("seed = 11", "seed = 11\nseed = 12")),
+            ("train", lambda t: "stray = 1\n" + t),
+            ("train", lambda t: t.replace("seed = 11", "seed = 11\nfe_mode = identity")),
+            ("train", lambda t: t + "[bogus]\nkey = 1\n"),
+            ("train", lambda t: t + "[dp]\nclip = 1e-300\nsigma = 1.0\n"),
+        ],
+        ids=[
+            "eval_synth_samples_not_a_number", "eval_synth_samples_zero", "eval_seed_not_a_number",
+            "unknown_task", "unknown_metric", "selector_beyond_the_dataset", "negative_rounds",
+            "knn_k_beyond_the_release", "duplicate_key", "line_before_the_first_header",
+            "unknown_key", "unknown_section", "clip_below_the_floor",
+        ],
+    )
+    def test_schema_violations(self, tmp_path, command, edit):
+        cfg, out = write_config(tmp_path)
+        text = edit(cfg.read_text())
+        if "{checkpoint}" in text:  # a readable checkpoint, so that [eval] is read
+            assert cli.main(["train", "--config", str(cfg)]) == 0
+            text = text.replace("{checkpoint}", str(out / "best_generators.npz"))
+        cfg.write_text(text)
+        code, err = run_cli(command, "--config", str(cfg))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "audit_lines, batch_size",
+        [
+            ("knn_k = 99", 4),
+            ("selector = 16", 4),
+            ("selector = influential\ncandidate_m = 17", 4),
+            # world 0 trains on the 15 samples left without the target
+            ("shadow_pairs = 2", 16),
+        ],
+    )
+    def test_size_checks_run_before_any_training(
+        self, tmp_path, monkeypatch, audit_lines, batch_size
+    ):
+        from fedtsgan import federation
+
+        calls = []
+        monkeypatch.setattr(federation, "train_runs", lambda *args: calls.append(args))
+        cfg, out = write_config(tmp_path, sections=f"[audit]\n{audit_lines}\n")
+        cfg.write_text(cfg.read_text().replace("batch_size = 4", f"batch_size = {batch_size}"))
+        assert cli.main(["audit", "--config", str(cfg)]) == 2
+        assert calls == [] and not out.exists()
+
     def test_mae_takes_frequencies_from_the_checkpoint(self, tmp_path):
         train_cfg, run = write_config(tmp_path)
         assert cli.main(["train", "--config", str(train_cfg)]) == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fedtsgan
 from fedtsgan import nn
 from fedtsgan.dpmech import (
+    MIN_CLIP,
     DpParams,
     clip_first_layer,
     first_layer_norm,
@@ -129,6 +130,21 @@ class TestClip:
             "print('returned')\n"
         )
         assert run_fresh(code) == "returned"
+
+    def test_a_bound_below_the_floor_is_rejected(self):
+        # under C = 1e-300, norm / C overflows and this vector clipped to
+        # [0, -0, 0]; at the floor it keeps a nonzero, measurable norm
+        g = grads_with_first_layer([1e10, -1.0, 2.0])
+        for bound in (1e-300, np.nextafter(MIN_CLIP, 0.0), 0.0, np.nan):
+            with pytest.raises(ValueError, match="clip bound must be at least"):
+                clip_first_layer(g, bound)
+            with pytest.raises(ValueError, match="clip bound must be at least"):
+                DpParams(bound, 1.0)
+        vec = clip_first_layer(g, MIN_CLIP).first_layer_vector()
+        assert 0.0 < float(np.linalg.norm(vec)) <= MIN_CLIP
+        assert np.array_equal(np.sign(vec), [1.0, -1.0, 1.0])
+        np.testing.assert_allclose(vec / vec[0], [1.0, -1e-10, 2e-10], rtol=1e-12)
+        assert DpParams(MIN_CLIP, 1.0).clip == MIN_CLIP
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=8),
            st.floats(0.01, 10.0))

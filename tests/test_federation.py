@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -704,6 +705,8 @@ class TestManyAcrossCores:
         def train_runs(config, jobs):
             if (os.getpid() == parent) == (where == "parent"):
                 raise OverflowError(f"chunk of {len(jobs)} runs failed")
+            if where == "parent":
+                time.sleep(60)  # a worker chunk that trains for a minute
             return real(config, jobs)
 
         monkeypatch.setattr(fed, "train_runs", train_runs)
@@ -711,8 +714,11 @@ class TestManyAcrossCores:
         trainer = fed.shadow_trainer(tiny_config(max_iters=2), assignment, n_synth=5)
         jobs = [(full, 5), (full, 6), (full.without_sample(2), 7)]
         size = 2 if where == "worker" else 1
+        start = time.monotonic()
         with pytest.raises(OverflowError, match=f"^chunk of {size} runs failed$"):
             trainer.many(jobs)
+        # the error does not wait for the other chunk, whose worker is gone
+        assert time.monotonic() - start < 10
         assert multiprocessing.active_children() == []
 
     def test_without_fork_every_chunk_trains_here(self, monkeypatch):

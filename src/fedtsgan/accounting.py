@@ -162,7 +162,7 @@ def privacy_report(
 ) -> dict:
     """Both guarantees for both threat surfaces.
 
-    "external" observers (anyone outside the parties, including the server)
+    "external" observers (anyone outside the parties and the server)
     benefit from subsampling amplification; internal parties see a fixed
     mini-batch schedule and get the unamplified composition.
     """

@@ -204,6 +204,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("mae needs a csv sidecar or checkpoint that lists the sine frequencies")
     if ev.task == "classify" and (dataset.labels is None or synth.labels is None):
         raise ConfigError("task classify needs labels on the dataset and the synthetic samples")
+    if ev.task and dataset.n_samples < 2:
+        raise ConfigError(f"task {ev.task} needs a dataset of at least 2 samples")
     if "awd" in wanted:
         value, cells = metrics.awd_breakdown(dataset, synth)
         report["metrics"]["awd"] = value

@@ -21,14 +21,14 @@ gradients of a phase are computed from pre-update parameters before any
 update is applied. All latent draws are broadcast: every generator in every
 party consumes the same z matrix in an iteration.
 
-Federations that differ only in seed and dataset (the audit's shadow runs)
-train as one ``FederationStack``: each model holds the runs' parameters
-along a leading run axis, and the phases serve a stack and a single
-federation with the same code. Every run keeps its own seed-keyed streams,
-message log and checkpoints, and ends with the bytes it would have produced
-training alone; ``train`` is the one-run case. ``shadow_trainer(...).many``
-splits its jobs into one such stack per usable core, trained in forked
-workers, with the same bytes.
+Training always runs on a ``FederationStack``: K federations that differ
+only in seed and dataset (the audit's shadow runs), each model holding the
+runs' parameters along a leading run axis. The phases take (K, B) batch
+indices and a (K, B, l) latent z and return one loss per run; ``train`` is
+a stack of one. Every run keeps its own seed-keyed streams, message log and
+checkpoints, and ends with the bytes it would have produced training alone.
+``shadow_trainer(...).many`` splits its jobs into one such stack per usable
+core, trained in forked workers, with the same bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -200,12 +199,6 @@ class FederationState:
     batch_rng: np.random.Generator = None  # type: ignore[assignment]
     noise_rngs: dict = field(default_factory=dict)
 
-    stacked: ClassVar[bool] = False
-
-    @property
-    def runs(self) -> list["FederationState"]:
-        return [self]
-
     @property
     def dataset(self) -> TimeSeriesDataset:
         return self.views[0].dataset
@@ -230,8 +223,6 @@ class FederationStack:
     shared_opt: nn.AdamState | None
     runs: list[FederationState]
 
-    stacked: ClassVar[bool] = True
-
 
 def _adam(model: nn.MlpModel, cfg: TrainConfig) -> nn.AdamState:
     return nn.AdamState.for_model(
@@ -240,7 +231,8 @@ def _adam(model: nn.MlpModel, cfg: TrainConfig) -> nn.AdamState:
 
 
 def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationState:
-    """Build all models and per-purpose random streams from the master seed.
+    """Build one run's models and per-purpose random streams from the master
+    seed; the phases train it once ``add_run`` has put it into a stack.
 
     Model init streams are keyed by role tags, so e.g. the shared
     discriminator draws the same initial weights whether it consumes
@@ -323,7 +315,7 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
                 config.seed, "dp-noise", "FE", view.party_id
             )
 
-    state = FederationState(
+    return FederationState(
         config=config,
         views=views,
         t_steps=t_steps,
@@ -336,14 +328,12 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
         batch_rng=stream(config.seed, "batches"),
         noise_rngs=noise_rngs,
     )
-    _share_scratch(state)
-    return state
 
 
-def _share_scratch(state) -> None:
+def _share_scratch(stack: FederationStack) -> None:
     """One Adam work space for all optimizers: they step one at a time."""
-    scratch = np.empty(2 * max(opt.m.size for _, opt in _slots(state)))
-    for _, opt in _slots(state):
+    scratch = np.empty(2 * max(opt.m.size for _, opt in _slots(stack)))
+    for _, opt in _slots(stack):
         opt.scratch = scratch
 
 
@@ -425,25 +415,11 @@ def sync_runs(stack: FederationStack) -> None:
             own_opt.t = opt.t
 
 
-def _join(state, per_run: list[np.ndarray]) -> np.ndarray:
-    """One array per run as the phases' operand: stacked along the run axis,
-    or the single federation's own array."""
-    return np.stack(per_run) if state.stacked else per_run[0]
-
-
-def _by_run(state, a) -> np.ndarray:
-    """``a`` with a leading run axis: a stack's array as it is, a single
-    federation's as a (1, ...) view."""
-    return a if state.stacked else np.asarray(a)[None]
-
-
-def broadcast_latent(state, batch_size: int) -> np.ndarray:
-    """One standard-normal (B, l) draw per run, shared by every attribute
-    generator of that run."""
-    return _join(
-        state,
-        [run.z_rng.standard_normal((batch_size, state.config.latent_dim)) for run in state.runs],
-    )
+def broadcast_latent(stack: FederationStack, batch_size: int) -> np.ndarray:
+    """A (K, B, l) latent: one standard-normal (B, l) draw per run, shared
+    by every attribute generator of that run."""
+    latent_dim = stack.config.latent_dim
+    return np.stack([run.z_rng.standard_normal((batch_size, latent_dim)) for run in stack.runs])
 
 
 # Each phase collects ``failed``: run index -> the error that would have
@@ -452,51 +428,49 @@ def broadcast_latent(state, batch_size: int) -> np.ndarray:
 # draws no noise and updates no model, so the other runs go on unchanged.
 
 
-def _forward(state, failed: dict, model: nn.MlpModel, batch: np.ndarray) -> nn.ActivationTrace:
+def _forward(failed: dict, model: nn.MlpModel, batch: np.ndarray) -> nn.ActivationTrace:
     """``nn.forward``; a run whose input is not finite fails here and goes on
     with zeros in its place."""
     try:
         return nn.forward(model, batch)
     except nn.NonFiniteError as exc:
-        rows = _by_run(state, batch)
-        bad = ~np.isfinite(rows).all(axis=(-2, -1))
+        bad = ~np.isfinite(batch).all(axis=(-2, -1))
         for k in np.flatnonzero(bad):
             failed.setdefault(int(k), exc)
-        clean = np.where(bad[:, None, None], 0.0, rows)
-        return nn.forward(model, clean if state.stacked else clean[0])
+        return nn.forward(model, np.where(bad[:, None, None], 0.0, batch))
 
 
-def _log(state, failed: dict, direction: str, party_id: int, kind: str, payload: np.ndarray):
+def _log(stack, failed: dict, direction: str, party_id: int, kind: str, payload: np.ndarray):
     """Record each live run's block of ``payload`` in that run's log."""
-    for k, (run, block) in enumerate(zip(state.runs, _by_run(state, payload))):
+    for k, (run, block) in enumerate(zip(stack.runs, payload)):
         if k not in failed:
             run.log.log(run.iteration, direction, party_id, kind, block)
 
 
-def _maybe_dp(state, failed: dict, key, grads: nn.GradientSet) -> None:
+def _maybe_dp(stack, failed: dict, key, grads: nn.GradientSet) -> None:
     """Clip and noise each live run's gradient in place, from the run's own
     noise stream for ``key``."""
-    dp = state.config.dp
+    dp = stack.config.dp
     if dp is None:
         return
-    for k, (run, row) in enumerate(zip(state.runs, _by_run(state, grads.flat))):
+    for k, (run, row) in enumerate(zip(stack.runs, grads.flat)):
         if k not in failed:
             one = nn.GradientSet.from_flat(row, grads.shapes)
             row[...] = perturb_first_layer(one, dp.clip, dp.sigma, run.noise_rngs[key]).flat
 
 
-def _check_finite(state, failed: dict, losses: dict, where: str):
-    values = np.array([_by_run(state, v) for v in losses.values()])  # (losses, runs)
+def _check_finite(failed: dict, losses: dict, where: str):
+    values = np.array(list(losses.values()))  # (losses, runs)
     for k in np.flatnonzero(~np.isfinite(values).all(axis=0)):
         bad = {key: float(v) for key, v in zip(losses, values[:, k]) if not math.isfinite(v)}
         failed.setdefault(int(k), DivergenceError(f"non-finite loss in {where}", {"losses": bad}))
 
 
-def _apply_updates(state, failed: dict, pending: list) -> None:
+def _apply_updates(stack, failed: dict, pending: list) -> None:
     """Adam steps in order. A run stops at its first non-finite gradient, as
     ``nn.adam_step`` would stop a lone run there: the models before it are
     updated, that one and the later ones are not."""
-    live = np.array([k not in failed for k in range(len(state.runs))])
+    live = np.array([k not in failed for k in range(len(stack.runs))])
     for model, grads, opt in pending:
         if live.all():
             try:
@@ -504,11 +478,11 @@ def _apply_updates(state, failed: dict, pending: list) -> None:
                 continue
             except nn.NonFiniteError:
                 pass
-        finite = np.isfinite(_by_run(state, grads.flat)).all(axis=-1)
+        finite = np.isfinite(grads.flat).all(axis=-1)
         for k in np.flatnonzero(live & ~finite):
             failed[int(k)] = nn.NonFiniteError("non-finite gradient; model left unchanged")
         live &= finite
-        if live.any():  # a stack with some runs out: step the others' rows
+        if live.any():  # some runs out: step the others' rows
             rows = np.flatnonzero(live)
             part = nn.MlpModel.from_params(model.params[rows], model.shapes, model.layers)
             part_opt = replace(opt, m=opt.m[rows], v=opt.v[rows])
@@ -522,12 +496,12 @@ def _mean(a: np.ndarray):
     return a.mean(axis=(-2, -1))
 
 
-def _generate_fakes(state, z: np.ndarray, keep_traces: bool):
+def _generate_fakes(stack: FederationStack, z: np.ndarray, keep_traces: bool):
     """Every generator runs on the shared z. Returns per-key fake blocks
     and, when requested, the generator traces for backprop."""
     traces: dict[tuple[int, int], nn.ActivationTrace] = {}
     fakes: dict[tuple[int, int], np.ndarray] = {}
-    for p in state.parties:
+    for p in stack.parties:
         for j, gen in enumerate(p.generators):
             tr = nn.forward(gen, z)
             key = (p.party_id, p.attribute_indices[j])
@@ -550,87 +524,87 @@ def _column_blocks(grad: np.ndarray, blocks: list[np.ndarray]):
         offset += width
 
 
-def discriminator_phase(state, batch_indices: np.ndarray) -> dict:
-    """Update all discriminators and feature extractors on one mini-batch
-    (a (B,) index vector, or one row per run of a stack).
+def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> dict:
+    """Update all discriminators and feature extractors on one mini-batch:
+    (K, B) indices, one row into each run's dataset.
 
     Gradients are all taken at pre-update parameters, DP clip+noise is
     applied to the first layers of the per-attribute discriminators and
     feature extractors (never the shared discriminator), then every update
-    lands. Generators are untouched. Returns each loss (one value per run of
-    a stack) and the runs that failed.
+    lands. Generators are untouched. Returns each loss as a (K,) array and
+    the runs that failed.
     """
-    cfg = state.config
-    batch = _by_run(state, np.asarray(batch_indices))
+    cfg = stack.config
+    batch = np.asarray(batch_indices)
     b = batch.shape[-1]
-    real = _join(state, [run.dataset.data[rows] for run, rows in zip(state.runs, batch)])
+    real = np.stack([run.dataset.data[rows] for run, rows in zip(stack.runs, batch)])
 
-    z = broadcast_latent(state, b)
-    fakes, _ = _generate_fakes(state, z, keep_traces=False)
+    z = broadcast_latent(stack, b)
+    fakes, _ = _generate_fakes(stack, z, keep_traces=False)
 
     failed: dict = {}
     losses: dict = {}
     pending: list[tuple[nn.MlpModel, nn.GradientSet, nn.AdamState]] = []
 
-    for p in state.parties:
+    for p in stack.parties:
         for j, attr in enumerate(p.attribute_indices):
             disc = p.discriminators[j]
-            tr_r = _forward(state, failed, disc, np.ascontiguousarray(real[..., attr, :]))
-            tr_f = _forward(state, failed, disc, fakes[(p.party_id, attr)])
+            tr_r = _forward(failed, disc, np.ascontiguousarray(real[..., attr, :]))
+            tr_f = _forward(failed, disc, fakes[(p.party_id, attr)])
             log_r, dlog_r = nn.clamped_log(tr_r.output)
             log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
             losses[f"d_{p.party_id}_{attr}"] = -(_mean(log_r) + _mean(log1m_f))
             grads, _ = nn.backward(disc, tr_r, -dlog_r / b)
             grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b)
             grads.add_(grads_f)
-            _maybe_dp(state, failed, ("D", p.party_id, attr), grads)
+            _maybe_dp(stack, failed, ("D", p.party_id, attr), grads)
             pending.append((disc, grads, p.disc_opts[j]))
 
-    if state.branches:
+    if stack.branches:
         real_in, fake_in, fe_traces = [], [], []
-        for br in state.branches:
-            x_real = real[..., [a for _, a in br.keys], :].reshape(*real.shape[:-3], b, -1)
+        for br in stack.branches:
+            x_real = real[..., [a for _, a in br.keys], :].reshape(len(real), b, -1)
             x_fake = _fake_block(br, fakes)
             tr_fe_f = None
             if br.party is not None:
-                tr_fe_r = _forward(state, failed, br.party.feature_extractor, x_real)
-                tr_fe_f = _forward(state, failed, br.party.feature_extractor, x_fake)
+                tr_fe_r = _forward(failed, br.party.feature_extractor, x_real)
+                tr_fe_f = _forward(failed, br.party.feature_extractor, x_fake)
                 x_real, x_fake = tr_fe_r.output, tr_fe_f.output
                 for payload in (x_real, x_fake):
-                    _log(state, failed, "party->server", br.party.party_id, "feature", payload)
+                    _log(stack, failed, "party->server", br.party.party_id, "feature", payload)
             real_in.append(x_real)
             fake_in.append(x_fake)
             fe_traces.append(tr_fe_f)
 
-        tr_ds_r = _forward(state, failed, state.shared_disc, np.concatenate(real_in, axis=-1))
-        tr_ds_f = _forward(state, failed, state.shared_disc, np.concatenate(fake_in, axis=-1))
+        tr_ds_r = _forward(failed, stack.shared_disc, np.concatenate(real_in, axis=-1))
+        tr_ds_f = _forward(failed, stack.shared_disc, np.concatenate(fake_in, axis=-1))
         log_r, dlog_r = nn.clamped_log(tr_ds_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_ds_f.output)
         losses["d_shared"] = -(_mean(log_r) + _mean(log1m_f))
-        ds_grads, _ = nn.backward(state.shared_disc, tr_ds_r, -dlog_r / b)
-        ds_grads_f, _ = nn.backward(state.shared_disc, tr_ds_f, -dlog1m_f / b)
+        ds_grads, _ = nn.backward(stack.shared_disc, tr_ds_r, -dlog_r / b)
+        ds_grads_f, _ = nn.backward(stack.shared_disc, tr_ds_f, -dlog1m_f / b)
         ds_grads.add_(ds_grads_f)
-        pending.append((state.shared_disc, ds_grads, state.shared_opt))
+        pending.append((stack.shared_disc, ds_grads, stack.shared_opt))
 
         if any(tr is not None for tr in fe_traces):
             # feature extractors descend beta2 * E[log(1 - D_S(fake features))]
             fe_loss = cfg.beta2 * _mean(log1m_f)
             _, feat_grad = nn.backward(
-                state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
+                stack.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
             )
             slices = _column_blocks(feat_grad, fake_in)
-            for br, tr_fe_f, g_slice in zip(state.branches, fe_traces, slices):
+            for br, tr_fe_f, g_slice in zip(stack.branches, fe_traces, slices):
                 if tr_fe_f is None:
                     continue
                 p = br.party
-                _log(state, failed, "server->party", p.party_id, "feature_grad", g_slice)
+                _log(stack, failed, "server->party", p.party_id, "feature_grad", g_slice)
                 fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
-                _maybe_dp(state, failed, ("FE", p.party_id), fe_grads)
+                _maybe_dp(stack, failed, ("FE", p.party_id), fe_grads)
                 pending.append((p.feature_extractor, fe_grads, p.fe_opt))
                 losses[f"fe_{p.party_id}"] = fe_loss
 
-    _check_finite(state, failed, losses, "discriminator phase")
-    _apply_updates(state, failed, pending)
+    _check_finite(failed, losses, "discriminator phase")
+    _apply_updates(stack, failed, pending)
     return {"losses": losses, "failed": failed}
 
 
@@ -645,52 +619,52 @@ def _fooling_term(output: np.ndarray, non_saturating: bool):
     return _mean(val), dval
 
 
-def generator_step(state, z: np.ndarray) -> dict:
-    """Generator losses and output-side gradients for a given z; nothing is
-    updated here.
+def generator_step(stack: FederationStack, z: np.ndarray) -> dict:
+    """Generator losses ((K,) arrays) and output-side gradients for a given
+    (K, B, l) z; nothing is updated here.
 
     Each generator's output gradient is the sum of its local-discriminator
     pathway and its slice of the shared pathway (back through its branch's
     feature extractor, if the branch has one, and the shared
     discriminator), weighted by beta1.
     """
-    cfg = state.config
+    cfg = stack.config
     b = z.shape[-2]
-    fakes, gen_traces = _generate_fakes(state, z, keep_traces=True)
+    fakes, gen_traces = _generate_fakes(stack, z, keep_traces=True)
 
     failed: dict = {}
     losses: dict = {}
     out_grads: dict[tuple[int, int], np.ndarray] = {}
 
-    for p in state.parties:
+    for p in stack.parties:
         for j, attr in enumerate(p.attribute_indices):
             disc = p.discriminators[j]
-            tr_d = _forward(state, failed, disc, fakes[(p.party_id, attr)])
+            tr_d = _forward(failed, disc, fakes[(p.party_id, attr)])
             term, dterm = _fooling_term(tr_d.output, cfg.non_saturating)
             losses[f"g_{p.party_id}_{attr}"] = term
             _, g_local = nn.backward(disc, tr_d, dterm / b, params=False)
             out_grads[(p.party_id, attr)] = g_local
 
-    if state.branches:
+    if stack.branches:
         fake_in, fe_traces = [], []
-        for br in state.branches:
+        for br in stack.branches:
             x_fake = _fake_block(br, fakes)
             tr_fe = None
             if br.party is not None:
-                tr_fe = _forward(state, failed, br.party.feature_extractor, x_fake)
+                tr_fe = _forward(failed, br.party.feature_extractor, x_fake)
                 x_fake = tr_fe.output
-                _log(state, failed, "party->server", br.party.party_id, "feature", x_fake)
+                _log(stack, failed, "party->server", br.party.party_id, "feature", x_fake)
             fake_in.append(x_fake)
             fe_traces.append(tr_fe)
-        tr_ds = _forward(state, failed, state.shared_disc, np.concatenate(fake_in, axis=-1))
+        tr_ds = _forward(failed, stack.shared_disc, np.concatenate(fake_in, axis=-1))
         shared_term, dshared = _fooling_term(tr_ds.output, cfg.non_saturating)
-        _, in_grad = nn.backward(state.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False)
+        _, in_grad = nn.backward(stack.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False)
         slices = _column_blocks(in_grad, fake_in)
-        for br, tr_fe, grad in zip(state.branches, fe_traces, slices):
+        for br, tr_fe, grad in zip(stack.branches, fe_traces, slices):
             if tr_fe is not None:
-                _log(state, failed, "server->party", br.party.party_id, "feature_grad", grad)
+                _log(stack, failed, "server->party", br.party.party_id, "feature_grad", grad)
                 _, grad = nn.backward(br.party.feature_extractor, tr_fe, grad, params=False)
-            x_grad = grad.reshape(*grad.shape[:-1], len(br.keys), state.t_steps)
+            x_grad = grad.reshape(*grad.shape[:-1], len(br.keys), stack.t_steps)
             for j, (pid, attr) in enumerate(br.keys):
                 out_grads[(pid, attr)] += x_grad[..., j, :]
                 losses[f"g_{pid}_{attr}"] += cfg.beta1 * shared_term
@@ -698,22 +672,22 @@ def generator_step(state, z: np.ndarray) -> dict:
     return {"losses": losses, "out_grads": out_grads, "traces": gen_traces, "failed": failed}
 
 
-def generator_phase(state) -> dict:
+def generator_phase(stack: FederationStack) -> dict:
     """Update every attribute generator on a fresh shared z.
 
     All gradients come from one generator_step at pre-update parameters;
     discriminators and feature extractors are read, never written. Returns
-    each loss (one value per run of a stack) and the runs that failed.
+    each loss as a (K,) array and the runs that failed.
     """
-    z = broadcast_latent(state, state.config.batch_size)
-    step = generator_step(state, z)
+    z = broadcast_latent(stack, stack.config.batch_size)
+    step = generator_step(stack, z)
     failed = step["failed"]
-    _check_finite(state, failed, step["losses"], "generator phase")
-    for p in state.parties:
+    _check_finite(failed, step["losses"], "generator phase")
+    for p in stack.parties:
         for j, attr in enumerate(p.attribute_indices):
             key = (p.party_id, attr)
             grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
-            _apply_updates(state, failed, [(p.generators[j], grads, p.gen_opts[j])])
+            _apply_updates(stack, failed, [(p.generators[j], grads, p.gen_opts[j])])
     return {"losses": step["losses"], "failed": failed}
 
 
@@ -777,10 +751,10 @@ class TrainResult:
     diverged: bool = False
 
 
-def _run_losses(state, losses: dict) -> list[dict]:
+def _run_losses(stack: FederationStack, losses: dict) -> list[dict]:
     """The phase's losses as one dict of floats per run."""
-    columns = {key: _by_run(state, v).tolist() for key, v in losses.items()}
-    return [{key: col[k] for key, col in columns.items()} for k in range(len(state.runs))]
+    columns = {key: v.tolist() for key, v in losses.items()}
+    return [{key: col[k] for key, col in columns.items()} for k in range(len(stack.runs))]
 
 
 def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> list[TrainResult]:
@@ -791,7 +765,7 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     current generators synthesize an evaluation batch; the snapshot with the
     minimum distance to the run's training data is retained as its final
     model. Divergence stops a run and keeps the best snapshot so far; the
-    other runs go on. Several jobs train as one ``FederationStack``. The
+    other runs go on. The jobs train as one ``FederationStack``. The
     results come in job order, each as the run would have ended alone.
     """
     results, eval_seeds, stack = [], [], None
@@ -801,33 +775,30 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
         awd0 = checkpoint_awd(run, eval_seeds[-1])
         history = [{"iteration": 0, "awd": awd0}]
         results.append(TrainResult(run, history, bank_from_state(run).copy(), awd0, 0))
-        if len(jobs) > 1:
-            # into the stack one by one, so that one run's own buffers exist at a time
-            stack = stack or empty_stack(run, len(jobs))
-            add_run(stack, run)
+        # into the stack one by one, so that one run's own buffers exist at a time
+        stack = stack or empty_stack(run, len(jobs))
+        add_run(stack, run)
     if not results:
         return []
 
-    state = stack or results[0].state
-    live = list(range(len(jobs)))  # the job of each run of ``state``
+    live = list(range(len(jobs)))  # the job of each run of ``stack``
     for it in range(1, config.max_iters + 1):
-        for run in state.runs:
+        for run in stack.runs:
             run.iteration = it
-        batch = _join(
-            state,
+        batch = np.stack(
             [
                 subsample_batch(run.dataset.n_samples, config.batch_size, run.batch_rng)
-                for run in state.runs
-            ],
+                for run in stack.runs
+            ]
         )
         rows = [{"iteration": it} for _ in live]
         for phase in (lambda s: discriminator_phase(s, batch), generator_phase):
-            info = phase(state)
-            for row, losses in zip(rows, _run_losses(state, info["losses"])):
+            info = phase(stack)
+            for row, losses in zip(rows, _run_losses(stack, info["losses"])):
                 row.update(losses)
             if info["failed"]:
-                state, live, rows = _retire(state, live, rows, info["failed"], results, it)
-                if state is None:
+                stack, live, rows = _retire(stack, live, rows, info["failed"], results, it)
+                if stack is None:
                     return results
         checkpoint = it % config.checkpoint_every == 0 or it == config.max_iters
         for j, row in zip(live, rows):
@@ -840,28 +811,26 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
                     result.best_iteration = it
             result.history.append(row)
 
-    if state.stacked:
-        sync_runs(state)
+    sync_runs(stack)
     return results
 
 
-def _retire(state, live: list[int], rows: list[dict], failed: dict, results, it: int):
+def _retire(stack, live: list[int], rows: list[dict], failed: dict, results, it: int):
     """End the failed runs at iteration ``it``; the others go on as a
-    smaller stack, or alone, or (if none is left) not at all."""
-    if state.stacked:
-        sync_runs(state)
+    smaller stack, or (if none is left) not at all."""
+    sync_runs(stack)
     for k, exc in failed.items():
         results[live[k]].history.append({"iteration": it, "diverged": str(exc)})
         results[live[k]].diverged = True
     keep = [k for k in range(len(live)) if k not in failed]
-    runs = [state.runs[k] for k in keep]
-    rest = None if not runs else runs[0] if len(runs) == 1 else stack_federations(runs)
+    runs = [stack.runs[k] for k in keep]
+    rest = stack_federations(runs) if runs else None
     return rest, [live[k] for k in keep], [rows[k] for k in keep]
 
 
 def train(config: TrainConfig, views: list[PartyView]) -> TrainResult:
     """Run the full protocol on one federation: ``train_runs`` with the one
-    job ``(views, config.seed)``."""
+    job ``(views, config.seed)``, a stack of one."""
     return train_runs(config, [(views, config.seed)])[0]
 
 

@@ -105,8 +105,9 @@ def test_criterion_1_gradient_exactness():
             state, z = _random_federation(seed)
             if not _guards_ok(state, z):
                 continue
-            step = fed.generator_step(state, z)
-            p = state.parties[seed % len(state.parties)]
+            stack = fed.stack_federations([state])
+            step = fed.generator_step(stack, z[None])
+            p = stack.parties[seed % len(stack.parties)]
             j = seed % len(p.attribute_indices)
             attr = p.attribute_indices[j]
             gen, key = p.generators[j], (p.party_id, attr)
@@ -128,9 +129,9 @@ def test_criterion_1_gradient_exactness():
                     for idx in range(view.size):
                         orig = view[idx]
                         view[idx] = orig + h
-                        plus = fed.generator_step(state, z)["losses"][loss_key]
+                        plus = fed.generator_step(stack, z[None])["losses"][loss_key][0]
                         view[idx] = orig - h
-                        minus = fed.generator_step(state, z)["losses"][loss_key]
+                        minus = fed.generator_step(stack, z[None])["losses"][loss_key][0]
                         view[idx] = orig
                         numeric = (plus - minus) / (2 * h)
                         denom = max(abs(gview[idx]), abs(numeric), 1e-12)

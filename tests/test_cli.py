@@ -390,6 +390,16 @@ dir = {tmp_path / 'out'}
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_task_on_a_one_sample_dataset(self, tmp_path):
+        cfg = self.csv_eval_config(tmp_path, "control = identity\nmetrics = awd\ntask = forecast")
+        path = tmp_path / "plain.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2]) + "\n")  # the header and one sample
+        code, err = run_cli("evaluate", "--config", str(cfg))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "command, case",
         [
@@ -535,3 +545,36 @@ def test_import_leaves_the_process_pool_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestDocumentedScripts:
+    """The two scripts README.md documents, each in a fresh interpreter."""
+
+    @staticmethod
+    def run_script(name, *argv, cwd):
+        import subprocess
+        import sys
+
+        script = Path(__file__).resolve().parents[1] / "scripts" / name
+        return subprocess.run(
+            [sys.executable, str(script), *argv], cwd=cwd, capture_output=True, text=True
+        )
+
+    def test_sine_benchmark(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        proc = self.run_script(
+            "run_sine_benchmark.py", "--seeds", "1", "--iters", "2", "--n-per-class", "8",
+            "--t-steps", "10", "--batch-size", "4", "--out", str(out), cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["topology"] for row in rows] == ["vfl", "centralized", "local_only"]
+
+    def test_audit_demo(self, tmp_path):
+        proc = self.run_script(
+            "run_audit_demo.py", "--iters", "2", "--shadow-pairs", "2", "--knn-k", "1",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "private AUC" in proc.stdout

@@ -60,7 +60,8 @@ def federation_blob(state):
 class TestLatentBroadcast:
     def test_identical_z_for_all_generators(self, sine_views, monkeypatch):
         state = fed.init_federation(tiny_config(), sine_views)
-        generators = {id(g) for p in state.parties for g in p.generators}
+        stack = fed.stack_federations([state])
+        generators = {id(g) for p in stack.parties for g in p.generators}
         seen = []
         real_forward = nn.forward
 
@@ -72,24 +73,24 @@ class TestLatentBroadcast:
         monkeypatch.setattr(nn, "forward", recording)
         state.iteration = 1
         for run_phase in (
-            lambda: fed.discriminator_phase(state, np.arange(6)),
-            lambda: fed.generator_phase(state),
+            lambda: fed.discriminator_phase(stack, np.arange(6)[None]),
+            lambda: fed.generator_phase(stack),
         ):
             seen.clear()
             run_phase()
             assert len(seen) == len(generators)
-            assert seen[0].shape == (6, 3)
+            assert seen[0].shape == (1, 6, 3)
             assert all(z.tobytes() == seen[0].tobytes() for z in seen)
 
     def test_stream_advances_between_draws(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
-        z1 = fed.broadcast_latent(state, 4)
-        z2 = fed.broadcast_latent(state, 4)
+        stack = fed.stack_federations([fed.init_federation(tiny_config(), sine_views)])
+        z1 = fed.broadcast_latent(stack, 4)
+        z2 = fed.broadcast_latent(stack, 4)
         assert not np.array_equal(z1, z2)
 
     def test_standard_normal_moments(self, sine_views):
-        state = fed.init_federation(tiny_config(latent_dim=10), sine_views)
-        z = fed.broadcast_latent(state, 10_000)  # 1e5 draws
+        stack = fed.stack_federations([fed.init_federation(tiny_config(latent_dim=10), sine_views)])
+        z = fed.broadcast_latent(stack, 10_000)  # 1e5 draws
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.02
 
@@ -98,7 +99,7 @@ class TestDiscriminatorPhase:
     def test_zero_lr_leaves_parameters_but_reports_losses(self, sine_views):
         state = fed.init_federation(tiny_config(lr=0.0), sine_views)
         before = federation_blob(state)
-        info = fed.discriminator_phase(state, np.arange(6))
+        info = fed.discriminator_phase(fed.stack_federations([state]), np.arange(6)[None])
         assert federation_blob(state) == before
         assert {"d_0_0", "d_1_1", "d_shared", "fe_0", "fe_1"} <= set(info["losses"])
 
@@ -108,15 +109,15 @@ class TestDiscriminatorPhase:
         for p in state.parties:
             for d in p.discriminators:
                 d.layers[-1].bias[:] = 1e4
-        info = fed.discriminator_phase(state, np.arange(6))
+        info = fed.discriminator_phase(fed.stack_federations([state]), np.arange(6)[None])
         expected = -(np.log(1.0 - 1e-7) + np.log(1e-7))
-        assert info["losses"]["d_0_0"] == pytest.approx(expected, rel=1e-9)
+        assert info["losses"]["d_0_0"][0] == pytest.approx(expected, rel=1e-9)
 
     def test_phase_updates_only_discriminators_and_fes(self, sine_views):
         state = fed.init_federation(tiny_config(), sine_views)
         gens_before = [params_blob(g) for p in state.parties for g in p.generators]
         discs_before = [params_blob(d) for p in state.parties for d in p.discriminators]
-        fed.discriminator_phase(state, np.arange(6))
+        fed.discriminator_phase(fed.stack_federations([state]), np.arange(6)[None])
         gens_after = [params_blob(g) for p in state.parties for g in p.generators]
         discs_after = [params_blob(d) for p in state.parties for d in p.discriminators]
         assert gens_before == gens_after
@@ -124,8 +125,9 @@ class TestDiscriminatorPhase:
 
     def test_message_log_holds_only_feature_traffic(self, sine_views):
         state = fed.init_federation(tiny_config(), sine_views)
-        fed.discriminator_phase(state, np.arange(6))
-        fed.generator_phase(state)
+        stack = fed.stack_federations([state])
+        fed.discriminator_phase(stack, np.arange(6)[None])
+        fed.generator_phase(stack)
         kinds = {r.kind for r in state.log.records}
         assert kinds == {"feature", "feature_grad"}
         widths = {r.shape[1] for r in state.log.records}
@@ -136,7 +138,7 @@ class TestDiscriminatorPhase:
         state = fed.init_federation(tiny_config(), sine_views)
         state.parties[0].discriminators[0].layers[0].weight[:] = 1e308
         before = federation_blob(state)
-        info = fed.discriminator_phase(state, np.arange(6))
+        info = fed.discriminator_phase(fed.stack_federations([state]), np.arange(6)[None])
         exc = info["failed"][0]
         assert isinstance(exc, fed.DivergenceError)
         assert not np.isfinite(exc.diagnostics["losses"]["d_0_0"])
@@ -146,12 +148,13 @@ class TestDiscriminatorPhase:
 class TestGeneratorPhase:
     def test_phase_updates_only_generators(self, sine_views):
         state = fed.init_federation(tiny_config(), sine_views)
-        fed.discriminator_phase(state, np.arange(6))
+        stack = fed.stack_federations([state])
+        fed.discriminator_phase(stack, np.arange(6)[None])
         discs_before = [params_blob(d) for p in state.parties for d in p.discriminators]
         fes_before = [params_blob(p.feature_extractor) for p in state.parties]
         shared_before = params_blob(state.shared_disc)
         gens_before = [params_blob(g) for p in state.parties for g in p.generators]
-        fed.generator_phase(state)
+        fed.generator_phase(stack)
         assert [params_blob(d) for p in state.parties for d in p.discriminators] == discs_before
         assert [params_blob(p.feature_extractor) for p in state.parties] == fes_before
         assert params_blob(state.shared_disc) == shared_before
@@ -160,16 +163,17 @@ class TestGeneratorPhase:
     def test_beta1_zero_equals_pure_local_generator_step(self, sine_views):
         run_a = fed.init_federation(tiny_config(beta1=0.0), sine_views)
         run_b = fed.init_federation(tiny_config(topology="local_only"), sine_views)
-        fed.generator_phase(run_a)
-        fed.generator_phase(run_b)
+        fed.generator_phase(fed.stack_federations([run_a]))
+        fed.generator_phase(fed.stack_federations([run_b]))
         for pa, pb in zip(run_a.parties, run_b.parties):
             for ga, gb in zip(pa.generators, pb.generators):
                 assert params_blob(ga) == params_blob(gb)
 
     def test_local_only_shared_pathway_contributes_nothing(self, sine_views):
         state = fed.init_federation(tiny_config(topology="local_only"), sine_views)
-        z = fed.broadcast_latent(state, 4)
-        step = fed.generator_step(state, z)
+        stack = fed.stack_federations([state])
+        z = fed.broadcast_latent(stack, 4)
+        step = fed.generator_step(stack, z)
         # loss is the local term only and grads come from D_ij alone
         assert set(step["losses"]) == {"g_0_0", "g_1_1"}
 
@@ -185,8 +189,9 @@ class TestGeneratorPhase:
             for p in state.parties:
                 for d in p.discriminators:
                     d.layers[-1].bias[:] = -10.0
-            z = fed.broadcast_latent(state, 4)
-            step = fed.generator_step(state, z)
+            stack = fed.stack_federations([state])
+            z = fed.broadcast_latent(stack, 4)
+            step = fed.generator_step(stack, z)
             grads[non_sat] = np.linalg.norm(step["out_grads"][(0, 0)])
         assert grads[True] > 1e3 * grads[False]
 
@@ -194,10 +199,10 @@ class TestGeneratorPhase:
         assert fed.TrainConfig().non_saturating is False
 
     def test_composed_path_gradient_matches_finite_differences(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
-        z = fed.broadcast_latent(state, 4)
-        step = fed.generator_step(state, z)
-        gen = state.parties[0].generators[0]
+        stack = fed.stack_federations([fed.init_federation(tiny_config(), sine_views)])
+        z = fed.broadcast_latent(stack, 4)
+        step = fed.generator_step(stack, z)
+        gen = stack.parties[0].generators[0]
         analytic, _ = nn.backward(gen, step["traces"][(0, 0)], step["out_grads"][(0, 0)])
 
         h = 1e-6
@@ -206,9 +211,9 @@ class TestGeneratorPhase:
         for idx in np.ndindex(*w.shape):
             orig = w[idx]
             w[idx] = orig + h
-            plus = fed.generator_step(state, z)["losses"]["g_0_0"]
+            plus = fed.generator_step(stack, z)["losses"]["g_0_0"][0]
             w[idx] = orig - h
-            minus = fed.generator_step(state, z)["losses"]["g_0_0"]
+            minus = fed.generator_step(stack, z)["losses"]["g_0_0"][0]
             w[idx] = orig
             numeric = (plus - minus) / (2 * h)
             got = analytic.d_weights[0][idx]
@@ -526,7 +531,16 @@ class TestRunStack:
             assert_same_run(result, want)
         assert any(r.best_iteration > 0 for r in got)
 
-    def test_diverging_runs_leave_the_stack(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "layout, iterations",
+        [
+            ([("full", 5), ("full", 6), ("short", 7), ("full", 9), ("full", 8)], [8, 3, 8, 5, 8]),
+            # the stack shrinks to the one survivor (seed 9), which diverges too
+            ([("full", 6), ("full", 9)], [3, 5]),
+        ],
+        ids=["five_runs", "down_to_one"],
+    )
+    def test_diverging_runs_leave_the_stack(self, monkeypatch, layout, iterations):
         # two runs get a NaN first-layer gradient from the DP mechanism, each
         # at one iteration: adam_step stops such a run at that model, after
         # the models before it in the phase have been updated
@@ -548,7 +562,8 @@ class TestRunStack:
         monkeypatch.setattr(fed, "perturb_first_layer", perturb)
         make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
         full = make_dataset()
-        jobs = [(full, 5), (full, 6), (full.without_sample(2), 7), (full, 9), (full, 8)]
+        datasets = {"full": full, "short": full.without_sample(2)}
+        jobs = [(datasets[name], s) for name, s in layout]
         cfg = tiny_config(max_iters=8, checkpoint_every=2, dp=DpParams(1.0, 0.5))
         got = fed.train_runs(cfg, [(data.partition(d, assignment), s) for d, s in jobs])
         for result, (d, s) in zip(got, jobs):
@@ -556,11 +571,11 @@ class TestRunStack:
             want = ref_train(replace(cfg, seed=s), data.partition(d, assignment))
             assert want.diverged == (s in (6, 9))
             assert_same_run(result, want)
-        assert [r.state.iteration for r in got] == [8, 3, 8, 5, 8]
+        assert [r.state.iteration for r in got] == iterations
 
         calls.clear()
         releases = fed.shadow_trainer(cfg, assignment, n_synth=5).many(jobs)
-        assert [r is None for r in releases] == [False, True, False, True, False]
+        assert [r is None for r in releases] == [it < 8 for it in iterations]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_protected_gradient_fails_only_its_run(self, monkeypatch):
@@ -611,15 +626,16 @@ class TestRunStack:
         d_info = fed.discriminator_phase(stack, np.stack(batches))
         g_info = fed.generator_phase(stack)
         for k, solo in enumerate(alone):
-            want_d = fed.discriminator_phase(solo, batches[k])
-            want_g = fed.generator_phase(solo)
+            one = fed.stack_federations([solo])
+            want_d = fed.discriminator_phase(one, batches[k][None])
+            want_g = fed.generator_phase(one)
             for got, want in ((d_info, want_d), (g_info, want_g)):
                 assert (k in got["failed"]) == bool(want["failed"])
                 if want["failed"]:
                     assert str(got["failed"][k]) == str(want["failed"][0])
                 else:
                     for key, value in want["losses"].items():
-                        assert got["losses"][key][k] == value
+                        assert got["losses"][key][k] == value[0]
             assert federation_blob(runs[k]) == federation_blob(solo)
             assert messages(runs[k].log) == messages(solo.log)
         assert set(d_info["failed"]) == {1}
@@ -765,9 +781,9 @@ class TestDpWiring:
         cfg_silent = tiny_config(dp=DpParams(1.0, 0.0))
         sa = fed.init_federation(cfg_noisy, sine_views)
         sb = fed.init_federation(cfg_silent, sine_views)
-        batch = np.arange(6)
-        fed.discriminator_phase(sa, batch)
-        fed.discriminator_phase(sb, batch)
+        batch = np.arange(6)[None]
+        fed.discriminator_phase(fed.stack_federations([sa]), batch)
+        fed.discriminator_phase(fed.stack_federations([sb]), batch)
         ma, mb = all_models(sa), all_models(sb)
         for name in ma:
             protected = name.startswith(("d_", "fe_")) and name != "d_shared"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -65,6 +66,8 @@ class DpSection:
                 raise ValueError("budget mode needs both epsilon and delta")
             if not (self.epsilon > 0.0 and 0.0 < self.delta < 1.0):
                 raise ValueError("budget mode needs epsilon > 0 and 0 < delta < 1")
+            if self.clip == math.inf:
+                raise ValueError("budget mode needs a finite clip")
         DpParams(self.clip, self.sigma or 0.0)  # checks the bound and sigma
 
     @property
@@ -153,8 +156,9 @@ def _read_section(parser: configparser.ConfigParser, name: str, schema: type):
         except (KeyError, ValueError):
             label = str(hint) if typing.get_args(hint) else hint.__name__
             raise ConfigError(f"[{name}] {key} = {text!r} is not a valid {label}") from None
-        if values.setdefault(keys[key], value) != value:
+        if keys[key] in values and values[keys[key]] != value:
             raise ConfigError(f"[{name}] {keys[key]} and its alias disagree")
+        values[keys[key]] = value
     for f in dataclasses.fields(schema):
         if _required(f) and f.name not in values:
             raise ConfigError(f"[{name}] needs {f.name}")

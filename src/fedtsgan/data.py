@@ -182,18 +182,19 @@ def subsample_batch(n_total: int, batch_size: int, rng: np.random.Generator) -> 
 
 def save_csv(dataset: TimeSeriesDataset, path) -> None:
     """One row per (sample, attribute): sample_id, attribute_id, label, then
-    the T values at 17 significant digits."""
+    the T values at 17 significant digits.
+
+    The bytes are those of ``csv.writer``'s default dialect (no cell needs
+    quoting, lines end in ``\\r\\n``), but one ``%`` formats a whole row, and
+    only one sample's rows are Python floats at a time."""
+    header = ["sample_id", "attribute_id", "label"] + [f"t{k}" for k in range(dataset.n_steps)]
+    row_format = "%d,%d,%s" + ",%.17g" * dataset.n_steps + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["sample_id", "attribute_id", "label"] + [
-            f"t{k}" for k in range(dataset.n_steps)
-        ]
-        writer.writerow(header)
-        for n in range(dataset.n_samples):
+        fh.write(",".join(header) + "\r\n")
+        for n, sample in enumerate(dataset.data):
             label = "" if dataset.labels is None else int(dataset.labels[n])
-            for a in range(dataset.n_attributes):
-                row = [n, a, label] + [f"{v:.17g}" for v in dataset.data[n, a]]
-                writer.writerow(row)
+            for a, row in enumerate(sample.tolist()):
+                fh.write(row_format % (n, a, label, *row))
 
 
 def load_csv(path, meta: dict | None = None) -> TimeSeriesDataset:

@@ -27,6 +27,8 @@ class DpParams:
             raise ValueError(f"clip bound must be at least {MIN_CLIP:.3g}")
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
             raise ValueError("sigma must be finite and >= 0")
+        if self.clip == math.inf and self.sigma > 0.0:
+            raise ValueError("an infinite clip bound needs sigma = 0 (noise std 2*C*sigma)")
 
     @property
     def provides_privacy(self) -> bool:

@@ -95,8 +95,14 @@ class TrainConfig:
         for name in ("gen_hidden", "disc_hidden", "fe_hidden", "shared_hidden"):
             if min(getattr(self, name), default=1) < 1:
                 raise ValueError(f"{name} widths must be >= 1")
-        if min(self.beta1, self.beta2) < 0:
-            raise ValueError("balancing coefficients must be >= 0")
+        for name in ("beta1", "beta2", "lr"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be finite and > 0")
 
 
 @dataclass

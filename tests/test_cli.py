@@ -496,6 +496,36 @@ dir = {tmp_path / 'out'}
         assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "train_extra, sections, named",
+        [
+            ("lr = -1", "", "lr"),
+            ("lr = inf", "", "lr"),
+            ("lr = nan", "", "lr"),
+            ("beta2 = nan", "", "beta2"),
+            ("adam_beta1 = 1.5", "", "adam_beta1"),
+            ("adam_beta1 = 1", "", "adam_beta1"),
+            ("adam_beta2 = 1", "", "adam_beta2"),
+            ("adam_beta2 = inf", "", "adam_beta2"),
+            ("adam_eps = -1e-8", "", "adam_eps"),
+            ("", "[dp]\nclip = inf\nsigma = 1", "clip"),
+            ("", "[dp]\nclip = inf\nepsilon = 10\ndelta = 1e-3", "clip"),
+        ],
+        ids=[
+            "negative_lr", "infinite_lr", "nan_lr", "nan_beta2", "adam_beta1_above_one",
+            "adam_beta1_one", "adam_beta2_one", "infinite_adam_beta2", "negative_adam_eps",
+            "infinite_clip_with_sigma", "infinite_clip_with_budget",
+        ],
+    )
+    def test_bad_optimizer_setting_or_infinite_clip(self, tmp_path, train_extra, sections, named):
+        cfg, out = write_config(tmp_path, train_extra=train_extra, sections=sections)
+        code, err = run_cli("train", "--config", str(cfg))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert named in err and "alias" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "audit_lines, batch_size",
         [
             ("knn_k = 99", 4),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,108 @@ class TestCsv:
         assert meta["frequencies"] == [0.01, 0.005]
         assert meta["seed"] == 3
         assert meta["t_steps"] == 8
+
+
+def reference_save_csv(dataset, path):
+    """The export as ``csv.writer`` writes it, one f-string per value: the
+    bytes ``data.save_csv`` must keep."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["sample_id", "attribute_id", "label"] + [
+            f"t{k}" for k in range(dataset.n_steps)
+        ]
+        writer.writerow(header)
+        for n in range(dataset.n_samples):
+            label = "" if dataset.labels is None else int(dataset.labels[n])
+            for a in range(dataset.n_attributes):
+                row = [n, a, label] + [f"{v:.17g}" for v in dataset.data[n, a]]
+                writer.writerow(row)
+
+
+EDGE_CELLS = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+]
+
+
+def with_cells(shape, values, labels=None):
+    """A dataset holding ``values``, which may be non-finite: the constructor
+    rejects those, so they are written in after it."""
+    ds = data.TimeSeriesDataset(np.zeros(shape), labels)
+    ds.data[...] = np.asarray(values, dtype=np.float64).reshape(shape)
+    return ds
+
+
+class TestCsvBytes:
+    """``save_csv`` writes the reference writer's bytes, and ``load_csv``
+    reads back every non-NaN cell's bits."""
+
+    @staticmethod
+    def assert_reference_bytes(ds, tmp_path):
+        data.save_csv(ds, tmp_path / "fast.csv")
+        reference_save_csv(ds, tmp_path / "reference.csv")
+        written = (tmp_path / "fast.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        return written
+
+    @staticmethod
+    def assert_bits_read_back(ds, tmp_path):
+        path = tmp_path / "fast.csv"
+        if np.isfinite(ds.data).all():
+            loaded = data.load_csv(path).data
+        else:  # load_csv rejects a non-finite dataset; read the cells alone
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            loaded = np.array([[float(v) for v in row[3:]] for row in rows]).reshape(ds.data.shape)
+        kept = ~np.isnan(ds.data)
+        np.testing.assert_array_equal(loaded.view(np.int64)[kept], ds.data.view(np.int64)[kept])
+        assert np.isnan(loaded[~kept]).all()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: data.gen_sine2(n_per_class=3, t_steps=7, seed=7),
+            lambda: data.gen_sine6(n_per_class=2, t_steps=5, seed=8),
+            lambda: data.TimeSeriesDataset(np.random.default_rng(1).standard_normal((3, 2, 4))),
+            lambda: data.gen_sine2(n_per_class=1, t_steps=2, seed=1).take(slice(0, 1)),
+            lambda: data.TimeSeriesDataset(np.arange(6.0).reshape(3, 2, 1) / 7, [0, 1, 0]),
+        ],
+        ids=["sine2", "sine6", "unlabelled", "one_sample", "one_step"],
+    )
+    def test_datasets(self, tmp_path, make):
+        ds = make()
+        written = self.assert_reference_bytes(ds, tmp_path)
+        assert written.count(b"\r\n") == 1 + ds.n_samples * ds.n_attributes
+        self.assert_bits_read_back(ds, tmp_path)
+
+    def test_edge_cells(self, tmp_path):
+        ds = with_cells((1, 1, len(EDGE_CELLS)), EDGE_CELLS, [1])
+        written = self.assert_reference_bytes(ds, tmp_path)
+        assert written.split(b"\r\n")[1].startswith(b"0,0,1,nan,inf,-inf,-0,0,4.9406564584124654e-324,")
+        self.assert_bits_read_back(ds, tmp_path)
+
+    @given(
+        cells=st.integers(1, 3).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, 3), st.integers(1, 5))
+        ).flatmap(
+            lambda shape: st.tuples(
+                st.just(shape),
+                st.lists(
+                    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+                ),
+                st.booleans(),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_float64_cells(self, tmp_path_factory, cells):
+        shape, values, labelled = cells
+        labels = np.arange(shape[0]) % 2 if labelled else None
+        ds = with_cells(shape, values, labels)
+        tmp_path = tmp_path_factory.mktemp("csv")
+        self.assert_reference_bytes(ds, tmp_path)
+        self.assert_bits_read_back(ds, tmp_path)
 
 
 class TestDatasetInvariants:

@@ -193,6 +193,11 @@ class TestDpParams:
         with pytest.raises(ValueError):
             DpParams(1.0, np.inf)
 
+    def test_infinite_bound_with_noise_rejected(self):
+        # its per-coordinate noise std 2*C*sigma would be inf
+        with pytest.raises(ValueError, match="infinite clip"):
+            DpParams(np.inf, 1.0)
+
     def test_passthrough_configuration_allowed(self):
         p = DpParams(np.inf, 0.0)
         assert not p.provides_privacy

@@ -919,6 +919,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fed.TrainConfig(beta1=-0.1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("lr", -1.0), ("lr", math.inf), ("lr", math.nan), ("beta1", math.inf),
+         ("beta2", math.nan), ("adam_beta1", 1.5), ("adam_beta1", 1.0), ("adam_beta2", 1.0),
+         ("adam_beta2", -0.1), ("adam_beta2", math.nan), ("adam_eps", -1e-8), ("adam_eps", 0.0),
+         ("adam_eps", math.inf), ("adam_eps", math.nan)],
+    )
+    def test_optimizer_setting_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            fed.TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        # lr = 0 freezes the models; 1e306 diverges in training, not here;
+        # Adam's beta2 may be 0 (no second-moment averaging)
+        [("lr", 0.0), ("lr", 1e306), ("adam_beta1", 0.0), ("adam_beta2", 0.0), ("adam_eps", 1e-300)],
+    )
+    def test_optimizer_setting_at_its_edge_accepted(self, name, value):
+        assert getattr(fed.TrainConfig(**{name: value}), name) == value
+
     def test_batch_exceeding_dataset_rejected(self, sine_views):
         with pytest.raises(ValueError):
             fed.init_federation(tiny_config(batch_size=999), sine_views)

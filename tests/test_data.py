@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedtsgan import data
 from fedtsgan.metrics import estimate_amplitudes
@@ -266,24 +267,15 @@ class TestCsvBytes:
         self.assert_bits_read_back(ds, tmp_path)
 
     @given(
-        cells=st.integers(1, 3).flatmap(
-            lambda n: st.tuples(st.just(n), st.integers(1, 3), st.integers(1, 5))
-        ).flatmap(
-            lambda shape: st.tuples(
-                st.just(shape),
-                st.lists(
-                    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-                    min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
-                ),
-                st.booleans(),
-            )
-        )
+        array=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5)).flatmap(
+            lambda shape: arrays(np.float64, shape)  # NaN, inf and subnormals included
+        ),
+        labelled=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_any_float64_cells(self, tmp_path_factory, cells):
-        shape, values, labelled = cells
-        labels = np.arange(shape[0]) % 2 if labelled else None
-        ds = with_cells(shape, values, labels)
+    def test_any_float64_cells(self, tmp_path_factory, array, labelled):
+        labels = np.arange(array.shape[0]) % 2 if labelled else None
+        ds = with_cells(array.shape, array, labels)
         tmp_path = tmp_path_factory.mktemp("csv")
         self.assert_reference_bytes(ds, tmp_path)
         self.assert_bits_read_back(ds, tmp_path)

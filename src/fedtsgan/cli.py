@@ -174,7 +174,11 @@ def cmd_train(args) -> int:
         f"trained {cfg.train.topology} for {result.state.iteration} iterations; "
         f"best awd {result.best_awd:.6g} at iteration {result.best_iteration}"
     )
-    return EXIT_DIVERGED if result.diverged else EXIT_OK
+    if not result.diverged:
+        return EXIT_OK
+    last = result.history[-1]
+    print(f"diverged at iteration {last['iteration']}: {last['diverged']}", file=sys.stderr)
+    return EXIT_DIVERGED
 
 
 def cmd_evaluate(args) -> int:

@@ -4,8 +4,8 @@ Every party trains one generator/discriminator pair per local attribute.
 The topologies differ only in the shared pathway: a server-side shared
 discriminator over a list of branches, each an ordered list of
 (party, attribute) keys whose concatenated series it reads, optionally
-through the owning party's feature extractor. ``init_federation`` builds
-the branch list once:
+through the owning party's feature extractor. ``init_stack`` builds the
+branch list once:
 
 * ``vfl`` - one branch per party, through that party's feature extractor.
   Only features and feature gradients cross the party boundary, and every
@@ -23,10 +23,13 @@ party consumes the same z matrix in an iteration.
 
 Training always runs on a ``FederationStack``: K federations that differ
 only in seed and dataset (the audit's shadow runs), each model holding the
-runs' parameters along a leading run axis. The phases take (K, B) batch
-indices and a (K, B, l) latent z and return one loss per run; ``train`` is
-a stack of one. Every run keeps its own seed-keyed streams, message log and
-checkpoints, and ends with the bytes it would have produced training alone.
+runs' parameters along a leading run axis. ``init_stack`` draws every run's
+initial weights straight into its row and builds each model's Adam state
+once, for the whole stack; only the stack holds optimizer state. The phases
+take (K, B) batch indices and a (K, B, l) latent z and return one loss per
+run; ``train`` is a stack of one. Every run keeps its own seed-keyed
+streams, message log and checkpoints, its models are views of its row, and
+it ends with the bytes it would have produced training alone.
 ``shadow_trainer(...).many`` splits its jobs into one such stack per usable
 core, trained in forked workers, with the same bytes.
 """
@@ -170,11 +173,8 @@ class PartyState:
     party_id: int
     attribute_indices: list[int]
     generators: list[nn.MlpModel]
-    gen_opts: list[nn.AdamState]
     discriminators: list[nn.MlpModel]
-    disc_opts: list[nn.AdamState]
     feature_extractor: nn.MlpModel | None = None
-    fe_opt: nn.AdamState | None = None
 
 
 @dataclass
@@ -189,36 +189,35 @@ class SharedBranch:
 
 @dataclass
 class FederationState:
-    """One federation: its models and optimizers, message log and the random
-    streams keyed by its seed."""
+    """One run of a stack: its dataset views, message log, the random streams
+    keyed by its seed, and models that are views of its row of the stack."""
 
     config: TrainConfig
     views: list[PartyView]
-    t_steps: int
-    parties: list[PartyState]
-    branches: list[SharedBranch]
-    shared_disc: nn.MlpModel | None
-    shared_opt: nn.AdamState | None
     log: MessageLog
+    z_rng: np.random.Generator
+    batch_rng: np.random.Generator
+    noise_rngs: dict
+    parties: list[PartyState] = field(default_factory=list)
+    shared_disc: nn.MlpModel | None = None
     iteration: int = 0
-    z_rng: np.random.Generator = None  # type: ignore[assignment]
-    batch_rng: np.random.Generator = None  # type: ignore[assignment]
-    noise_rngs: dict = field(default_factory=dict)
 
     @property
     def dataset(self) -> TimeSeriesDataset:
         return self.views[0].dataset
+
+    @property
+    def t_steps(self) -> int:
+        return self.dataset.n_steps
 
 
 @dataclass
 class FederationStack:
     """K federations that differ only in seed and dataset, trained as one.
 
-    The parties, branches and shared discriminator mirror one federation's,
-    but every model and optimizer holds the K runs' values along a leading
-    run axis. ``runs`` keeps each run's own state: dataset views, message
-    log, seed-keyed streams, and models and optimizer moments that are views
-    of the run's row of the stack.
+    Every model holds the K runs' parameters along a leading run axis, and
+    ``opts`` holds its Adam state under its ``_slots`` key; no run holds an
+    optimizer. ``runs`` keeps each run's own state (see ``FederationState``).
     """
 
     config: TrainConfig
@@ -226,71 +225,64 @@ class FederationStack:
     parties: list[PartyState]
     branches: list[SharedBranch]
     shared_disc: nn.MlpModel | None
-    shared_opt: nn.AdamState | None
+    opts: dict[tuple, nn.AdamState]
     runs: list[FederationState]
 
 
-def _adam(model: nn.MlpModel, cfg: TrainConfig) -> nn.AdamState:
-    return nn.AdamState.for_model(
-        model, lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps
-    )
+def _slots(state):
+    """Every model of a federation or stack under its init-stream key, in one
+    fixed order."""
+    for p in state.parties:
+        for attr, gen in zip(p.attribute_indices, p.generators):
+            yield ("G", p.party_id, attr), gen
+        for attr, disc in zip(p.attribute_indices, p.discriminators):
+            yield ("D", p.party_id, attr), disc
+        if p.feature_extractor is not None:
+            yield ("FE", p.party_id), p.feature_extractor
+    if state.shared_disc is not None:
+        yield ("DS",), state.shared_disc
 
 
-def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationState:
-    """Build one run's models and per-purpose random streams from the master
-    seed; the phases train it once ``add_run`` has put it into a stack.
+def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> FederationStack:
+    """One stack of runs, one per ``(views, seed)`` job; ``config.seed`` is
+    replaced by each job's. The jobs share a partition and series length.
 
-    Model init streams are keyed by role tags, so e.g. the shared
-    discriminator draws the same initial weights whether it consumes
-    features (vfl) or raw attributes of the same width (centralized).
+    Each model draws every run's initial weights from that run's init stream
+    for the model's role tags, so e.g. the shared discriminator draws the
+    same weights whether it consumes features (vfl) or raw attributes of the
+    same width (centralized). The stack holds them along its run axis, and
+    each run's models are views of its row.
     """
-    if not views:
-        raise ValueError("need at least one party view")
-    dataset = views[0].dataset
-    t_steps = dataset.n_steps
-    if config.batch_size > dataset.n_samples:
-        raise ValueError("batch_size exceeds the dataset size")
+    if not jobs or not jobs[0][0]:
+        raise ValueError("need at least one job and one party view")
+    layout = [(v.party_id, list(v.attribute_indices)) for v in jobs[0][0]]
+    t_steps = jobs[0][0][0].dataset.n_steps
+    for views, _ in jobs:
+        if [(v.party_id, list(v.attribute_indices)) for v in views] != layout:
+            raise ValueError("stacked runs must share one partition")
+        if config.batch_size > views[0].dataset.n_samples:
+            raise ValueError("batch_size exceeds the dataset size")
+    seeds = [seed for _, seed in jobs]
+
+    def mlp(key, d_in, hidden, d_out, head):
+        acts = ["leaky_relu"] * len(hidden) + [head]
+        dims = [d_in, *hidden, d_out]
+        return nn.MlpModel.stack([nn.init_mlp(dims, acts, stream(s, "init", *key)) for s in seeds])
 
     parties = []
-    for view in views:
-        gens, gen_opts, discs, disc_opts = [], [], [], []
-        for attr in view.attribute_indices:
-            g = nn.init_mlp(
-                [config.latent_dim, *config.gen_hidden, t_steps],
-                ["leaky_relu"] * len(config.gen_hidden) + ["identity"],
-                stream(config.seed, "init", "G", view.party_id, attr),
-            )
-            d = nn.init_mlp(
-                [t_steps, *config.disc_hidden, 1],
-                ["leaky_relu"] * len(config.disc_hidden) + ["sigmoid"],
-                stream(config.seed, "init", "D", view.party_id, attr),
-            )
-            gens.append(g)
-            gen_opts.append(_adam(g, config))
-            discs.append(d)
-            disc_opts.append(_adam(d, config))
-        fe = fe_opt = None
+    for pid, attrs in layout:
+        gens = [
+            mlp(("G", pid, a), config.latent_dim, config.gen_hidden, t_steps, "identity")
+            for a in attrs
+        ]
+        discs = [mlp(("D", pid, a), t_steps, config.disc_hidden, 1, "sigmoid") for a in attrs]
+        fe = None
         if config.topology == "vfl":
-            fe = nn.init_mlp(
-                [view.n_attributes * t_steps, *config.fe_hidden, config.feature_dim],
-                ["leaky_relu"] * len(config.fe_hidden) + ["identity"],
-                stream(config.seed, "init", "FE", view.party_id),
-            )
-            fe_opt = _adam(fe, config)
-        parties.append(
-            PartyState(
-                view.party_id,
-                list(view.attribute_indices),
-                gens,
-                gen_opts,
-                discs,
-                disc_opts,
-                fe,
-                fe_opt,
-            )
-        )
+            d_in = len(attrs) * t_steps
+            fe = mlp(("FE", pid), d_in, config.fe_hidden, config.feature_dim, "identity")
+        parties.append(PartyState(pid, attrs, gens, discs, fe))
 
-    keys = [[(p.party_id, a) for a in p.attribute_indices] for p in parties]
+    keys = [[(pid, a) for a in attrs] for pid, attrs in layout]
     if config.topology == "vfl":
         branches = [SharedBranch(k, p) for k, p in zip(keys, parties)]
     elif config.topology == "centralized":
@@ -298,127 +290,63 @@ def init_federation(config: TrainConfig, views: list[PartyView]) -> FederationSt
     else:
         branches = []
 
-    shared = shared_opt = None
+    shared = None
     if branches:
         shared_in = sum(
             br.party.feature_extractor.out_dim if br.party is not None else len(br.keys) * t_steps
             for br in branches
         )
-        shared = nn.init_mlp(
-            [shared_in, *config.shared_hidden, 1],
-            ["leaky_relu"] * len(config.shared_hidden) + ["sigmoid"],
-            stream(config.seed, "init", "DS"),
-        )
-        shared_opt = _adam(shared, config)
+        shared = mlp(("DS",), shared_in, config.shared_hidden, 1, "sigmoid")
 
-    noise_rngs = {}
-    if config.dp is not None:
-        for view in views:
-            for attr in view.attribute_indices:
-                key = ("D", view.party_id, attr)
-                noise_rngs[key] = stream(config.seed, "dp-noise", *key)
-            noise_rngs[("FE", view.party_id)] = stream(
-                config.seed, "dp-noise", "FE", view.party_id
+    runs = []
+    for views, seed in jobs:
+        noise_rngs = {}
+        if config.dp is not None:
+            for pid, attrs in layout:
+                for key in [("D", pid, a) for a in attrs] + [("FE", pid)]:
+                    noise_rngs[key] = stream(seed, "dp-noise", *key)
+        runs.append(
+            FederationState(
+                replace(config, seed=seed),
+                views,
+                MessageLog(keep_payloads=config.log_payloads),
+                stream(seed, "latent"),
+                stream(seed, "batches"),
+                noise_rngs,
             )
-
-    return FederationState(
-        config=config,
-        views=views,
-        t_steps=t_steps,
-        parties=parties,
-        branches=branches,
-        shared_disc=shared,
-        shared_opt=shared_opt,
-        log=MessageLog(keep_payloads=config.log_payloads),
-        z_rng=stream(config.seed, "latent"),
-        batch_rng=stream(config.seed, "batches"),
-        noise_rngs=noise_rngs,
-    )
-
-
-def _share_scratch(stack: FederationStack) -> None:
-    """One Adam work space for all optimizers: they step one at a time."""
-    scratch = np.empty(2 * max(opt.m.size for _, opt in _slots(stack)))
-    for _, opt in _slots(stack):
-        opt.scratch = scratch
-
-
-def _slots(state):
-    """Every (model, optimizer) pair of a federation or stack, in one fixed
-    order."""
-    for p in state.parties:
-        yield from zip(p.generators, p.gen_opts)
-        yield from zip(p.discriminators, p.disc_opts)
-        if p.feature_extractor is not None:
-            yield p.feature_extractor, p.fe_opt
-    if state.shared_disc is not None:
-        yield state.shared_disc, state.shared_opt
-
-
-def empty_stack(like: FederationState, size: int) -> FederationStack:
-    """A stack with room for ``size`` runs shaped like ``like``; ``add_run``
-    fills its rows."""
-    rows = iter(
-        [(nn.MlpModel.stack([m] * size), nn.AdamState.stack([o] * size)) for m, o in _slots(like)]
-    )
-    parties = {}
-    for p in like.parties:
-        gens = [next(rows) for _ in p.generators]
-        discs = [next(rows) for _ in p.discriminators]
-        fe, fe_opt = next(rows) if p.feature_extractor is not None else (None, None)
-        parties[id(p)] = PartyState(
-            p.party_id,
-            list(p.attribute_indices),
-            [m for m, _ in gens],
-            [o for _, o in gens],
-            [m for m, _ in discs],
-            [o for _, o in discs],
-            fe,
-            fe_opt,
         )
-    shared, shared_opt = next(rows) if like.shared_disc is not None else (None, None)
-    branches = [
-        SharedBranch(br.keys, None if br.party is None else parties[id(br.party)])
-        for br in like.branches
-    ]
-    stack = FederationStack(
-        like.config, like.t_steps, list(parties.values()), branches, shared, shared_opt, []
-    )
-    _share_scratch(stack)
+
+    stack = FederationStack(config, t_steps, parties, branches, shared, {}, runs)
+    adam = (config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    stack.opts = {key: nn.AdamState.for_model(model, *adam) for key, model in _slots(stack)}
+    # one Adam work space for all optimizers: they step one at a time
+    scratch = np.empty(2 * max(opt.m.size for opt in stack.opts.values()))
+    for opt in stack.opts.values():
+        opt.scratch = scratch
+    _bind_runs(stack)
     return stack
 
 
-def add_run(stack: FederationStack, run: FederationState) -> None:
-    """Copy the run's parameters and optimizer moments into the next row of
-    the stack; from then on the run's models and moments are views of that
-    row. All runs of a stack are at the same step."""
-    k = len(stack.runs)
-    for (model, opt), (own, own_opt) in zip(_slots(stack), _slots(run)):
-        if own_opt.t != opt.t:
-            raise ValueError("stacked runs must be at the same step")
-        model.params[k] = own.params
-        opt.m[k], opt.v[k] = own_opt.m, own_opt.v
-        row = nn.MlpModel.from_params(model.params[k], model.shapes, model.layers)
-        own.params, own.layers = row.params, row.layers
-        own_opt.m, own_opt.v, own_opt.scratch = opt.m[k], opt.v[k], opt.scratch
-    stack.runs.append(run)
+def _bind_runs(stack: FederationStack) -> None:
+    """Make each run's models views of its row of the stack's models."""
+    for k, run in enumerate(stack.runs):
 
+        def row(model):
+            if model is None:
+                return None
+            return nn.MlpModel.from_params(model.params[k], model.shapes, model.layers)
 
-def stack_federations(runs: list[FederationState]) -> FederationStack:
-    """One stack over federations built from one config, whose seeds and
-    datasets may differ."""
-    stack = empty_stack(runs[0], len(runs))
-    for run in runs:
-        add_run(stack, run)
-    return stack
-
-
-def sync_runs(stack: FederationStack) -> None:
-    """Bring the runs' optimizer step counts up to date with the stack's;
-    their models and moments are views of its rows already."""
-    for run in stack.runs:
-        for (_, opt), (_, own_opt) in zip(_slots(stack), _slots(run)):
-            own_opt.t = opt.t
+        run.parties = [
+            PartyState(
+                p.party_id,
+                p.attribute_indices,
+                [row(g) for g in p.generators],
+                [row(d) for d in p.discriminators],
+                row(p.feature_extractor),
+            )
+            for p in stack.parties
+        ]
+        run.shared_disc = row(stack.shared_disc)
 
 
 def broadcast_latent(stack: FederationStack, batch_size: int) -> np.ndarray:
@@ -564,7 +492,7 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
             grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b)
             grads.add_(grads_f)
             _maybe_dp(stack, failed, ("D", p.party_id, attr), grads)
-            pending.append((disc, grads, p.disc_opts[j]))
+            pending.append((disc, grads, stack.opts["D", p.party_id, attr]))
 
     if stack.branches:
         real_in, fake_in, fe_traces = [], [], []
@@ -590,7 +518,7 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
         ds_grads, _ = nn.backward(stack.shared_disc, tr_ds_r, -dlog_r / b)
         ds_grads_f, _ = nn.backward(stack.shared_disc, tr_ds_f, -dlog1m_f / b)
         ds_grads.add_(ds_grads_f)
-        pending.append((stack.shared_disc, ds_grads, stack.shared_opt))
+        pending.append((stack.shared_disc, ds_grads, stack.opts[("DS",)]))
 
         if any(tr is not None for tr in fe_traces):
             # feature extractors descend beta2 * E[log(1 - D_S(fake features))]
@@ -606,7 +534,7 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
                 _log(stack, failed, "server->party", p.party_id, "feature_grad", g_slice)
                 fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
                 _maybe_dp(stack, failed, ("FE", p.party_id), fe_grads)
-                pending.append((p.feature_extractor, fe_grads, p.fe_opt))
+                pending.append((p.feature_extractor, fe_grads, stack.opts["FE", p.party_id]))
                 losses[f"fe_{p.party_id}"] = fe_loss
 
     _check_finite(failed, losses, "discriminator phase")
@@ -693,7 +621,7 @@ def generator_phase(stack: FederationStack) -> dict:
         for j, attr in enumerate(p.attribute_indices):
             key = (p.party_id, attr)
             grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
-            _apply_updates(stack, failed, [(p.generators[j], grads, p.gen_opts[j])])
+            _apply_updates(stack, failed, [(p.generators[j], grads, stack.opts[("G", *key)])])
     return {"losses": step["losses"], "failed": failed}
 
 
@@ -763,29 +691,28 @@ def _run_losses(stack: FederationStack, losses: dict) -> list[dict]:
     return [{key: col[k] for key, col in columns.items()} for k in range(len(stack.runs))]
 
 
+# every non-finite value ends its run as a divergence, so numpy need not warn
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> list[TrainResult]:
     """Run the full protocol for max_iters iterations once per ``(views,
-    seed)`` job, all jobs at once; ``config.seed`` is replaced by each job's.
+    seed)`` job, all jobs at once as the ``init_stack`` of ``jobs``.
 
     Every checkpoint_every iterations (and once before training) each run's
     current generators synthesize an evaluation batch; the snapshot with the
     minimum distance to the run's training data is retained as its final
     model. Divergence stops a run and keeps the best snapshot so far; the
-    other runs go on. The jobs train as one ``FederationStack``. The
-    results come in job order, each as the run would have ended alone.
+    other runs go on in the rows that are left. The results come in job
+    order, each as the run would have ended alone.
     """
-    results, eval_seeds, stack = [], [], None
-    for views, seed in jobs:
-        run = init_federation(replace(config, seed=seed), views)
+    if not jobs:
+        return []
+    stack = init_stack(config, jobs)
+    results, eval_seeds = [], []
+    for run, (_, seed) in zip(stack.runs, jobs):
         eval_seeds.append(stream(seed, "eval-seed").integers(0, 2**63 - 1))
         awd0 = checkpoint_awd(run, eval_seeds[-1])
         history = [{"iteration": 0, "awd": awd0}]
         results.append(TrainResult(run, history, bank_from_state(run).copy(), awd0, 0))
-        # into the stack one by one, so that one run's own buffers exist at a time
-        stack = stack or empty_stack(run, len(jobs))
-        add_run(stack, run)
-    if not results:
-        return []
 
     live = list(range(len(jobs)))  # the job of each run of ``stack``
     for it in range(1, config.max_iters + 1):
@@ -803,8 +730,8 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
             for row, losses in zip(rows, _run_losses(stack, info["losses"])):
                 row.update(losses)
             if info["failed"]:
-                stack, live, rows = _retire(stack, live, rows, info["failed"], results, it)
-                if stack is None:
+                live, rows = _retire(stack, live, rows, info["failed"], results, it)
+                if not live:
                     return results
         checkpoint = it % config.checkpoint_every == 0 or it == config.max_iters
         for j, row in zip(live, rows):
@@ -816,22 +743,24 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
                     result.best_bank = bank_from_state(result.state).copy()
                     result.best_iteration = it
             result.history.append(row)
-
-    sync_runs(stack)
     return results
 
 
 def _retire(stack, live: list[int], rows: list[dict], failed: dict, results, it: int):
-    """End the failed runs at iteration ``it``; the others go on as a
-    smaller stack, or (if none is left) not at all."""
-    sync_runs(stack)
+    """End the failed runs at iteration ``it``, whose models keep the rows
+    they last had; the stack keeps only the others' rows."""
     for k, exc in failed.items():
         results[live[k]].history.append({"iteration": it, "diverged": str(exc)})
         results[live[k]].diverged = True
     keep = [k for k in range(len(live)) if k not in failed]
-    runs = [stack.runs[k] for k in keep]
-    rest = stack_federations(runs) if runs else None
-    return rest, [live[k] for k in keep], [rows[k] for k in keep]
+    for key, model in _slots(stack):
+        kept = nn.MlpModel.from_params(model.params[keep], model.shapes, model.layers)
+        model.params, model.layers = kept.params, kept.layers
+        opt = stack.opts[key]
+        opt.m, opt.v = opt.m[keep], opt.v[keep]
+    stack.runs = [stack.runs[k] for k in keep]
+    _bind_runs(stack)
+    return [live[k] for k in keep], [rows[k] for k in keep]
 
 
 def train(config: TrainConfig, views: list[PartyView]) -> TrainResult:

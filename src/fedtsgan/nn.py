@@ -21,7 +21,10 @@ shapes. Its ``params`` is (K, P), its weights are (K, out, in), its biases
 (K, 1, out), and it takes (K, B, in) batches, so K independent models train
 in one call each of ``forward``, ``backward`` and ``adam_step``. The same
 code serves both forms (``x @ w.mT + b``, reductions over axis -2), and each
-row of a stack computes the bytes its model would compute alone.
+row of a stack computes the bytes its model would compute alone. A stack's
+optimizer is ``AdamState.for_model(stack)``, whose (K, P) moments are laid
+out like its ``params``; ``MlpModel.from_params(stack.params[k], ...)`` is a
+plain model that reads and writes row k in place.
 
 Leaky ReLU: for a slope in (0, 1] the forward pass is ``max(x, slope * x)``
 (``min`` for a finite slope above 1) and the backward pass multiplies delta
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -396,16 +399,6 @@ class AdamState:
     def m_weights(self) -> list[np.ndarray]:
         """Per-layer weight views of the first moment."""
         return _split(self.m, self.shapes)[0]
-
-    @classmethod
-    def stack(cls, states: list["AdamState"]) -> "AdamState":
-        """The optimizer of ``MlpModel.stack``: the states' moments along a
-        leading run axis. All states must be at the same step."""
-        first = states[0]
-        if any(s.t != first.t for s in states):
-            raise ValueError("stacked optimizers must be at the same step")
-        m = np.stack([s.m for s in states])
-        return replace(first, m=m, v=np.stack([s.v for s in states]), scratch=None)
 
 
 def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:

@@ -61,9 +61,9 @@ def _random_federation(seed):
         feature_dim=int(rng.integers(2, 5)),
         shared_hidden=(int(rng.integers(3, 6)),),
     )
-    state = fed.init_federation(cfg, views)
+    stack = fed.init_stack(cfg, [(views, cfg.seed)])
     z = np.random.default_rng(seed + 1).standard_normal((cfg.batch_size, cfg.latent_dim))
-    return state, z
+    return stack, z
 
 
 def _guards_ok(state, z, margin=1e-4):
@@ -102,10 +102,9 @@ def test_criterion_1_gradient_exactness():
         checked, seed, worst = 0, 0, 0.0
         while checked < 100:
             seed += 1
-            state, z = _random_federation(seed)
-            if not _guards_ok(state, z):
+            stack, z = _random_federation(seed)
+            if not _guards_ok(stack.runs[0], z):
                 continue
-            stack = fed.stack_federations([state])
             step = fed.generator_step(stack, z[None])
             p = stack.parties[seed % len(stack.parties)]
             j = seed % len(p.attribute_indices)
@@ -323,8 +322,8 @@ def test_criterion_6_desk_scale_sine_ordering():
             assert 0.8 <= med_v <= 1.25, (seed, med_v)
 
             # per-time-step distance also drops from init to best checkpoint
-            init_bank = fed.bank_from_state(fed.init_federation(
-                fed.TrainConfig(topology="vfl", seed=seed), views))
+            init_cfg = fed.TrainConfig(topology="vfl", seed=seed)
+            init_bank = fed.bank_from_state(fed.init_stack(init_cfg, [(views, seed)]).runs[0])
             awd_init = metrics.awd(ds, fed.synthesize(init_bank, 512, 99))
             awd_best = metrics.awd(ds, fed.synthesize(res_v.best_bank, 512, 99))
             assert awd_best < awd_init

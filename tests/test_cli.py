@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,14 @@ class TestTrain:
 
         cfg, _ = write_config(tmp_path, train_extra=train_extra)
         assert parse_config(cfg).train.beta1 == 0.5
+
+
+    def test_a_diverging_run_exits_three_with_one_stderr_line(self, tmp_path):
+        cfg, out = write_config(tmp_path, train_extra="lr = 1e306")
+        code, err = run_cli("train", "--config", str(cfg))
+        assert code == 3
+        assert re.fullmatch(r"diverged at iteration \d+: [^\n]+\n", err), err
+        assert json.loads((out / "manifest.json").read_text())["diverged"] is True
 
 
 class TestEvaluate:

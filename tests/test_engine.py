@@ -184,7 +184,7 @@ def test_stack_rows_match_their_models_bytes(strided):
             assert np.shares_memory(layer.weight, stack.params)
             assert layer.bias.shape == (k, 1, layer.out_dim)
         opts = [nn.AdamState.for_model(m, lr=1e-2) for m in models]
-        stack_opt = nn.AdamState.stack(opts)
+        stack_opt = nn.AdamState.for_model(stack, lr=1e-2)
         for _ in range(6):
             b = int(rng.integers(1, 20))
             x = rng.standard_normal((k, b, 2 * dims[0])) * 3.0

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,11 @@ def sine_views():
     return data.partition(ds, {0: [0], 1: [1]})
 
 
+def solo_stack(config, views):
+    """A stack of one run, trained on ``views`` with ``config.seed``."""
+    return fed.init_stack(config, [(views, config.seed)])
+
+
 def all_models(state):
     out = {}
     for p in state.parties:
@@ -59,8 +65,8 @@ def federation_blob(state):
 
 class TestLatentBroadcast:
     def test_identical_z_for_all_generators(self, sine_views, monkeypatch):
-        state = fed.init_federation(tiny_config(), sine_views)
-        stack = fed.stack_federations([state])
+        stack = solo_stack(tiny_config(), sine_views)
+        state = stack.runs[0]
         generators = {id(g) for p in stack.parties for g in p.generators}
         seen = []
         real_forward = nn.forward
@@ -83,13 +89,13 @@ class TestLatentBroadcast:
             assert all(z.tobytes() == seen[0].tobytes() for z in seen)
 
     def test_stream_advances_between_draws(self, sine_views):
-        stack = fed.stack_federations([fed.init_federation(tiny_config(), sine_views)])
+        stack = solo_stack(tiny_config(), sine_views)
         z1 = fed.broadcast_latent(stack, 4)
         z2 = fed.broadcast_latent(stack, 4)
         assert not np.array_equal(z1, z2)
 
     def test_standard_normal_moments(self, sine_views):
-        stack = fed.stack_federations([fed.init_federation(tiny_config(latent_dim=10), sine_views)])
+        stack = solo_stack(tiny_config(latent_dim=10), sine_views)
         z = fed.broadcast_latent(stack, 10_000)  # 1e5 draws
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.02
@@ -97,35 +103,38 @@ class TestLatentBroadcast:
 
 class TestDiscriminatorPhase:
     def test_zero_lr_leaves_parameters_but_reports_losses(self, sine_views):
-        state = fed.init_federation(tiny_config(lr=0.0), sine_views)
+        stack = solo_stack(tiny_config(lr=0.0), sine_views)
+        state = stack.runs[0]
         before = federation_blob(state)
-        info = fed.discriminator_phase(fed.stack_federations([state]), np.arange(6)[None])
+        info = fed.discriminator_phase(stack, np.arange(6)[None])
         assert federation_blob(state) == before
         assert {"d_0_0", "d_1_1", "d_shared", "fe_0", "fe_1"} <= set(info["losses"])
 
     def test_saturated_discriminator_loss_pins_clamp(self, sine_views):
         # final bias forced huge: sigmoid saturates to 1 on real and fake
-        state = fed.init_federation(tiny_config(), sine_views)
+        stack = solo_stack(tiny_config(), sine_views)
+        state = stack.runs[0]
         for p in state.parties:
             for d in p.discriminators:
                 d.layers[-1].bias[:] = 1e4
-        info = fed.discriminator_phase(fed.stack_federations([state]), np.arange(6)[None])
+        info = fed.discriminator_phase(stack, np.arange(6)[None])
         expected = -(np.log(1.0 - 1e-7) + np.log(1e-7))
         assert info["losses"]["d_0_0"][0] == pytest.approx(expected, rel=1e-9)
 
     def test_phase_updates_only_discriminators_and_fes(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
+        stack = solo_stack(tiny_config(), sine_views)
+        state = stack.runs[0]
         gens_before = [params_blob(g) for p in state.parties for g in p.generators]
         discs_before = [params_blob(d) for p in state.parties for d in p.discriminators]
-        fed.discriminator_phase(fed.stack_federations([state]), np.arange(6)[None])
+        fed.discriminator_phase(stack, np.arange(6)[None])
         gens_after = [params_blob(g) for p in state.parties for g in p.generators]
         discs_after = [params_blob(d) for p in state.parties for d in p.discriminators]
         assert gens_before == gens_after
         assert discs_before != discs_after
 
     def test_message_log_holds_only_feature_traffic(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
-        stack = fed.stack_federations([state])
+        stack = solo_stack(tiny_config(), sine_views)
+        state = stack.runs[0]
         fed.discriminator_phase(stack, np.arange(6)[None])
         fed.generator_phase(stack)
         kinds = {r.kind for r in state.log.records}
@@ -135,10 +144,11 @@ class TestDiscriminatorPhase:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_diagnostics(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
+        stack = solo_stack(tiny_config(), sine_views)
+        state = stack.runs[0]
         state.parties[0].discriminators[0].layers[0].weight[:] = 1e308
         before = federation_blob(state)
-        info = fed.discriminator_phase(fed.stack_federations([state]), np.arange(6)[None])
+        info = fed.discriminator_phase(stack, np.arange(6)[None])
         exc = info["failed"][0]
         assert isinstance(exc, fed.DivergenceError)
         assert not np.isfinite(exc.diagnostics["losses"]["d_0_0"])
@@ -147,8 +157,8 @@ class TestDiscriminatorPhase:
 
 class TestGeneratorPhase:
     def test_phase_updates_only_generators(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
-        stack = fed.stack_federations([state])
+        stack = solo_stack(tiny_config(), sine_views)
+        state = stack.runs[0]
         fed.discriminator_phase(stack, np.arange(6)[None])
         discs_before = [params_blob(d) for p in state.parties for d in p.discriminators]
         fes_before = [params_blob(p.feature_extractor) for p in state.parties]
@@ -161,17 +171,16 @@ class TestGeneratorPhase:
         assert [params_blob(g) for p in state.parties for g in p.generators] != gens_before
 
     def test_beta1_zero_equals_pure_local_generator_step(self, sine_views):
-        run_a = fed.init_federation(tiny_config(beta1=0.0), sine_views)
-        run_b = fed.init_federation(tiny_config(topology="local_only"), sine_views)
-        fed.generator_phase(fed.stack_federations([run_a]))
-        fed.generator_phase(fed.stack_federations([run_b]))
-        for pa, pb in zip(run_a.parties, run_b.parties):
+        stack_a = solo_stack(tiny_config(beta1=0.0), sine_views)
+        stack_b = solo_stack(tiny_config(topology="local_only"), sine_views)
+        fed.generator_phase(stack_a)
+        fed.generator_phase(stack_b)
+        for pa, pb in zip(stack_a.runs[0].parties, stack_b.runs[0].parties):
             for ga, gb in zip(pa.generators, pb.generators):
                 assert params_blob(ga) == params_blob(gb)
 
     def test_local_only_shared_pathway_contributes_nothing(self, sine_views):
-        state = fed.init_federation(tiny_config(topology="local_only"), sine_views)
-        stack = fed.stack_federations([state])
+        stack = solo_stack(tiny_config(topology="local_only"), sine_views)
         z = fed.broadcast_latent(stack, 4)
         step = fed.generator_step(stack, z)
         # loss is the local term only and grads come from D_ij alone
@@ -183,13 +192,11 @@ class TestGeneratorPhase:
         # stays order-one
         grads = {}
         for non_sat in (False, True):
-            state = fed.init_federation(
-                tiny_config(topology="local_only", non_saturating=non_sat), sine_views
-            )
-            for p in state.parties:
+            cfg = tiny_config(topology="local_only", non_saturating=non_sat)
+            stack = solo_stack(cfg, sine_views)
+            for p in stack.runs[0].parties:
                 for d in p.discriminators:
                     d.layers[-1].bias[:] = -10.0
-            stack = fed.stack_federations([state])
             z = fed.broadcast_latent(stack, 4)
             step = fed.generator_step(stack, z)
             grads[non_sat] = np.linalg.norm(step["out_grads"][(0, 0)])
@@ -199,7 +206,7 @@ class TestGeneratorPhase:
         assert fed.TrainConfig().non_saturating is False
 
     def test_composed_path_gradient_matches_finite_differences(self, sine_views):
-        stack = fed.stack_federations([fed.init_federation(tiny_config(), sine_views)])
+        stack = solo_stack(tiny_config(), sine_views)
         z = fed.broadcast_latent(stack, 4)
         step = fed.generator_step(stack, z)
         gen = stack.parties[0].generators[0]
@@ -225,7 +232,9 @@ class TestGeneratorPhase:
 #
 # The functions below keep earlier forms of the training code. ``ref_train``
 # is the solo loop that trained one federation per call, before runs were
-# stacked; a phase that fails raises and ends the run. Its phases keep the
+# stacked; a phase that fails raises and ends the run. It takes a one-run
+# stack's initial weights and steps the run's models with Adam states of its
+# own, one per model. Its phases keep the
 # shared pathway as separate per-topology code: a ``vfl`` block (one feature
 # extractor per party, every crossing logged) and a ``centralized`` block
 # (the shared discriminator on raw concatenated attributes, weighted by what
@@ -272,7 +281,7 @@ def _party_block(p, source, batch=None):
     return source[np.ix_(batch, p.attribute_indices)].reshape(len(batch), -1)
 
 
-def ref_discriminator_phase(state, batch_indices):
+def ref_discriminator_phase(state, opts, batch_indices):
     cfg = state.config
     batch = np.asarray(batch_indices)
     b = batch.shape[0]
@@ -291,7 +300,7 @@ def ref_discriminator_phase(state, batch_indices):
             grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b)
             grads.add_(grads_f)
             grads = ref_maybe_dp(state, ("D", p.party_id, attr), grads)
-            pending.append((disc, grads, p.disc_opts[j]))
+            pending.append((disc, grads, opts["D", p.party_id, attr]))
 
     if cfg.topology == "vfl":
         fe_traces_f, feat_real, feat_fake, widths = [], [], [], []
@@ -312,7 +321,7 @@ def ref_discriminator_phase(state, batch_indices):
         ds_grads, _ = nn.backward(state.shared_disc, tr_ds_r, -dlog_r / b)
         ds_grads_f, _ = nn.backward(state.shared_disc, tr_ds_f, -dlog1m_f / b)
         ds_grads.add_(ds_grads_f)
-        pending.append((state.shared_disc, ds_grads, state.shared_opt))
+        pending.append((state.shared_disc, ds_grads, opts[("DS",)]))
         fe_loss = float(cfg.beta2 * log1m_f.mean())
         _, feat_grad = nn.backward(
             state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
@@ -324,7 +333,7 @@ def ref_discriminator_phase(state, batch_indices):
             state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
             fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
             fe_grads = ref_maybe_dp(state, ("FE", p.party_id), fe_grads)
-            pending.append((p.feature_extractor, fe_grads, p.fe_opt))
+            pending.append((p.feature_extractor, fe_grads, opts["FE", p.party_id]))
             losses[f"fe_{p.party_id}"] = fe_loss
     elif cfg.topology == "centralized":
         x_real = np.concatenate([_party_block(p, data_, batch) for p in state.parties], axis=1)
@@ -337,7 +346,7 @@ def ref_discriminator_phase(state, batch_indices):
         c_grads, _ = nn.backward(state.shared_disc, tr_c_r, -dlog_r / b)
         c_grads_f, _ = nn.backward(state.shared_disc, tr_c_f, -dlog1m_f / b)
         c_grads.add_(c_grads_f)
-        pending.append((state.shared_disc, c_grads, state.shared_opt))
+        pending.append((state.shared_disc, c_grads, opts[("DS",)]))
 
     ref_check_finite(losses, "discriminator phase")
     for model, grads, opt in pending:
@@ -401,19 +410,25 @@ def ref_generator_step(state, z):
     return {"losses": losses, "out_grads": out_grads, "traces": gen_traces}
 
 
-def ref_generator_phase(state):
+def ref_generator_phase(state, opts):
     step = ref_generator_step(state, ref_latent(state, state.config.batch_size))
     ref_check_finite(step["losses"], "generator phase")
     for p in state.parties:
         for j, attr in enumerate(p.attribute_indices):
             key = (p.party_id, attr)
             grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
-            nn.adam_step(p.generators[j], grads, p.gen_opts[j])
+            nn.adam_step(p.generators[j], grads, opts[("G", *key)])
     return {"losses": step["losses"]}
 
 
 def ref_train(config, views):
-    state = fed.init_federation(config, views)
+    state = fed.init_stack(config, [(views, config.seed)]).runs[0]
+    opts = {
+        key: nn.AdamState.for_model(
+            model, config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps
+        )
+        for key, model in fed._slots(state)
+    }
     n = state.dataset.n_samples
     eval_seed = stream(config.seed, "eval-seed").integers(0, 2**63 - 1)
     best_awd = fed.checkpoint_awd(state, eval_seed)
@@ -425,8 +440,8 @@ def ref_train(config, views):
         state.iteration = it
         batch = data.subsample_batch(n, config.batch_size, state.batch_rng)
         try:
-            d_info = ref_discriminator_phase(state, batch)
-            g_info = ref_generator_phase(state)
+            d_info = ref_discriminator_phase(state, opts, batch)
+            g_info = ref_generator_phase(state, opts)
         except (fed.DivergenceError, nn.NonFiniteError) as exc:
             history.append({"iteration": it, "diverged": str(exc)})
             diverged = True
@@ -614,19 +629,17 @@ class TestRunStack:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_input_fails_only_its_run(self, sine_views):
         cfg = tiny_config(dp=DpParams(1.0, 0.5))
-        runs = [fed.init_federation(replace(cfg, seed=s), sine_views) for s in (1, 2, 3)]
-        alone = [fed.init_federation(replace(cfg, seed=s), sine_views) for s in (1, 2, 3)]
-        stack = fed.stack_federations(runs)
+        stack = fed.init_stack(cfg, [(sine_views, s) for s in (1, 2, 3)])
+        alone = [fed.init_stack(cfg, [(sine_views, s)]) for s in (1, 2, 3)]
         # run 1's first generator overflows, so its fakes are not finite
         stack.parties[0].generators[0].params[1] = 1e308
         alone[1].parties[0].generators[0].params[...] = 1e308
         batches = [np.arange(6), np.arange(1, 7), np.arange(2, 8)]
-        for run in runs + alone:
+        for run in stack.runs + [one.runs[0] for one in alone]:
             run.iteration = 1
         d_info = fed.discriminator_phase(stack, np.stack(batches))
         g_info = fed.generator_phase(stack)
-        for k, solo in enumerate(alone):
-            one = fed.stack_federations([solo])
+        for k, one in enumerate(alone):
             want_d = fed.discriminator_phase(one, batches[k][None])
             want_g = fed.generator_phase(one)
             for got, want in ((d_info, want_d), (g_info, want_g)):
@@ -636,8 +649,8 @@ class TestRunStack:
                 else:
                     for key, value in want["losses"].items():
                         assert got["losses"][key][k] == value[0]
-            assert federation_blob(runs[k]) == federation_blob(solo)
-            assert messages(runs[k].log) == messages(solo.log)
+            assert federation_blob(stack.runs[k]) == federation_blob(one.runs[0])
+            assert messages(stack.runs[k].log) == messages(one.runs[0].log)
         assert set(d_info["failed"]) == {1}
         assert str(d_info["failed"][1]) == "non-finite value in input batch"
 
@@ -651,20 +664,60 @@ class TestRunStack:
         assert [r.data.shape for r in together] == [(7, 6, 10)] * len(jobs)
 
     def test_runs_read_their_rows_of_the_stack(self, sine_views):
-        runs = [fed.init_federation(tiny_config(seed=s), sine_views) for s in (1, 2, 3)]
-        before = [federation_blob(run) for run in runs]
-        stack = fed.stack_federations(runs)
-        assert [federation_blob(run) for run in runs] == before
+        def assert_bound(stack):
+            for k, run in enumerate(stack.runs):
+                for (key, model), (own_key, own) in zip(fed._slots(stack), fed._slots(run)):
+                    assert own_key == key and own.params.ndim == 1
+                    assert np.shares_memory(own.params, model.params[k])
+                    assert own.layers[0].weight.tobytes() == model.layers[0].weight[k].tobytes()
+                held = [v for obj in [run, *run.parties] for v in vars(obj).values()]
+                held += [x for v in held if isinstance(v, list) for x in v]
+                assert not any(isinstance(v, nn.AdamState) for v in held)
+            for opt in stack.opts.values():
+                assert opt.m.shape[0] == opt.v.shape[0] == len(stack.runs)
+
+        seeds = (1, 2, 3)
+        stack = fed.init_stack(tiny_config(), [(sine_views, s) for s in seeds])
+        runs = list(stack.runs)
+        alone = [fed.init_stack(tiny_config(), [(sine_views, s)]).runs[0] for s in seeds]
+        assert [federation_blob(run) for run in runs] == [federation_blob(run) for run in alone]
+        assert_bound(stack)
+        batches = np.stack([np.arange(6), np.arange(1, 7), np.arange(2, 8)])
         for run in runs:
             run.iteration = 1
-        fed.discriminator_phase(stack, np.stack([np.arange(6), np.arange(1, 7), np.arange(2, 8)]))
-        fed.sync_runs(stack)
-        for k, run in enumerate(runs):
-            assert federation_blob(run) != before[k]
-            for (model, opt), (own, own_opt) in zip(fed._slots(stack), fed._slots(run)):
-                assert np.shares_memory(own.params, model.params)
-                assert own.layers[0].weight.tobytes() == model.layers[0].weight[k].tobytes()
-                assert own_opt.m.tobytes() == opt.m[k].tobytes() and own_opt.t == opt.t
+        fed.discriminator_phase(stack, batches)
+        assert_bound(stack)
+
+        # run 1 leaves: the others keep their rows, it keeps its last values
+        results = [fed.TrainResult(run, [], None, math.inf, 0) for run in runs]
+        before = [federation_blob(run) for run in runs]
+        live, _ = fed._retire(stack, [0, 1, 2], [{}, {}, {}], {1: RuntimeError("x")}, results, 1)
+        assert live == [0, 2] and stack.runs == [runs[0], runs[2]]
+        assert [federation_blob(run) for run in runs] == before
+        assert_bound(stack)
+        fed.discriminator_phase(stack, batches[[0, 2]])
+        assert [federation_blob(run) == b for run, b in zip(runs, before)] == [False, True, False]
+        assert [r.diverged for r in results] == [False, True, False]
+
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_set_up_holds_little_beyond_the_stack(self, size):
+        # desk widths on a small sine6 partition: the runs' weights are drawn
+        # into their rows, with no second copy of the models or moments
+        ds = data.gen_sine6(n_per_class=8, t_steps=24, seed=3)
+        views = data.partition(ds, {0: [0, 1], 1: [2, 3], 2: [4, 5]})
+        cfg = fed.TrainConfig(batch_size=8, seed=1)
+        tracemalloc.start()
+        try:
+            stack = fed.init_stack(cfg, [(views, s) for s in range(size)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        opts = list(stack.opts.values())
+        held = sum(model.params.nbytes for _, model in fed._slots(stack))
+        held += sum(opt.m.nbytes + opt.v.nbytes for opt in opts) + opts[0].scratch.nbytes
+        assert all(opt.scratch is opts[0].scratch for opt in opts)
+        assert peak < 1.25 * held
 
 
 def release_blob(release):
@@ -779,12 +832,12 @@ class TestDpWiring:
     def test_noise_touches_only_first_layers_of_protected_models(self, sine_views):
         cfg_noisy = tiny_config(dp=DpParams(1.0, 1.0))
         cfg_silent = tiny_config(dp=DpParams(1.0, 0.0))
-        sa = fed.init_federation(cfg_noisy, sine_views)
-        sb = fed.init_federation(cfg_silent, sine_views)
+        stack_a = solo_stack(cfg_noisy, sine_views)
+        stack_b = solo_stack(cfg_silent, sine_views)
         batch = np.arange(6)[None]
-        fed.discriminator_phase(fed.stack_federations([sa]), batch)
-        fed.discriminator_phase(fed.stack_federations([sb]), batch)
-        ma, mb = all_models(sa), all_models(sb)
+        fed.discriminator_phase(stack_a, batch)
+        fed.discriminator_phase(stack_b, batch)
+        ma, mb = all_models(stack_a.runs[0]), all_models(stack_b.runs[0])
         for name in ma:
             protected = name.startswith(("d_", "fe_")) and name != "d_shared"
             for li, (la, lb) in enumerate(zip(ma[name].layers, mb[name].layers)):
@@ -874,16 +927,14 @@ class TestTrain:
 
 class TestSynthesize:
     def test_shape_and_determinism(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
-        bank = fed.bank_from_state(state)
+        bank = fed.bank_from_state(solo_stack(tiny_config(), sine_views).runs[0])
         a = fed.synthesize(bank, 7, seed=3)
         b = fed.synthesize(bank, 7, seed=3)
         assert a.data.shape == (7, 2, 12)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_single_sample_deterministic(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
-        bank = fed.bank_from_state(state)
+        bank = fed.bank_from_state(solo_stack(tiny_config(), sine_views).runs[0])
         a = fed.synthesize(bank, 1, seed=0)
         b = fed.synthesize(bank, 1, seed=0)
         np.testing.assert_array_equal(a.data, b.data)
@@ -892,7 +943,7 @@ class TestSynthesize:
         ds = data.gen_sine2(n_per_class=8, t_steps=12, seed=5)
         # swap the party order: party 0 holds attribute 1
         views = data.partition(ds, {0: [1], 1: [0]})
-        state = fed.init_federation(tiny_config(), views)
+        state = solo_stack(tiny_config(), views).runs[0]
         bank = fed.bank_from_state(state)
         synth = fed.synthesize(bank, 3, seed=1)
         g_for_attr0 = state.parties[1].generators[0]
@@ -903,7 +954,7 @@ class TestSynthesize:
         np.testing.assert_array_equal(synth.data[:, 0, :], nn.forward(g_for_attr0, z).output)
 
     def test_meta_carried_for_amplitude_eval(self, sine_views):
-        state = fed.init_federation(tiny_config(), sine_views)
+        state = solo_stack(tiny_config(), sine_views).runs[0]
         synth = fed.synthesize(fed.bank_from_state(state), 4, seed=0)
         assert synth.frequencies() is not None
 
@@ -941,4 +992,9 @@ class TestConfigValidation:
 
     def test_batch_exceeding_dataset_rejected(self, sine_views):
         with pytest.raises(ValueError):
-            fed.init_federation(tiny_config(batch_size=999), sine_views)
+            solo_stack(tiny_config(batch_size=999), sine_views)
+
+    def test_stacked_runs_must_share_one_partition(self, sine_views):
+        swapped = data.partition(sine_views[0].dataset, {0: [1], 1: [0]})
+        with pytest.raises(ValueError, match="one partition"):
+            fed.init_stack(tiny_config(), [(sine_views, 1), (swapped, 2)])

@@ -11,6 +11,13 @@ adversary.
 All distances operate on flattened samples after per-attribute z-scoring
 with statistics taken from the real dataset, so large-scale attributes
 cannot dominate the norm.
+
+Every function here trains through a shadow trainer: ``trainer(jobs)``
+takes a list of ``(dataset, seed)`` jobs and returns one release per job,
+in job order - the synthetic dataset of a federation trained on that
+dataset with that seed, or None where the run diverged.
+``federation.shadow_trainer`` builds the real one. A trainer that returns
+fewer or more releases than jobs is an error (``ValueError``).
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ def select_target_influential(dataset: TimeSeriesDataset, trainer, config: Audit
     flat = normalized_flat(dataset.data, stats)
     iso = _isolation(flat, config.norm)
     candidates = np.argsort(-iso, kind="stable")[: config.candidate_m]
-    synth = trainer(dataset, config.seed)
+    synth = trainer([(dataset, config.seed)])[0]
     if synth is None:
         raise RuntimeError("trainer diverged while selecting the target")
     synth_flat = normalized_flat(synth.data, stats)
@@ -176,26 +183,16 @@ def _world_features(
         for world, train_data in ((0, data0), (1, data1))
         for m in range(config.shadow_pairs)
     ]
-    releases = _train_all(trainer, [(train_data, seed) for _, train_data, seed in worlds])
+    releases = trainer([(train_data, seed) for _, train_data, seed in worlds])
     feats: tuple[list[float], list[float]] = ([], [])
     invalid = 0
-    for (world, _, _), synth in zip(worlds, releases):
+    for (world, _, _), synth in zip(worlds, releases, strict=True):
         if synth is None:
             invalid += 1
             continue
         synth_flat = normalized_flat(synth.data, stats)
         feats[world].append(knn_feature(target_flat, synth_flat, config.knn_k, config.norm))
     return feats[0], feats[1], invalid
-
-
-def _train_all(trainer, jobs: list[tuple[TimeSeriesDataset, int]]) -> list:
-    """One release per ``(dataset, seed)`` job, in order: through
-    ``trainer.many`` when the trainer has it (``federation.shadow_trainer``
-    trains the jobs as one stack per usable core), else one call per job."""
-    many = getattr(trainer, "many", None)
-    if many is not None:
-        return many(jobs)
-    return [trainer(dataset, seed) for dataset, seed in jobs]
 
 
 def stream_seed_for(seed: int, world: int, index: int) -> int:
@@ -210,9 +207,8 @@ def run_assd(
 ) -> AuditReport:
     """Shadow-pair membership audit of one target sample.
 
-    ``trainer`` maps (training dataset, seed) to a synthetic dataset (or
-    None on divergence). Runs M shadows per world; needs at least 2 valid
-    releases per world to score.
+    Hands the trainer all 2M shadow jobs in one call, world 0's M before
+    world 1's; needs at least 2 valid releases per world to score.
     """
     world0 = dataset.without_sample(target_index)
     return run_assd_worlds(dataset, world0, dataset, target_index, trainer, config)
@@ -291,7 +287,8 @@ def loo_game(
 
     Each round the challenger flips a coin, trains on the dataset with or
     without the target accordingly, synthesizes, and asks the adversary
-    for the coin. ``adversary(synth, target) -> 0/1``.
+    for the coin; every round's training goes to the trainer in one call.
+    ``adversary(synth, target) -> 0/1``.
     """
     coins = loo_coins(seed, rounds)
     world0 = dataset.without_sample(target_index)
@@ -301,7 +298,7 @@ def loo_game(
         for r, b in enumerate(coins)
     ]
     wins = 0
-    for b, synth in zip(coins, _train_all(trainer, jobs)):
+    for b, synth in zip(coins, trainer(jobs), strict=True):
         if synth is not None and adversary(synth, target) == b:
             wins += 1
     return wins / rounds

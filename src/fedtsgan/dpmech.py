@@ -30,12 +30,6 @@ class DpParams:
         if self.clip == math.inf and self.sigma > 0.0:
             raise ValueError("an infinite clip bound needs sigma = 0 (noise std 2*C*sigma)")
 
-    @property
-    def provides_privacy(self) -> bool:
-        """A real guarantee needs a finite bound and nonzero noise; clip=inf
-        or sigma=0 is the accounting-free passthrough used for comparisons."""
-        return math.isfinite(self.clip) and self.sigma > 0.0
-
 
 # Half the square root of the largest float64: a vector of this norm has a
 # finite squared norm, so its computed norm can be checked against a bound.

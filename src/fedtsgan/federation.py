@@ -30,8 +30,8 @@ take (K, B) batch indices and a (K, B, l) latent z and return one loss per
 run; ``train`` is a stack of one. Every run keeps its own seed-keyed
 streams, message log and checkpoints, its models are views of its row, and
 it ends with the bytes it would have produced training alone.
-``shadow_trainer(...).many`` splits its jobs into one such stack per usable
-core, trained in forked workers, with the same bytes.
+``shadow_trainer``'s trainer splits its job list into one such stack per
+usable core, trained in forked workers, with the same bytes.
 """
 
 from __future__ import annotations
@@ -747,11 +747,14 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
 
 
 def _retire(stack, live: list[int], rows: list[dict], failed: dict, results, it: int):
-    """End the failed runs at iteration ``it``, whose models keep the rows
-    they last had; the stack keeps only the others' rows."""
+    """End the failed runs at iteration ``it``, each with a copy of the rows
+    it last had; the stack keeps only the others' rows."""
     for k, exc in failed.items():
         results[live[k]].history.append({"iteration": it, "diverged": str(exc)})
         results[live[k]].diverged = True
+        for _, own in _slots(stack.runs[k]):  # so the old (K, P) arrays can go
+            mine = nn.MlpModel.from_params(own.params.copy(), own.shapes, own.layers)
+            own.params, own.layers = mine.params, mine.layers
     keep = [k for k in range(len(live)) if k not in failed]
     for key, model in _slots(stack):
         kept = nn.MlpModel.from_params(model.params[keep], model.shapes, model.layers)
@@ -796,14 +799,12 @@ def _usable_cores() -> int:
 
 def _release_in_workers(args: tuple, chunks: list[list]) -> list[TimeSeriesDataset | None]:
     """``_release_runs(*args, chunk)`` for every chunk, concatenated: the
-    first chunk in this process, each other one in a forked worker (all in
-    this process where ``fork`` is missing). Leaving the pool terminates its
-    workers, so an error here or in a worker reaches the caller at once."""
+    first chunk in this process, each other one in a forked worker. Leaving
+    the pool terminates its workers, so an error here or in a worker reaches
+    the caller at once."""
     # imported here: at module level it would add ~25 ms to every CLI start
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return _release_runs(*args, [job for chunk in chunks for job in chunk])
     with multiprocessing.get_context("fork").Pool(len(chunks) - 1) as pool:
         pending = [pool.apply_async(_release_runs, (*args, chunk)) for chunk in chunks[1:]]
         releases = _release_runs(*args, chunks[0])
@@ -815,30 +816,25 @@ def _release_in_workers(args: tuple, chunks: list[list]) -> list[TimeSeriesDatas
 def shadow_trainer(
     train_cfg: TrainConfig, assignment: dict[int, list[int]], n_synth: int | None = None
 ):
-    """Shadow-run trainer for the audit: retrains the configured federation
-    on whatever dataset the audit hands it, with the given seed, and
-    releases ``n_synth`` samples (the dataset's size by default) from the
-    best checkpoint, or None when the run diverged.
+    """The audit's shadow trainer (its contract is in ``audit``'s docstring):
+    ``trainer(jobs)`` retrains the configured federation on each ``(dataset,
+    seed)`` job and releases ``n_synth`` samples (the dataset's size by
+    default) from the run's best checkpoint, or None when the run diverged.
 
-    ``trainer(dataset, seed)`` trains one run; ``trainer.many(jobs)`` trains
-    a list of ``(dataset, seed)`` jobs and returns the same releases as
-    ``[trainer(d, s) for d, s in jobs]``. It splits the jobs into contiguous
-    chunks, one per usable core (at most one per job), and trains each chunk
-    as one stack: the first in this process, the others in forked workers.
-    With one chunk, or where ``fork`` is missing, everything trains here.
+    The jobs go in contiguous chunks, one per usable core (at most one per
+    job), and each chunk trains as one stack: the first in this process, the
+    others in forked workers. With one chunk, or where ``fork`` is missing,
+    every job trains here, as one stack. Each release has the bytes of its
+    job trained alone.
     """
     args = (train_cfg, assignment, n_synth)
 
-    def trainer(dataset: TimeSeriesDataset, seed: int) -> TimeSeriesDataset | None:
-        return _release_runs(*args, [(dataset, seed)])[0]
-
-    def many(jobs) -> list[TimeSeriesDataset | None]:
+    def trainer(jobs: list[tuple[TimeSeriesDataset, int]]) -> list[TimeSeriesDataset | None]:
         jobs = list(jobs)
         n, parts = len(jobs), min(_usable_cores(), len(jobs))
-        if parts < 2:
+        if parts < 2 or not hasattr(os, "fork"):
             return _release_runs(*args, jobs)
         chunks = [jobs[i * n // parts : (i + 1) * n // parts] for i in range(parts)]
         return _release_in_workers(args, chunks)
 
-    trainer.many = many
     return trainer

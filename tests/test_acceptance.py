@@ -364,7 +364,7 @@ def test_criterion_7a_rigged_copier_fully_leaks():
     with criterion("7a", "copy-generator: AUC 1.0, LOO win rate > 0.9"):
         ds = data.gen_sine2(n_per_class=8, t_steps=20, seed=2)
         target = audit.select_target_outlier(ds)
-        copier = lambda dataset, seed: dataset
+        copier = lambda jobs: [dataset for dataset, _ in jobs]
         cfg = audit.AuditConfig(shadow_pairs=10, knn_k=5, seed=1)
         report = audit.run_assd(ds, target, copier, cfg)
         assert report.auc == 1.0

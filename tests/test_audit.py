@@ -13,9 +13,9 @@ def toy_dataset(values, t_steps=4):
     return data.TimeSeriesDataset(arr)
 
 
-def copier(dataset, seed):
-    """Rigged trainer: the release is the training set verbatim."""
-    return dataset
+def copier(jobs):
+    """Rigged trainer: each release is its job's training set verbatim."""
+    return [dataset for dataset, _ in jobs]
 
 
 def min_nn_distance(x, pool, norm=2):
@@ -121,7 +121,7 @@ class TestInfluentialSelector:
         frozen = data.TimeSeriesDataset(rng.standard_normal((40, 1, 6)))
         m, k = 6, 3
         cfg = audit.AuditConfig(candidate_m=m, knn_k=k)
-        got = audit.select_target_influential(ds, lambda d, s: frozen, cfg)
+        got = audit.select_target_influential(ds, lambda jobs: [frozen for _ in jobs], cfg)
 
         stats = audit.attribute_stats(ds)
         flat = audit.normalized_flat(ds.data, stats)
@@ -226,12 +226,15 @@ class TestRunAssd:
         # audit seeds to shrink the 10v10 sampling noise (sigma ~ 0.13)
         ds = data.gen_sine2(n_per_class=8, t_steps=10, seed=4)
 
-        def jittered_copier(dataset, seed):
-            rng = np.random.default_rng(seed)
-            return data.TimeSeriesDataset(
-                dataset.data + 0.01 * rng.standard_normal(dataset.data.shape),
-                meta=dict(dataset.meta),
-            )
+        def jittered_copier(jobs):
+            return [
+                data.TimeSeriesDataset(
+                    dataset.data
+                    + 0.01 * np.random.default_rng(seed).standard_normal(dataset.data.shape),
+                    meta=dict(dataset.meta),
+                )
+                for dataset, seed in jobs
+            ]
 
         aucs = [
             audit.run_assd_worlds(
@@ -246,19 +249,31 @@ class TestRunAssd:
 
         calls = {"n": 0}
 
-        def flaky(dataset, seed):
-            calls["n"] += 1
-            return None if calls["n"] % 2 == 0 else dataset
+        def flaky(jobs):
+            releases = []
+            for dataset, _ in jobs:
+                calls["n"] += 1
+                releases.append(None if calls["n"] % 2 == 0 else dataset)
+            return releases
 
         report = audit.run_assd(ds, 0, flaky, audit.AuditConfig(shadow_pairs=4, knn_k=2))
         assert report.invalid_runs == 4
 
-        def dead(dataset, seed):
-            return None
+        def dead(jobs):
+            return [None for _ in jobs]
 
         with pytest.raises(RuntimeError):
             audit.run_assd(ds, 0, dead, audit.AuditConfig(shadow_pairs=4, knn_k=2))
 
+    def test_a_trainer_one_release_short_is_rejected(self):
+        # the last shadow of world 1 goes missing: without the length check
+        # its world would still hold enough features to score
+        ds = data.gen_sine2(n_per_class=4, t_steps=8, seed=1)
+        short = lambda jobs: copier(jobs)[:-1]
+        with pytest.raises(ValueError, match="shorter"):
+            audit.run_assd(ds, 0, short, audit.AuditConfig(shadow_pairs=3, knn_k=2))
+        with pytest.raises(ValueError, match="shorter"):
+            audit.loo_game(ds, 0, short, lambda synth, target: 1, rounds=5, seed=7)
 
     def test_stacked_shadow_runs_match_one_at_a_time(self):
         ds = data.gen_sine2(n_per_class=4, t_steps=8, seed=1)
@@ -269,16 +284,14 @@ class TestRunAssd:
         trainer = fed.shadow_trainer(cfg, {0: [0], 1: [1]}, n_synth=6)
         seen = []
 
-        def many(jobs):
+        def recording(jobs):
             seen.append([(d.n_samples, s) for d, s in jobs])
-            return trainer.many(jobs)
+            return trainer(jobs)
 
-        plain = lambda d, s: trainer(d, s)  # no ``many``: one call per job
-        stacked = lambda d, s: trainer(d, s)
-        stacked.many = many
+        per_job = lambda jobs: [trainer([job])[0] for job in jobs]
         audit_cfg = audit.AuditConfig(shadow_pairs=3, knn_k=2, seed=4)
-        got = audit.run_assd(ds, 5, stacked, audit_cfg)
-        want = audit.run_assd(ds, 5, plain, audit_cfg)
+        got = audit.run_assd(ds, 5, recording, audit_cfg)
+        want = audit.run_assd(ds, 5, per_job, audit_cfg)
         assert seen == [
             [(7 + world, audit.stream_seed_for(4, world, m)) for world in (0, 1) for m in range(3)]
         ]
@@ -290,7 +303,7 @@ class TestRunAssd:
         )
 
         adversary = audit.threshold_adversary(got, ds, audit_cfg)
-        rates = [audit.loo_game(ds, 5, t, adversary, rounds=6, seed=2) for t in (trainer, plain)]
+        rates = [audit.loo_game(ds, 5, t, adversary, rounds=6, seed=2) for t in (trainer, per_job)]
         assert rates[0] == rates[1]
 
 

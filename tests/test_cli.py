@@ -586,6 +586,32 @@ def test_import_leaves_the_process_pool_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_one_job_shadow_training_stays_in_process():
+    # the path of the influential selector: one job trains here, with no pool
+    import os
+    import subprocess
+    import sys
+
+    import fedtsgan
+
+    code = (
+        "import sys\n"
+        "from fedtsgan import data, federation as fed\n"
+        "cfg = fed.TrainConfig(latent_dim=3, batch_size=4, max_iters=2, checkpoint_every=1,\n"
+        "                      eval_samples=8, gen_hidden=(6,), disc_hidden=(5,),\n"
+        "                      fe_hidden=(5,), feature_dim=3, shared_hidden=(4,))\n"
+        "ds = data.gen_sine2(n_per_class=4, t_steps=8, seed=1)\n"
+        "(release,) = fed.shadow_trainer(cfg, {0: [0], 1: [1]}, n_synth=5)([(ds, 3)])\n"
+        "assert release.data.shape == (5, 2, 8), release.data.shape\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fedtsgan.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestDocumentedScripts:
     """The two scripts README.md documents, each in a fresh interpreter."""
 

@@ -589,7 +589,7 @@ class TestRunStack:
         assert [r.state.iteration for r in got] == iterations
 
         calls.clear()
-        releases = fed.shadow_trainer(cfg, assignment, n_synth=5).many(jobs)
+        releases = fed.shadow_trainer(cfg, assignment, n_synth=5)(jobs)
         assert [r is None for r in releases] == [it < 8 for it in iterations]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -654,12 +654,12 @@ class TestRunStack:
         assert set(d_info["failed"]) == {1}
         assert str(d_info["failed"][1]) == "non-finite value in input batch"
 
-    def test_many_returns_the_single_releases(self):
+    def test_shadow_trainer_returns_the_single_releases(self):
         make_dataset, assignment = STACK_PARTITIONS["sine6_three_parties"]
         jobs = stack_jobs(make_dataset)
         trainer = fed.shadow_trainer(tiny_config(max_iters=4), assignment, n_synth=7)
-        together = trainer.many(jobs)
-        alone = [trainer(d, s) for d, s in jobs]
+        together = trainer(jobs)
+        alone = [trainer([job])[0] for job in jobs]
         assert [r.data.tobytes() for r in together] == [r.data.tobytes() for r in alone]
         assert [r.data.shape for r in together] == [(7, 6, 10)] * len(jobs)
 
@@ -694,6 +694,10 @@ class TestRunStack:
         live, _ = fed._retire(stack, [0, 1, 2], [{}, {}, {}], {1: RuntimeError("x")}, results, 1)
         assert live == [0, 2] and stack.runs == [runs[0], runs[2]]
         assert [federation_blob(run) for run in runs] == before
+        # it holds a copy of its rows, not the whole pre-retire stack
+        for _, own in fed._slots(runs[1]):
+            assert own.params.base is None and own.params.ndim == 1
+            assert np.shares_memory(own.layers[0].weight, own.params)
         assert_bound(stack)
         fed.discriminator_phase(stack, batches[[0, 2]])
         assert [federation_blob(run) == b for run, b in zip(runs, before)] == [False, True, False]
@@ -724,9 +728,10 @@ def release_blob(release):
     return None if release is None else (release.data.tobytes(), release.attribute_names)
 
 
-class TestManyAcrossCores:
-    """``many`` trains one stack per usable core, the first in this process
-    and the others in forked workers, and returns the single releases."""
+class TestShadowTrainerAcrossCores:
+    """The shadow trainer trains one stack per usable core, the first in this
+    process and the others in forked workers, and returns the single
+    releases."""
 
     @staticmethod
     def poison_seeds(monkeypatch, seeds):
@@ -758,9 +763,9 @@ class TestManyAcrossCores:
         trainer = fed.shadow_trainer(
             tiny_config(max_iters=4, dp=DpParams(1.0, 0.5)), assignment, n_synth=5
         )
-        together = trainer.many(jobs)
+        together = trainer(jobs)
         assert multiprocessing.active_children() == []
-        alone = [trainer(d, s) for d, s in jobs]
+        alone = [trainer([job])[0] for job in jobs]
         assert [r is None for r in alone] == [True, False, False, False, True]
         assert [release_blob(r) for r in together] == [release_blob(r) for r in alone]
 
@@ -785,7 +790,7 @@ class TestManyAcrossCores:
         size = 2 if where == "worker" else 1
         start = time.monotonic()
         with pytest.raises(OverflowError, match=f"^chunk of {size} runs failed$"):
-            trainer.many(jobs)
+            trainer(jobs)
         # the error does not wait for the other chunk, whose worker is gone
         assert time.monotonic() - start < 10
         assert multiprocessing.active_children() == []
@@ -806,11 +811,11 @@ class TestManyAcrossCores:
 
         monkeypatch.setattr(fed, "train_runs", train_runs)
         monkeypatch.setattr(fed, "_usable_cores", lambda: 3)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        together = trainer.many(jobs)
+        monkeypatch.delattr(os, "fork")
+        together = trainer(jobs)
         assert sizes == [3]
         assert [release_blob(r) for r in together] == [
-            release_blob(trainer(d, s)) for d, s in jobs
+            release_blob(trainer([job])[0]) for job in jobs
         ]
 
     def test_usable_cores_follow_the_affinity_mask(self):

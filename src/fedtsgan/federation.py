@@ -830,7 +830,6 @@ def shadow_trainer(
     args = (train_cfg, assignment, n_synth)
 
     def trainer(jobs: list[tuple[TimeSeriesDataset, int]]) -> list[TimeSeriesDataset | None]:
-        jobs = list(jobs)
         n, parts = len(jobs), min(_usable_cores(), len(jobs))
         if parts < 2 or not hasattr(os, "fork"):
             return _release_runs(*args, jobs)

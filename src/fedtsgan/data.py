@@ -212,6 +212,7 @@ def load_csv(path, meta: dict | None = None) -> TimeSeriesDataset:
             raise CsvFormatError("no time-step columns (t0, t1, ...)")
         n_steps = len(t_cols)
         first_t = header.index(t_cols[0])
+        sid_col, aid_col, label_col = map(header.index, ("sample_id", "attribute_id", "label"))
 
         cells: dict[tuple[int, int], np.ndarray] = {}
         labels: dict[int, int] = {}
@@ -222,23 +223,20 @@ def load_csv(path, meta: dict | None = None) -> TimeSeriesDataset:
                     f"row {rownum}: expected {len(header)} columns, got {len(row)}"
                 )
             try:
-                sid = int(row[header.index("sample_id")])
-                aid = int(row[header.index("attribute_id")])
+                sid = int(row[sid_col])
+                aid = int(row[aid_col])
             except ValueError as exc:
                 raise CsvFormatError(f"row {rownum}: bad id cell ({exc})") from None
-            raw_label = row[header.index("label")]
+            raw_label = row[label_col]
             if raw_label == "":
                 has_labels = False
             else:
                 labels[sid] = int(raw_label)
+            steps = row[first_t : first_t + n_steps]
             try:
-                values = np.array([float(v) for v in row[first_t : first_t + n_steps]])
+                values = np.array(steps, dtype=np.float64)
             except ValueError:
-                bad = next(
-                    k
-                    for k, v in enumerate(row[first_t : first_t + n_steps])
-                    if not _is_float(v)
-                )
+                bad = next(k for k, v in enumerate(steps) if not _is_float(v))
                 raise CsvFormatError(
                     f"row {rownum}, column {header[first_t + bad]!r}: non-numeric cell"
                 ) from None

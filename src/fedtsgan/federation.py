@@ -1,24 +1,25 @@
 """Simulated multi-party GAN training over vertically partitioned series.
 
 Every party trains one generator/discriminator pair per local attribute.
-The topologies differ only in the shared pathway: a server-side shared
-discriminator over a list of branches, each an ordered list of
-(party, attribute) keys whose concatenated series it reads, optionally
-through the owning party's feature extractor. ``init_stack`` builds the
-branch list once:
+The topologies differ only in one more, server-side shared discriminator.
+``init_stack`` builds one list of discriminators, and each reads a list of
+branches: ordered lists of (party, attribute) keys whose concatenated
+series it reads, optionally through the owning party's feature extractor.
+An attribute discriminator reads one raw branch, its own attribute, and
+enters its generator's objective with weight 1; the shared one has weight
+beta1 and reads:
 
 * ``vfl`` - one branch per party, through that party's feature extractor.
   Only features and feature gradients cross the party boundary, and every
   crossing is recorded in the message log.
-* ``centralized`` - one pooled branch over all keys that the shared
-  discriminator reads raw (the pooled-data upper bound; no feature
-  extractors, no messages).
-* ``local_only`` - no branches and no shared discriminator (the no-server
-  lower bound).
+* ``centralized`` - one raw pooled branch over all keys (the pooled-data
+  upper bound; no feature extractors, no messages).
+* ``local_only`` - nothing: there is no shared discriminator (the
+  no-server lower bound).
 
-Each iteration runs a discriminator phase then a generator phase. All
-gradients of a phase are computed from pre-update parameters before any
-update is applied. All latent draws are broadcast: every generator in every
+Each iteration runs a discriminator phase then a generator phase, each one
+loop over the list. All gradients of a phase are computed from pre-update
+parameters before any update is applied. All latent draws are broadcast: every generator in every
 party consumes the same z matrix in an iteration.
 
 Training always runs on a ``FederationStack``: K federations that differ
@@ -40,6 +41,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,7 +88,6 @@ class TrainConfig:
     feature_dim: int = 32
     shared_hidden: tuple[int, ...] = (128,)
     non_saturating: bool = False  # generators minimize -log D(fake) instead
-    log_payloads: bool = field(default=False, metadata={"ini": "code"})  # test mode: keep payloads
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
@@ -116,7 +117,6 @@ class MessageRecord:
     kind: str  # "feature" or "feature_grad"
     shape: tuple[int, ...]
     payload_hash: str
-    payload: np.ndarray | None = None
 
 
 class MessageLog:
@@ -127,12 +127,10 @@ class MessageLog:
     header, shared between equal headers, and the raw bytes of its payload
     digest. ``records`` lists them as ``MessageRecord``s."""
 
-    def __init__(self, keep_payloads: bool = False):
-        self.keep_payloads = keep_payloads
+    def __init__(self):
         self._iterations: list[int] = []
         self._headers: list[tuple] = []
         self._digests = bytearray()
-        self._payloads: list[np.ndarray] = []
         self._shared: dict[tuple, tuple] = {}
 
     def log(self, iteration: int, direction: str, party_id: int, kind: str, payload: np.ndarray):
@@ -142,19 +140,12 @@ class MessageLog:
         self._iterations.append(iteration)
         self._headers.append(self._shared.setdefault(header, header))
         self._digests += _sha256(payload)
-        if self.keep_payloads:
-            self._payloads.append(payload.copy())
 
     @property
     def records(self) -> list[MessageRecord]:
         digests = self._digests.hex()
         return [
-            MessageRecord(
-                iteration,
-                *header,
-                digests[64 * i : 64 * (i + 1)],
-                self._payloads[i] if self.keep_payloads else None,
-            )
+            MessageRecord(iteration, *header, digests[64 * i : 64 * (i + 1)])
             for i, (iteration, header) in enumerate(zip(self._iterations, self._headers))
         ]
 
@@ -178,13 +169,26 @@ class PartyState:
 
 
 @dataclass
-class SharedBranch:
-    """One input block of the shared discriminator: the series of ``keys``
+class Branch:
+    """One input block of a discriminator: the series of ``keys``
     concatenated in order, passed through ``party``'s feature extractor (with
     every boundary crossing logged) or, without a party, read raw."""
 
     keys: list[tuple[int, int]]  # (party_id, attribute)
     party: PartyState | None = None
+
+
+@dataclass
+class Discriminator:
+    """A discriminator and its input, its branches' blocks side by side.
+    ``slot`` keys its Adam state and noise stream, ``loss`` names its loss,
+    and ``weight`` scales its term in each generator objective it enters."""
+
+    slot: tuple
+    loss: str
+    model: nn.MlpModel
+    branches: list[Branch]
+    weight: float
 
 
 @dataclass
@@ -217,13 +221,15 @@ class FederationStack:
 
     Every model holds the K runs' parameters along a leading run axis, and
     ``opts`` holds its Adam state under its ``_slots`` key; no run holds an
-    optimizer. ``runs`` keeps each run's own state (see ``FederationState``).
+    optimizer. ``discs`` lists the attribute discriminators in party order,
+    then the shared one. ``runs`` keeps each run's own state (see
+    ``FederationState``).
     """
 
     config: TrainConfig
     t_steps: int
     parties: list[PartyState]
-    branches: list[SharedBranch]
+    discs: list[Discriminator]
     shared_disc: nn.MlpModel | None
     opts: dict[tuple, nn.AdamState]
     runs: list[FederationState]
@@ -252,6 +258,8 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     same weights whether it consumes features (vfl) or raw attributes of the
     same width (centralized). The stack holds them along its run axis, and
     each run's models are views of its row.
+    The topology decides only the discriminator list (module docstring);
+    under DP, the noise streams name every model that is clipped and noised.
     """
     if not jobs or not jobs[0][0]:
         raise ValueError("need at least one job and one party view")
@@ -269,24 +277,28 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
         dims = [d_in, *hidden, d_out]
         return nn.MlpModel.stack([nn.init_mlp(dims, acts, stream(s, "init", *key)) for s in seeds])
 
-    parties = []
+    parties, discs = [], []
     for pid, attrs in layout:
         gens = [
             mlp(("G", pid, a), config.latent_dim, config.gen_hidden, t_steps, "identity")
             for a in attrs
         ]
-        discs = [mlp(("D", pid, a), t_steps, config.disc_hidden, 1, "sigmoid") for a in attrs]
+        models = [mlp(("D", pid, a), t_steps, config.disc_hidden, 1, "sigmoid") for a in attrs]
+        discs += [
+            Discriminator(("D", pid, a), f"d_{pid}_{a}", d, [Branch([(pid, a)])], 1.0)
+            for a, d in zip(attrs, models)
+        ]
         fe = None
         if config.topology == "vfl":
             d_in = len(attrs) * t_steps
             fe = mlp(("FE", pid), d_in, config.fe_hidden, config.feature_dim, "identity")
-        parties.append(PartyState(pid, attrs, gens, discs, fe))
+        parties.append(PartyState(pid, attrs, gens, models, fe))
 
     keys = [[(pid, a) for a in attrs] for pid, attrs in layout]
     if config.topology == "vfl":
-        branches = [SharedBranch(k, p) for k, p in zip(keys, parties)]
+        branches = [Branch(k, p) for k, p in zip(keys, parties)]
     elif config.topology == "centralized":
-        branches = [SharedBranch([key for k in keys for key in k])]
+        branches = [Branch([key for k in keys for key in k])]
     else:
         branches = []
 
@@ -297,26 +309,25 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
             for br in branches
         )
         shared = mlp(("DS",), shared_in, config.shared_hidden, 1, "sigmoid")
+        discs.append(Discriminator(("DS",), "d_shared", shared, branches, config.beta1))
 
-    runs = []
-    for views, seed in jobs:
-        noise_rngs = {}
-        if config.dp is not None:
-            for pid, attrs in layout:
-                for key in [("D", pid, a) for a in attrs] + [("FE", pid)]:
-                    noise_rngs[key] = stream(seed, "dp-noise", *key)
-        runs.append(
-            FederationState(
-                replace(config, seed=seed),
-                views,
-                MessageLog(keep_payloads=config.log_payloads),
-                stream(seed, "latent"),
-                stream(seed, "batches"),
-                noise_rngs,
-            )
+    stack = FederationStack(config, t_steps, parties, discs, shared, {}, [])
+    noised = []
+    if config.dp is not None:
+        # the DP surface: the first layers of the attribute discriminators
+        # and the feature extractors, never the shared discriminator
+        noised = [key for key, _ in _slots(stack) if key[0] in ("D", "FE")]
+    stack.runs = [
+        FederationState(
+            replace(config, seed=seed),
+            views,
+            MessageLog(),
+            stream(seed, "latent"),
+            stream(seed, "batches"),
+            {key: stream(seed, "dp-noise", *key) for key in noised},
         )
-
-    stack = FederationStack(config, t_steps, parties, branches, shared, {}, runs)
+        for views, seed in jobs
+    ]
     adam = (config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
     stack.opts = {key: nn.AdamState.for_model(model, *adam) for key, model in _slots(stack)}
     # one Adam work space for all optimizers: they step one at a time
@@ -383,10 +394,10 @@ def _log(stack, failed: dict, direction: str, party_id: int, kind: str, payload:
 
 def _maybe_dp(stack, failed: dict, key, grads: nn.GradientSet) -> None:
     """Clip and noise each live run's gradient in place, from the run's own
-    noise stream for ``key``."""
-    dp = stack.config.dp
-    if dp is None:
+    noise stream for ``key``; a model without a noise stream is left as is."""
+    if key not in stack.runs[0].noise_rngs:  # the runs share one stream list
         return
+    dp = stack.config.dp
     for k, (run, row) in enumerate(zip(stack.runs, grads.flat)):
         if k not in failed:
             one = nn.GradientSet.from_flat(row, grads.shapes)
@@ -430,75 +441,68 @@ def _mean(a: np.ndarray):
     return a.mean(axis=(-2, -1))
 
 
-def _generate_fakes(stack: FederationStack, z: np.ndarray, keep_traces: bool):
-    """Every generator runs on the shared z. Returns per-key fake blocks
-    and, when requested, the generator traces for backprop."""
+def _generate_fakes(stack: FederationStack, z: np.ndarray):
+    """Every generator runs on the shared z. Returns per-key fake blocks and
+    the generator traces for backprop."""
     traces: dict[tuple[int, int], nn.ActivationTrace] = {}
-    fakes: dict[tuple[int, int], np.ndarray] = {}
     for p in stack.parties:
-        for j, gen in enumerate(p.generators):
-            tr = nn.forward(gen, z)
-            key = (p.party_id, p.attribute_indices[j])
-            fakes[key] = tr.output
-            if keep_traces:
-                traces[key] = tr
-    return fakes, traces
+        for attr, gen in zip(p.attribute_indices, p.generators):
+            traces[(p.party_id, attr)] = nn.forward(gen, z)
+    return {key: tr.output for key, tr in traces.items()}, traces
 
 
-def _fake_block(branch: SharedBranch, fakes: dict) -> np.ndarray:
-    return np.concatenate([fakes[k] for k in branch.keys], axis=-1)
+def _block(branch: Branch, series: dict) -> np.ndarray:
+    """The (K, B, T) series of the branch's keys side by side."""
+    if len(branch.keys) == 1:
+        return series[branch.keys[0]]
+    return np.concatenate([series[k] for k in branch.keys], axis=-1)
 
 
-def _column_blocks(grad: np.ndarray, blocks: list[np.ndarray]):
-    """Split grad's columns into consecutive pieces as wide as ``blocks``."""
-    offset = 0
-    for block in blocks:
-        width = block.shape[-1]
-        yield grad[..., offset : offset + width]
-        offset += width
+def _join(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks side by side; a lone block as it is."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
+
+
+def _split(grad: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """``grad``'s columns in consecutive pieces as wide as ``blocks``: the
+    inverse of ``_join``."""
+    if len(blocks) == 1:
+        return [grad]
+    return np.split(grad, list(accumulate(x.shape[-1] for x in blocks[:-1])), axis=-1)
 
 
 def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> dict:
-    """Update all discriminators and feature extractors on one mini-batch:
+    """Update every discriminator and feature extractor on one mini-batch:
     (K, B) indices, one row into each run's dataset.
 
-    Gradients are all taken at pre-update parameters, DP clip+noise is
-    applied to the first layers of the per-attribute discriminators and
-    feature extractors (never the shared discriminator), then every update
-    lands. Generators are untouched. Returns each loss as a (K,) array and
-    the runs that failed.
+    One loop walks ``stack.discs``: each discriminator takes the real-vs-
+    fake loss on its branches' blocks, and each feature extractor on a
+    branch descends beta2 * E[log(1 - D(fake features))]. Gradients are all
+    taken at pre-update parameters, DP clip+noise is applied to the first
+    layers of the models with a noise stream, then every update lands.
+    Generators are untouched. Returns each loss as a (K,) array and the runs
+    that failed.
     """
     cfg = stack.config
     batch = np.asarray(batch_indices)
     b = batch.shape[-1]
-    real = np.stack([run.dataset.data[rows] for run, rows in zip(stack.runs, batch)])
+    # (A, K, B, T): each attribute's real series, contiguous like a fake block
+    real = np.stack(
+        [run.dataset.data[rows].swapaxes(0, 1) for run, rows in zip(stack.runs, batch)], axis=1
+    )
 
     z = broadcast_latent(stack, b)
-    fakes, _ = _generate_fakes(stack, z, keep_traces=False)
+    fakes, _ = _generate_fakes(stack, z)
+    reals = {key: real[key[1]] for key in fakes}
 
     failed: dict = {}
     losses: dict = {}
     pending: list[tuple[nn.MlpModel, nn.GradientSet, nn.AdamState]] = []
 
-    for p in stack.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            disc = p.discriminators[j]
-            tr_r = _forward(failed, disc, np.ascontiguousarray(real[..., attr, :]))
-            tr_f = _forward(failed, disc, fakes[(p.party_id, attr)])
-            log_r, dlog_r = nn.clamped_log(tr_r.output)
-            log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
-            losses[f"d_{p.party_id}_{attr}"] = -(_mean(log_r) + _mean(log1m_f))
-            grads, _ = nn.backward(disc, tr_r, -dlog_r / b)
-            grads_f, _ = nn.backward(disc, tr_f, -dlog1m_f / b)
-            grads.add_(grads_f)
-            _maybe_dp(stack, failed, ("D", p.party_id, attr), grads)
-            pending.append((disc, grads, stack.opts["D", p.party_id, attr]))
-
-    if stack.branches:
+    for disc in stack.discs:
         real_in, fake_in, fe_traces = [], [], []
-        for br in stack.branches:
-            x_real = real[..., [a for _, a in br.keys], :].reshape(len(real), b, -1)
-            x_fake = _fake_block(br, fakes)
+        for br in disc.branches:
+            x_real, x_fake = _block(br, reals), _block(br, fakes)
             tr_fe_f = None
             if br.party is not None:
                 tr_fe_r = _forward(failed, br.party.feature_extractor, x_real)
@@ -510,24 +514,21 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
             fake_in.append(x_fake)
             fe_traces.append(tr_fe_f)
 
-        tr_ds_r = _forward(failed, stack.shared_disc, np.concatenate(real_in, axis=-1))
-        tr_ds_f = _forward(failed, stack.shared_disc, np.concatenate(fake_in, axis=-1))
-        log_r, dlog_r = nn.clamped_log(tr_ds_r.output)
-        log1m_f, dlog1m_f = nn.clamped_log1m(tr_ds_f.output)
-        losses["d_shared"] = -(_mean(log_r) + _mean(log1m_f))
-        ds_grads, _ = nn.backward(stack.shared_disc, tr_ds_r, -dlog_r / b)
-        ds_grads_f, _ = nn.backward(stack.shared_disc, tr_ds_f, -dlog1m_f / b)
-        ds_grads.add_(ds_grads_f)
-        pending.append((stack.shared_disc, ds_grads, stack.opts[("DS",)]))
+        tr_r = _forward(failed, disc.model, _join(real_in))
+        tr_f = _forward(failed, disc.model, _join(fake_in))
+        log_r, dlog_r = nn.clamped_log(tr_r.output)
+        log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
+        losses[disc.loss] = -(_mean(log_r) + _mean(log1m_f))
+        grads, _ = nn.backward(disc.model, tr_r, -dlog_r / b)
+        grads_f, _ = nn.backward(disc.model, tr_f, -dlog1m_f / b)
+        grads.add_(grads_f)
+        _maybe_dp(stack, failed, disc.slot, grads)
+        pending.append((disc.model, grads, stack.opts[disc.slot]))
 
         if any(tr is not None for tr in fe_traces):
-            # feature extractors descend beta2 * E[log(1 - D_S(fake features))]
             fe_loss = cfg.beta2 * _mean(log1m_f)
-            _, feat_grad = nn.backward(
-                stack.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
-            )
-            slices = _column_blocks(feat_grad, fake_in)
-            for br, tr_fe_f, g_slice in zip(stack.branches, fe_traces, slices):
+            _, feat_grad = nn.backward(disc.model, tr_f, cfg.beta2 * dlog1m_f / b, params=False)
+            for br, tr_fe_f, g_slice in zip(disc.branches, fe_traces, _split(feat_grad, fake_in)):
                 if tr_fe_f is None:
                     continue
                 p = br.party
@@ -557,32 +558,22 @@ def generator_step(stack: FederationStack, z: np.ndarray) -> dict:
     """Generator losses ((K,) arrays) and output-side gradients for a given
     (K, B, l) z; nothing is updated here.
 
-    Each generator's output gradient is the sum of its local-discriminator
-    pathway and its slice of the shared pathway (back through its branch's
-    feature extractor, if the branch has one, and the shared
-    discriminator), weighted by beta1.
+    One loop walks ``stack.discs``: a generator's loss and output gradient
+    sum the weighted terms of the discriminators that read its series, each
+    taken back through the branch's feature extractor where it has one.
     """
     cfg = stack.config
     b = z.shape[-2]
-    fakes, gen_traces = _generate_fakes(stack, z, keep_traces=True)
+    fakes, gen_traces = _generate_fakes(stack, z)
 
     failed: dict = {}
     losses: dict = {}
     out_grads: dict[tuple[int, int], np.ndarray] = {}
 
-    for p in stack.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            disc = p.discriminators[j]
-            tr_d = _forward(failed, disc, fakes[(p.party_id, attr)])
-            term, dterm = _fooling_term(tr_d.output, cfg.non_saturating)
-            losses[f"g_{p.party_id}_{attr}"] = term
-            _, g_local = nn.backward(disc, tr_d, dterm / b, params=False)
-            out_grads[(p.party_id, attr)] = g_local
-
-    if stack.branches:
+    for disc in stack.discs:
         fake_in, fe_traces = [], []
-        for br in stack.branches:
-            x_fake = _fake_block(br, fakes)
+        for br in disc.branches:
+            x_fake = _block(br, fakes)
             tr_fe = None
             if br.party is not None:
                 tr_fe = _forward(failed, br.party.feature_extractor, x_fake)
@@ -590,18 +581,24 @@ def generator_step(stack: FederationStack, z: np.ndarray) -> dict:
                 _log(stack, failed, "party->server", br.party.party_id, "feature", x_fake)
             fake_in.append(x_fake)
             fe_traces.append(tr_fe)
-        tr_ds = _forward(failed, stack.shared_disc, np.concatenate(fake_in, axis=-1))
-        shared_term, dshared = _fooling_term(tr_ds.output, cfg.non_saturating)
-        _, in_grad = nn.backward(stack.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False)
-        slices = _column_blocks(in_grad, fake_in)
-        for br, tr_fe, grad in zip(stack.branches, fe_traces, slices):
+
+        tr_d = _forward(failed, disc.model, _join(fake_in))
+        term, dterm = _fooling_term(tr_d.output, cfg.non_saturating)
+        term = disc.weight * term
+        _, in_grad = nn.backward(disc.model, tr_d, disc.weight * dterm / b, params=False)
+        for br, tr_fe, grad in zip(disc.branches, fe_traces, _split(in_grad, fake_in)):
             if tr_fe is not None:
                 _log(stack, failed, "server->party", br.party.party_id, "feature_grad", grad)
                 _, grad = nn.backward(br.party.feature_extractor, tr_fe, grad, params=False)
             x_grad = grad.reshape(*grad.shape[:-1], len(br.keys), stack.t_steps)
-            for j, (pid, attr) in enumerate(br.keys):
-                out_grads[(pid, attr)] += x_grad[..., j, :]
-                losses[f"g_{pid}_{attr}"] += cfg.beta1 * shared_term
+            for j, key in enumerate(br.keys):
+                # a first term is assigned, not added to zeros: -0.0 stays
+                if key in out_grads:
+                    out_grads[key] += x_grad[..., j, :]
+                    losses[f"g_{key[0]}_{key[1]}"] += term
+                else:
+                    out_grads[key] = x_grad[..., j, :]
+                    losses[f"g_{key[0]}_{key[1]}"] = term
 
     return {"losses": losses, "out_grads": out_grads, "traces": gen_traces, "failed": failed}
 

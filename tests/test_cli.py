@@ -106,7 +106,6 @@ class TestTrain:
 
         parsed = parse_config(cfg)
         parsed.train.topology = "local_only"
-        parsed.train.log_payloads = True
         result, _ = cli.run_training(parsed)
         assert result.state.log.records == []
 

@@ -834,11 +834,17 @@ class TestDpWiring:
         assert ra.history == rb.history
         assert federation_blob(ra.state) == federation_blob(rb.state)
 
-    def test_noise_touches_only_first_layers_of_protected_models(self, sine_views):
-        cfg_noisy = tiny_config(dp=DpParams(1.0, 1.0))
-        cfg_silent = tiny_config(dp=DpParams(1.0, 0.0))
-        stack_a = solo_stack(cfg_noisy, sine_views)
-        stack_b = solo_stack(cfg_silent, sine_views)
+    @pytest.mark.parametrize("topology", fed.TOPOLOGIES)
+    @pytest.mark.parametrize("name", STACK_PARTITIONS)
+    def test_noise_touches_only_first_layers_of_protected_models(self, topology, name):
+        # the shared discriminator is never noised, also where it reads raw
+        # series (centralized)
+        make_dataset, assignment = STACK_PARTITIONS[name]
+        views = data.partition(make_dataset(), assignment)
+        cfg_noisy = tiny_config(topology=topology, dp=DpParams(1.0, 1.0))
+        cfg_silent = tiny_config(topology=topology, dp=DpParams(1.0, 0.0))
+        stack_a = solo_stack(cfg_noisy, views)
+        stack_b = solo_stack(cfg_silent, views)
         batch = np.arange(6)[None]
         fed.discriminator_phase(stack_a, batch)
         fed.discriminator_phase(stack_b, batch)
@@ -858,8 +864,8 @@ class TestDpWiring:
     def test_noise_streams_do_not_leak_into_training_randomness(self, sine_views):
         # same seed, different sigma: the subsampled batches and z draws
         # must coincide; checked via the message hashes of the REAL features
-        cfg_a = tiny_config(dp=DpParams(1.0, 0.0), max_iters=1, log_payloads=True)
-        cfg_b = tiny_config(dp=DpParams(1.0, 3.0), max_iters=1, log_payloads=True)
+        cfg_a = tiny_config(dp=DpParams(1.0, 0.0), max_iters=1)
+        cfg_b = tiny_config(dp=DpParams(1.0, 3.0), max_iters=1)
         ra = fed.train(cfg_a, sine_views)
         rb = fed.train(cfg_b, sine_views)
         real_feats_a = ra.state.log.records[0]
@@ -869,7 +875,7 @@ class TestDpWiring:
 
 class TestRawDataLocality:
     def test_no_message_matches_any_raw_slice(self, sine_views):
-        cfg = tiny_config(log_payloads=True, max_iters=3)
+        cfg = tiny_config(max_iters=3)
         result = fed.train(cfg, sine_views)
         ds = sine_views[0].dataset
         raw_hashes = set()

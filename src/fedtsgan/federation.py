@@ -181,8 +181,8 @@ class Branch:
 @dataclass
 class Discriminator:
     """A discriminator and its input, its branches' blocks side by side.
-    ``slot`` keys its Adam state and noise stream, ``loss`` names its loss,
-    and ``weight`` scales its term in each generator objective it enters."""
+    ``slot`` keys its Adam state (and noise stream, if any), ``loss`` names
+    its loss, and ``weight`` scales its term in each generator objective."""
 
     slot: tuple
     loss: str
@@ -452,7 +452,8 @@ def _generate_fakes(stack: FederationStack, z: np.ndarray):
 
 
 def _block(branch: Branch, series: dict) -> np.ndarray:
-    """The (K, B, T) series of the branch's keys side by side."""
+    """The (K, B, T) series of the branch's keys side by side; one key's
+    series as it is."""
     if len(branch.keys) == 1:
         return series[branch.keys[0]]
     return np.concatenate([series[k] for k in branch.keys], axis=-1)

@@ -19,8 +19,8 @@ beta1 and reads:
 
 Each iteration runs a discriminator phase then a generator phase, each one
 loop over the list. All gradients of a phase are computed from pre-update
-parameters before any update is applied. All latent draws are broadcast: every generator in every
-party consumes the same z matrix in an iteration.
+parameters before any update is applied. All latent draws are broadcast:
+every generator in every party consumes the same z matrix in an iteration.
 
 Training always runs on a ``FederationStack``: K federations that differ
 only in seed and dataset (the audit's shadow runs), each model holding the
@@ -258,6 +258,7 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     same weights whether it consumes features (vfl) or raw attributes of the
     same width (centralized). The stack holds them along its run axis, and
     each run's models are views of its row.
+
     The topology decides only the discriminator list (module docstring);
     under DP, the noise streams name every model that is clipped and noised.
     """

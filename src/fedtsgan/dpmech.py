@@ -5,6 +5,13 @@ one vector) of each local attribute discriminator and feature extractor:
 scale it to L2 norm at most C, then add N(0, (2*C*sigma)^2) per coordinate.
 Deeper layers pass through untouched. Each protected model owns a private
 noise stream so disabling noise never shifts any other draw in a run.
+
+The noise comes from a source: an object whose ``normal(loc, scale, size)``
+returns an array of that shape whose entries are ``loc + scale * z`` for
+the source's next standard-normal draws z, as ``np.random.Generator.normal``
+does. A source need not draw when called: training reads blocks that a
+helper thread drew one iteration ahead from the same stream, with the same
+bytes.
 """
 
 from __future__ import annotations
@@ -87,43 +94,14 @@ def perturb_first_layer(
     grads: GradientSet, clip: float, sigma: float, rng: np.random.Generator
 ) -> GradientSet:
     """Clip, then add i.i.d. Gaussian noise of std 2*clip*sigma to every
-    first-layer coordinate. sigma=0 reduces exactly to clip_first_layer."""
+    first-layer coordinate. sigma=0 reduces exactly to clip_first_layer and
+    draws nothing.
+
+    The noise is one draw of the whole first-layer vector from the source
+    ``rng`` (module docstring), weights first, then biases: the bytes of a
+    weight draw followed by a bias draw from a ``Generator``."""
     out = clip_first_layer(grads, clip)
     if sigma > 0.0:
-        std = 2.0 * clip * sigma
-        out.d_weights[0] += rng.normal(0.0, std, size=out.d_weights[0].shape)
-        out.d_biases[0] += rng.normal(0.0, std, size=out.d_biases[0].shape)
+        vec = out.first_layer_vector()
+        vec += rng.normal(0.0, 2.0 * clip * sigma, size=vec.shape)
     return out
-
-
-def sensitivity_check(
-    model_factory,
-    batch_pair_generator,
-    grad_fn,
-    clip: float,
-    trials: int,
-) -> float:
-    """Empirical counterpart of the 2C sensitivity bound.
-
-    For each trial: draw a model and an adjacent batch pair (same size,
-    exactly one record replaced), compute first-layer gradients of both via
-    ``grad_fn(model, batch) -> GradientSet``, clip both, and record the L2
-    norm of their difference. Returns the max over trials, which must be
-    <= 2*clip.
-    """
-    worst = 0.0
-    for trial in range(trials):
-        model = model_factory(trial)
-        batch_a, batch_b = batch_pair_generator(trial)
-        if batch_a.shape != batch_b.shape:
-            raise ValueError("adjacent batches must have identical shape")
-        differing = int(np.sum(~np.all(batch_a == batch_b, axis=tuple(range(1, batch_a.ndim)))))
-        if differing != 1:
-            raise ValueError(
-                f"batches must differ in exactly one record, found {differing}"
-            )
-        ga = clip_first_layer(grad_fn(model, batch_a), clip)
-        gb = clip_first_layer(grad_fn(model, batch_b), clip)
-        diff = float(np.linalg.norm(ga.first_layer_vector() - gb.first_layer_vector()))
-        worst = max(worst, diff)
-    return worst

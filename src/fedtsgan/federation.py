@@ -33,6 +33,16 @@ streams, message log and checkpoints, its models are views of its row, and
 it ends with the bytes it would have produced training alone.
 ``shadow_trainer``'s trainer splits its job list into one such stack per
 usable core, trained in forked workers, with the same bytes.
+
+Under DP with sigma > 0, ``train_runs`` starts one helper thread that draws
+the noise one iteration ahead (``_NoiseAhead``): while the phases of
+iteration t run, it draws iteration t + 1's blocks for every live run and
+noised model, each from that run's stream for that model, and the
+``NoiseSource`` of each (run, model) hands its block to
+``perturb_first_layer``. The noise keeps its bytes. The helper starts
+after set-up, so in the audit after the workers are forked, and it is
+stopped and joined before ``train_runs`` returns or raises; an error in it
+is raised in the caller.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -159,6 +170,33 @@ def payload_digest(arr: np.ndarray) -> str:
     return _sha256(arr).hex()
 
 
+class NoiseSource:
+    """A run's private noise stream for one protected model, in the form
+    ``perturb_first_layer`` reads (``dpmech``'s source contract). It draws
+    from ``rng`` itself, except while ``train_runs``' helper thread draws
+    ahead (``_NoiseAhead``): then ``normal`` returns the block the helper drew
+    from ``rng`` for the current iteration."""
+
+    __slots__ = ("rng", "blocks", "ahead")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.blocks: tuple[np.ndarray, np.ndarray] | None = None  # one per buffer set
+        self.ahead: _NoiseAhead | None = None
+
+    @property
+    def bit_generator(self) -> np.random.BitGenerator:
+        return self.rng.bit_generator
+
+    def normal(self, loc: float, scale: float, size) -> np.ndarray:
+        if self.ahead is None:
+            return self.rng.normal(loc, scale, size)
+        block = self.blocks[self.ahead.parity]
+        if (loc, scale, size) != (0.0, self.ahead.std, block.shape):
+            raise ValueError("noise drawn ahead is N(0, (2*clip*sigma)^2) of a first layer's size")
+        return block
+
+
 @dataclass
 class PartyState:
     party_id: int
@@ -194,14 +232,15 @@ class Discriminator:
 @dataclass
 class FederationState:
     """One run of a stack: its dataset views, message log, the random streams
-    keyed by its seed, and models that are views of its row of the stack."""
+    keyed by its seed, and models that are views of its row of the stack.
+    ``noise_rngs`` maps each noised slot to its ``NoiseSource``."""
 
     config: TrainConfig
     views: list[PartyView]
     log: MessageLog
     z_rng: np.random.Generator
     batch_rng: np.random.Generator
-    noise_rngs: dict
+    noise_rngs: dict[tuple, NoiseSource]
     parties: list[PartyState] = field(default_factory=list)
     shared_disc: nn.MlpModel | None = None
     iteration: int = 0
@@ -325,7 +364,7 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
             MessageLog(),
             stream(seed, "latent"),
             stream(seed, "batches"),
-            {key: stream(seed, "dp-noise", *key) for key in noised},
+            {key: NoiseSource(stream(seed, "dp-noise", *key)) for key in noised},
         )
         for views, seed in jobs
     ]
@@ -395,7 +434,7 @@ def _log(stack, failed: dict, direction: str, party_id: int, kind: str, payload:
 
 def _maybe_dp(stack, failed: dict, key, grads: nn.GradientSet) -> None:
     """Clip and noise each live run's gradient in place, from the run's own
-    noise stream for ``key``; a model without a noise stream is left as is."""
+    noise source for ``key``; a model without a noise source is left as is."""
     if key not in stack.runs[0].noise_rngs:  # the runs share one stream list
         return
     dp = stack.config.dp
@@ -521,8 +560,8 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
         log_r, dlog_r = nn.clamped_log(tr_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
         losses[disc.loss] = -(_mean(log_r) + _mean(log1m_f))
-        grads, _ = nn.backward(disc.model, tr_r, -dlog_r / b)
-        grads_f, _ = nn.backward(disc.model, tr_f, -dlog1m_f / b)
+        grads, _ = nn.backward(disc.model, tr_r, -dlog_r / b, inputs=False)
+        grads_f, _ = nn.backward(disc.model, tr_f, -dlog1m_f / b, inputs=False)
         grads.add_(grads_f)
         _maybe_dp(stack, failed, disc.slot, grads)
         pending.append((disc.model, grads, stack.opts[disc.slot]))
@@ -535,7 +574,7 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
                     continue
                 p = br.party
                 _log(stack, failed, "server->party", p.party_id, "feature_grad", g_slice)
-                fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
+                fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice, inputs=False)
                 _maybe_dp(stack, failed, ("FE", p.party_id), fe_grads)
                 pending.append((p.feature_extractor, fe_grads, stack.opts["FE", p.party_id]))
                 losses[f"fe_{p.party_id}"] = fe_loss
@@ -619,7 +658,8 @@ def generator_phase(stack: FederationStack) -> dict:
     for p in stack.parties:
         for j, attr in enumerate(p.attribute_indices):
             key = (p.party_id, attr)
-            grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
+            trace, out_grad = step["traces"][key], step["out_grads"][key]
+            grads, _ = nn.backward(p.generators[j], trace, out_grad, inputs=False)
             _apply_updates(stack, failed, [(p.generators[j], grads, stack.opts[("G", *key)])])
     return {"losses": step["losses"], "failed": failed}
 
@@ -690,6 +730,89 @@ def _run_losses(stack: FederationStack, losses: dict) -> list[dict]:
     return [{key: col[k] for key, col in columns.items()} for k in range(len(stack.runs))]
 
 
+class _NoiseAhead:
+    """The DP noise of a training with sigma > 0, drawn one iteration ahead
+    on a helper thread.
+
+    While the trainer runs iteration t, the helper draws iteration t + 1's
+    noise for every live run's sources, each block from its source's own
+    stream, into buffer set (t + 1) % 2; the calling thread allocates both
+    sets once. One semaphore pair hands the sets over: ``take(t)`` waits for
+    iteration t's set, which the sources then return, and ``give_back(live)``
+    hands it back once the phases have read it, for the helper to draw
+    iteration t + 2 into for the ``live`` jobs. Leaving the ``with`` block
+    stops and joins the helper and detaches the sources. An error in the
+    helper is raised by the next ``take``. Without noise to draw no thread
+    starts, and ``take`` and ``give_back`` do nothing.
+    """
+
+    def __init__(self, stack: FederationStack):
+        dp = stack.config.dp
+        self.thread = None
+        if dp is None or dp.sigma == 0.0:
+            return
+        self.std = 2.0 * dp.clip * dp.sigma
+        self.iterations = stack.config.max_iters
+        models = dict(_slots(stack))
+        shapes = [models[key].shapes[0] for key in stack.runs[0].noise_rngs]
+        ends = list(accumulate(out * (inp + 1) for out, inp in shapes))  # first layers
+        self.sets = np.empty((2, len(stack.runs), ends[-1]))  # a row per job in each set
+        self.sources = [list(run.noise_rngs.values()) for run in stack.runs]
+        for j, sources in enumerate(self.sources):
+            for source, start, end in zip(sources, [0, *ends], ends):
+                source.blocks = (self.sets[0, j, start:end], self.sets[1, j, start:end])
+                source.ahead = self
+        self.live = list(range(len(stack.runs)))
+        self.parity, self.error, self.stopping = 0, None, False
+        self.free, self.filled = threading.Semaphore(2), threading.Semaphore(0)
+        self.thread = threading.Thread(target=self._draw, name="fedtsgan-dp-noise", daemon=True)
+
+    @np.errstate(over="ignore", invalid="ignore")  # as Generator.normal's C loop
+    def _draw(self) -> None:
+        try:
+            for it in range(1, self.iterations + 1):
+                self.free.acquire()
+                if self.stopping:
+                    return
+                parity = it % 2
+                for j in self.live:
+                    for source in self.sources[j]:
+                        source.rng.standard_normal(out=source.blocks[parity])
+                    row = self.sets[parity, j]  # loc + scale * z, rounded as normal() does
+                    row *= self.std
+                    row += 0.0
+                self.filled.release()
+        except Exception as exc:  # the trainer raises it at its next take
+            self.error = exc
+            self.filled.release()
+
+    def __enter__(self) -> "_NoiseAhead":
+        if self.thread is not None:
+            self.thread.start()
+        return self
+
+    def take(self, it: int) -> None:
+        if self.thread is not None:
+            self.filled.acquire()
+            if self.error is not None:
+                raise self.error
+            self.parity = it % 2
+
+    def give_back(self, live: list[int]) -> None:
+        if self.thread is not None:
+            self.live = list(live)
+            self.free.release()
+
+    def __exit__(self, *exc) -> None:
+        if self.thread is not None:
+            self.stopping = True
+            self.free.release()
+            self.thread.join()
+            for sources in self.sources:
+                for source in sources:
+                    source.blocks = source.ahead = None
+
+
 # every non-finite value ends its run as a divergence, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> list[TrainResult]:
@@ -714,34 +837,37 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
         results.append(TrainResult(run, history, bank_from_state(run).copy(), awd0, 0))
 
     live = list(range(len(jobs)))  # the job of each run of ``stack``
-    for it in range(1, config.max_iters + 1):
-        for run in stack.runs:
-            run.iteration = it
-        batch = np.stack(
-            [
-                subsample_batch(run.dataset.n_samples, config.batch_size, run.batch_rng)
-                for run in stack.runs
-            ]
-        )
-        rows = [{"iteration": it} for _ in live]
-        for phase in (lambda s: discriminator_phase(s, batch), generator_phase):
-            info = phase(stack)
-            for row, losses in zip(rows, _run_losses(stack, info["losses"])):
-                row.update(losses)
-            if info["failed"]:
-                live, rows = _retire(stack, live, rows, info["failed"], results, it)
-                if not live:
-                    return results
-        checkpoint = it % config.checkpoint_every == 0 or it == config.max_iters
-        for j, row in zip(live, rows):
-            result = results[j]
-            if checkpoint:
-                row["awd"] = checkpoint_awd(result.state, eval_seeds[j])
-                if row["awd"] < result.best_awd:
-                    result.best_awd = row["awd"]
-                    result.best_bank = bank_from_state(result.state).copy()
-                    result.best_iteration = it
-            result.history.append(row)
+    with _NoiseAhead(stack) as noise:
+        for it in range(1, config.max_iters + 1):
+            noise.take(it)
+            for run in stack.runs:
+                run.iteration = it
+            batch = np.stack(
+                [
+                    subsample_batch(run.dataset.n_samples, config.batch_size, run.batch_rng)
+                    for run in stack.runs
+                ]
+            )
+            rows = [{"iteration": it} for _ in live]
+            for phase in (lambda s: discriminator_phase(s, batch), generator_phase):
+                info = phase(stack)
+                for row, losses in zip(rows, _run_losses(stack, info["losses"])):
+                    row.update(losses)
+                if info["failed"]:
+                    live, rows = _retire(stack, live, rows, info["failed"], results, it)
+                    if not live:
+                        return results
+            noise.give_back(live)
+            checkpoint = it % config.checkpoint_every == 0 or it == config.max_iters
+            for j, row in zip(live, rows):
+                result = results[j]
+                if checkpoint:
+                    row["awd"] = checkpoint_awd(result.state, eval_seeds[j])
+                    if row["awd"] < result.best_awd:
+                        result.best_awd = row["awd"]
+                        result.best_bank = bank_from_state(result.state).copy()
+                        result.best_iteration = it
+                result.history.append(row)
     return results
 
 

@@ -130,7 +130,7 @@ def _fit_mlp(x, y, dims, loss_grad, seed, steps=200, batch_size=64, lr=1e-3):
         idx = batch_rng.choice(n, size=b, replace=False)
         trace = nn.forward(model, x[idx])
         grad_out = loss_grad(trace.output, y[idx])
-        grads, _ = nn.backward(model, trace, grad_out)
+        grads, _ = nn.backward(model, trace, grad_out, inputs=False)
         nn.adam_step(model, grads, state)
     return model
 

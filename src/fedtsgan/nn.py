@@ -324,15 +324,21 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
 
 
 def backward(
-    model: MlpModel, trace: ActivationTrace, output_grad: np.ndarray, params: bool = True
-) -> tuple[GradientSet | None, np.ndarray]:
+    model: MlpModel,
+    trace: ActivationTrace,
+    output_grad: np.ndarray,
+    params: bool = True,
+    inputs: bool = True,
+) -> tuple[GradientSet | None, np.ndarray | None]:
     """Backpropagate d(sum_B <output, output_grad>) through the model.
 
     Returns the parameter gradients and the gradient with respect to the
     input batch, so updates can flow further back through composed models.
     With ``params=False`` only the input gradient is computed and the
     parameter gradients come back as None: the pathway through a model that
-    is not being updated.
+    is not being updated. With ``inputs=False`` the first layer's input
+    gradient is skipped and comes back as None: the update of a model whose
+    input is data. Skipping either leaves the other's bytes unchanged.
     """
     if trace.model is not model:
         raise TraceMismatchError("trace was produced by a different model")
@@ -352,6 +358,8 @@ def backward(
             below = trace.post[i - 1] if i > 0 else trace.batch
             np.matmul(delta.mT, below, out=grads.d_weights[i])
             np.add.reduce(delta, axis=-2, out=grads.d_biases[i], keepdims=stacked)
+        if i == 0 and not inputs:
+            return grads, None
         delta = delta @ layer.weight
 
     return grads, delta
@@ -394,11 +402,6 @@ class AdamState:
             v=np.zeros_like(model.params),
             shapes=model.shapes,
         )
-
-    @property
-    def m_weights(self) -> list[np.ndarray]:
-        """Per-layer weight views of the first moment."""
-        return _split(self.m, self.shapes)[0]
 
 
 def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:
@@ -480,35 +483,6 @@ def clamped_log1m(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = _clamp(s)
     inside = (s > lo) & (s < hi)
     return np.log(1.0 - c), np.where(inside, -1.0 / (1.0 - c), 0.0)
-
-
-def finite_diff_check(model: MlpModel, batch: np.ndarray, loss_fn, h: float = 1e-6) -> float:
-    """Worst relative disagreement between backward() and central differences.
-
-    ``loss_fn`` maps the output matrix to (scalar loss, d loss / d output).
-    Relative error per parameter is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, 1e-12).
-    """
-    trace = forward(model, batch)
-    _, out_grad = loss_fn(trace.output)
-    analytic, _ = backward(model, trace, out_grad)
-
-    worst = 0.0
-    for i, layer in enumerate(model.layers):
-        for param, grad in ((layer.weight, analytic.d_weights[i]), (layer.bias, analytic.d_biases[i])):
-            flat = param.ravel()
-            gflat = grad.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                plus, _ = loss_fn(forward(model, batch).output)
-                flat[j] = orig - h
-                minus, _ = loss_fn(forward(model, batch).output)
-                flat[j] = orig
-                numeric = (plus - minus) / (2.0 * h)
-                denom = max(abs(gflat[j]), abs(numeric), 1e-12)
-                worst = max(worst, abs(gflat[j] - numeric) / denom)
-    return worst
 
 
 def save_models(path, models: dict[str, MlpModel]) -> None:

@@ -1,7 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from fedtsgan import nn
+from fedtsgan.dpmech import clip_first_layer
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread running that it started."""
+    before = set(threading.enumerate())
+    yield
+    extra = [t.name for t in threading.enumerate() if t not in before]
+    assert not extra, f"threads left running: {extra}"
 
 
 @pytest.fixture
@@ -71,3 +83,64 @@ def params_blob(model):
         for l in model.layers
         for a in (l.weight, l.bias)
     )
+
+
+def m_weights(state):
+    """Per-layer weight views of an Adam state's first moment."""
+    return nn.GradientSet.from_flat(state.m, state.shapes).d_weights
+
+
+def finite_diff_check(model, batch, loss_fn, h=1e-6) -> float:
+    """Worst relative disagreement between backward() and central differences.
+
+    ``loss_fn`` maps the output matrix to (scalar loss, d loss / d output).
+    Relative error per parameter is |analytic - numeric| divided by
+    max(|analytic|, |numeric|, 1e-12).
+    """
+    trace = nn.forward(model, batch)
+    _, out_grad = loss_fn(trace.output)
+    analytic, _ = nn.backward(model, trace, out_grad)
+
+    worst = 0.0
+    for i, layer in enumerate(model.layers):
+        for param, grad in ((layer.weight, analytic.d_weights[i]), (layer.bias, analytic.d_biases[i])):
+            flat = param.ravel()
+            gflat = grad.ravel()
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + h
+                plus, _ = loss_fn(nn.forward(model, batch).output)
+                flat[j] = orig - h
+                minus, _ = loss_fn(nn.forward(model, batch).output)
+                flat[j] = orig
+                numeric = (plus - minus) / (2.0 * h)
+                denom = max(abs(gflat[j]), abs(numeric), 1e-12)
+                worst = max(worst, abs(gflat[j] - numeric) / denom)
+    return worst
+
+
+def sensitivity_check(model_factory, batch_pair_generator, grad_fn, clip, trials) -> float:
+    """Empirical counterpart of the 2C sensitivity bound.
+
+    For each trial: draw a model and an adjacent batch pair (same size,
+    exactly one record replaced), compute first-layer gradients of both via
+    ``grad_fn(model, batch) -> GradientSet``, clip both, and record the L2
+    norm of their difference. Returns the max over trials, which must be
+    <= 2*clip.
+    """
+    worst = 0.0
+    for trial in range(trials):
+        model = model_factory(trial)
+        batch_a, batch_b = batch_pair_generator(trial)
+        if batch_a.shape != batch_b.shape:
+            raise ValueError("adjacent batches must have identical shape")
+        differing = int(np.sum(~np.all(batch_a == batch_b, axis=tuple(range(1, batch_a.ndim)))))
+        if differing != 1:
+            raise ValueError(
+                f"batches must differ in exactly one record, found {differing}"
+            )
+        ga = clip_first_layer(grad_fn(model, batch_a), clip)
+        gb = clip_first_layer(grad_fn(model, batch_b), clip)
+        diff = float(np.linalg.norm(ga.first_layer_vector() - gb.first_layer_vector()))
+        worst = max(worst, diff)
+    return worst

@@ -15,8 +15,9 @@ import pytest
 from fedtsgan import accounting as acc
 from fedtsgan import audit, cli, data, metrics, nn
 from fedtsgan import federation as fed
-from fedtsgan.dpmech import DpParams, clip_first_layer, first_layer_norm, sensitivity_check
+from fedtsgan.dpmech import DpParams, clip_first_layer, first_layer_norm
 
+from conftest import sensitivity_check
 from test_accounting import oracle_amplified_eps, oracle_chain
 from test_metrics import lp_transport_cost
 

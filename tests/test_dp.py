@@ -16,10 +16,9 @@ from fedtsgan.dpmech import (
     clip_first_layer,
     first_layer_norm,
     perturb_first_layer,
-    sensitivity_check,
 )
 
-from conftest import random_mlp
+from conftest import random_mlp, sensitivity_check
 
 
 def grads_with_first_layer(vec, deeper_shape=(3, 2)):

@@ -12,6 +12,8 @@ import pytest
 from fedtsgan import nn
 from fedtsgan.dpmech import clip_first_layer, first_layer_norm, perturb_first_layer
 
+from conftest import m_weights
+
 ALL_ACTIVATIONS = ["identity", "relu", "leaky_relu", "tanh", "sigmoid"]
 
 
@@ -140,7 +142,7 @@ def test_training_steps_match_per_tensor_reference_bytes(slope):
             )
         assert state.m.tobytes() == blob(ref.m)
         assert state.v.tobytes() == blob(ref.v)
-        assert blob(state.m_weights) == blob(ref.m[0::2])
+        assert blob(m_weights(state)) == blob(ref.m[0::2])
 
 
 def ref_clamped_log(s):
@@ -205,6 +207,26 @@ def test_stack_rows_match_their_models_bytes(strided):
                 nn.adam_step(model, solo_grads, opt)
                 assert model.params.tobytes() == stack.params[i].tobytes()
         assert stack_opt.m.tobytes() == blob(o.m for o in opts)
+
+
+@pytest.mark.parametrize("k", [None, 1, 4], ids=["single", "stack_of_1", "stack_of_4"])
+def test_skipping_the_input_gradient_keeps_parameter_gradient_bytes(k):
+    rng = np.random.default_rng(43)
+    for _ in range(12):
+        acts = list(rng.permutation(ALL_ACTIVATIONS))[: int(rng.integers(1, 5))]
+        dims = [int(d) for d in rng.integers(1, 30, size=len(acts) + 1)]
+        models = [nn.init_mlp(dims, acts, rng) for _ in range(k or 1)]
+        model = models[0] if k is None else nn.MlpModel.stack(models)
+        lead = () if k is None else (k,)
+        b = int(rng.integers(1, 9))
+        x = rng.standard_normal((*lead, b, model.in_dim)) * 3.0
+        trace = nn.forward(model, x)
+        g = rng.standard_normal(trace.output.shape)
+        full, in_grad = nn.backward(model, trace, g)
+        params_only, none = nn.backward(model, trace, g, inputs=False)
+        assert none is None and in_grad is not None
+        assert params_only.flat.tobytes() == full.flat.tobytes()
+        assert params_only.shapes == full.shapes
 
 
 # -- leaky ReLU: the branch-free forms against np.where -------------------------

@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -871,6 +872,116 @@ class TestDpWiring:
         real_feats_a = ra.state.log.records[0]
         real_feats_b = rb.state.log.records[0]
         assert real_feats_a.payload_hash == real_feats_b.payload_hash
+
+
+class TestNoiseAhead:
+    """Under DP with sigma > 0, ``train_runs`` draws the noise one iteration
+    ahead on one helper thread, which never outlives it."""
+
+    @staticmethod
+    def watch_threads(monkeypatch):
+        """The names of the threads other than this one seen at each
+        discriminator phase."""
+        seen = []
+        real = fed.discriminator_phase
+
+        def phase(stack, batch):
+            others = set(threading.enumerate()) - {threading.current_thread()}
+            seen.append(sorted(t.name for t in others))
+            return real(stack, batch)
+
+        monkeypatch.setattr(fed, "discriminator_phase", phase)
+        return seen
+
+    @staticmethod
+    def assert_no_thread_left(before):
+        assert set(threading.enumerate()) == before
+
+    def test_a_training_joins_its_helper_and_detaches_the_sources(self, monkeypatch, sine_views):
+        seen = self.watch_threads(monkeypatch)
+        before = set(threading.enumerate())
+        cfg = tiny_config(max_iters=5, dp=DpParams(1.0, 0.5))
+        results = fed.train_runs(cfg, [(sine_views, 1), (sine_views, 2)])
+        self.assert_no_thread_left(before)
+        # it ends once it has drawn the last iteration
+        assert seen[0] == ["fedtsgan-dp-noise"] and len(seen) == 5
+        assert all(names in ([], ["fedtsgan-dp-noise"]) for names in seen)
+        for result in results:
+            sources = result.state.noise_rngs.values()
+            assert sources and all(s.ahead is None and s.blocks is None for s in sources)
+
+    @pytest.mark.parametrize("dp", [None, DpParams(1.0, 0.0), DpParams(np.inf, 0.0)],
+                             ids=["off", "sigma_0", "passthrough"])
+    def test_no_noise_starts_no_thread(self, monkeypatch, sine_views, dp):
+        seen = self.watch_threads(monkeypatch)
+        fed.train_runs(tiny_config(max_iters=3, dp=dp), [(sine_views, 1)])
+        assert seen == [[]] * 3
+
+    def test_every_run_diverging_joins_the_helper(self, monkeypatch, sine_views):
+        # a NaN first-layer gradient at iteration 2 ends each run early,
+        # while the helper waits to draw iteration 4 of 20
+        real = fed.perturb_first_layer
+
+        def perturb(grads, clip, sigma, rng):
+            out = real(grads, clip, sigma, rng)
+            if rng.ahead.parity == 0:
+                out.d_weights[0][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(fed, "perturb_first_layer", perturb)
+        before = set(threading.enumerate())
+        cfg = tiny_config(max_iters=20, dp=DpParams(1.0, 0.5))
+        results = fed.train_runs(cfg, [(sine_views, 1), (sine_views, 2)])
+        self.assert_no_thread_left(before)
+        assert [(r.diverged, r.state.iteration) for r in results] == [(True, 2)] * 2
+
+    def test_a_phase_raising_joins_the_helper(self, monkeypatch, sine_views):
+        real = fed.generator_phase
+
+        def phase(stack):
+            if stack.runs[0].iteration == 2:
+                raise RuntimeError("phase failed")
+            return real(stack)
+
+        monkeypatch.setattr(fed, "generator_phase", phase)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="phase failed"):
+            fed.train_runs(tiny_config(max_iters=6, dp=DpParams(1.0, 0.5)), [(sine_views, 1)])
+        self.assert_no_thread_left(before)
+
+    def test_a_failing_draw_reaches_the_caller(self, monkeypatch, sine_views):
+        class Failing:
+            """A stream whose third draw fails."""
+
+            def __init__(self):
+                self.draws = 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 3:
+                    raise RuntimeError("draw failed")
+                out[...] = 0.0
+
+        real = fed.init_stack
+
+        def init_stack(config, jobs):
+            stack = real(config, jobs)
+            stack.runs[0].noise_rngs["D", 1, 1].rng = Failing()
+            return stack
+
+        monkeypatch.setattr(fed, "init_stack", init_stack)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="draw failed"):
+            fed.train_runs(tiny_config(max_iters=6, dp=DpParams(1.0, 0.5)), [(sine_views, 1)])
+        self.assert_no_thread_left(before)
+
+    def test_a_source_refuses_noise_of_another_scale(self, monkeypatch, sine_views):
+        real = fed.perturb_first_layer
+        monkeypatch.setattr(
+            fed, "perturb_first_layer", lambda g, clip, sigma, rng: real(g, clip, 2 * sigma, rng)
+        )
+        with pytest.raises(ValueError, match="noise drawn ahead"):
+            fed.train_runs(tiny_config(max_iters=3, dp=DpParams(1.0, 0.5)), [(sine_views, 1)])
 
 
 class TestRawDataLocality:

@@ -4,8 +4,10 @@ import pytest
 from fedtsgan import nn
 
 from conftest import (
+    finite_diff_check,
     gradcheck_draw,
     kink_free_input,
+    m_weights,
     params_blob,
     quadratic_loss,
     random_mlp,
@@ -73,7 +75,7 @@ class TestBackward:
     def test_matches_finite_differences(self, rng):
         model = random_mlp(rng, n_layers=2, activations=["tanh", "identity"])
         x = rng.standard_normal((3, model.in_dim))
-        assert nn.finite_diff_check(model, x, quadratic_loss) < 1e-5
+        assert finite_diff_check(model, x, quadratic_loss) < 1e-5
 
     def test_stale_trace_rejected(self, rng):
         model = random_mlp(rng)
@@ -112,7 +114,7 @@ class TestGradientExactness:
         rng = np.random.default_rng(seed)
         for _ in range(25):
             model, x = gradcheck_draw(rng, [act, act], quadratic_loss)
-            assert nn.finite_diff_check(model, x, quadratic_loss) < 1e-5
+            assert finite_diff_check(model, x, quadratic_loss) < 1e-5
 
     def test_shape_closure(self, rng):
         model = random_mlp(rng, n_layers=3)
@@ -140,7 +142,7 @@ class TestAdam:
         nn.adam_step(model, grads, state)
         assert params_blob(model) == before
         assert state.t == 1
-        assert any(m.any() for m in state.m_weights)
+        assert any(m.any() for m in m_weights(state))
 
     def test_single_scalar_first_step(self):
         # hand evaluation: m_hat = v_hat = 1, update = lr / (1 + eps)
@@ -181,13 +183,13 @@ class TestFiniteDiffCheck:
     def test_linear_quadratic_is_near_exact(self, rng):
         model = nn.init_mlp([3, 2], ["identity"], rng)
         x = rng.standard_normal((4, 3))
-        assert nn.finite_diff_check(model, x, quadratic_loss) < 1e-9
+        assert finite_diff_check(model, x, quadratic_loss) < 1e-9
 
     def test_relu_away_from_kinks(self):
         rng = np.random.default_rng(3)
         model = random_mlp(rng, n_layers=2, activations=["relu", "identity"])
         x = kink_free_input(model, rng)
-        assert nn.finite_diff_check(model, x, quadratic_loss) < 1e-5
+        assert finite_diff_check(model, x, quadratic_loss) < 1e-5
 
 
 class TestClampedLogs:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import queue
 import threading
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -191,9 +192,11 @@ class NoiseSource:
     def normal(self, loc: float, scale: float, size) -> np.ndarray:
         if self.ahead is None:
             return self.rng.normal(loc, scale, size)
+        # the iteration's standard normals, read once: loc + scale * z,
+        # rounded as Generator.normal does
         block = self.blocks[self.ahead.parity]
-        if (loc, scale, size) != (0.0, self.ahead.std, block.shape):
-            raise ValueError("noise drawn ahead is N(0, (2*clip*sigma)^2) of a first layer's size")
+        block *= scale
+        block += loc
         return block
 
 
@@ -735,15 +738,16 @@ class _NoiseAhead:
     on a helper thread.
 
     While the trainer runs iteration t, the helper draws iteration t + 1's
-    noise for every live run's sources, each block from its source's own
-    stream, into buffer set (t + 1) % 2; the calling thread allocates both
-    sets once. One semaphore pair hands the sets over: ``take(t)`` waits for
-    iteration t's set, which the sources then return, and ``give_back(live)``
-    hands it back once the phases have read it, for the helper to draw
-    iteration t + 2 into for the ``live`` jobs. Leaving the ``with`` block
-    stops and joins the helper and detaches the sources. An error in the
-    helper is raised by the next ``take``. Without noise to draw no thread
-    starts, and ``take`` and ``give_back`` do nothing.
+    standard normals for every live run's sources, each block from its
+    source's own stream, into buffer set (t + 1) % 2; the calling thread
+    allocates both sets once, and each source scales its block when read. Two queues hand the sets over, one item each way per
+    iteration: ``take(t)`` waits for iteration t's set, which the sources
+    then return, and ``give_back(live)`` hands it back once the phases have
+    read it, for the helper to draw iteration t + 2 into for the ``live``
+    jobs. Leaving the ``with`` block stops and joins the helper and detaches
+    the sources. An error in the helper is raised by the next ``take``.
+    Without noise to draw no thread starts, and ``take`` and ``give_back``
+    do nothing.
     """
 
     def __init__(self, stack: FederationStack):
@@ -751,7 +755,6 @@ class _NoiseAhead:
         self.thread = None
         if dp is None or dp.sigma == 0.0:
             return
-        self.std = 2.0 * dp.clip * dp.sigma
         self.iterations = stack.config.max_iters
         models = dict(_slots(stack))
         shapes = [models[key].shapes[0] for key in stack.runs[0].noise_rngs]
@@ -762,29 +765,27 @@ class _NoiseAhead:
             for source, start, end in zip(sources, [0, *ends], ends):
                 source.blocks = (self.sets[0, j, start:end], self.sets[1, j, start:end])
                 source.ahead = self
-        self.live = list(range(len(stack.runs)))
-        self.parity, self.error, self.stopping = 0, None, False
-        self.free, self.filled = threading.Semaphore(2), threading.Semaphore(0)
+        self.parity = 0
+        # to the helper: the live jobs to draw a set for, or None to stop;
+        # back: None once a set is drawn, or the error that stopped it
+        self.free, self.filled = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(2):
+            self.free.put(range(len(stack.runs)))
         self.thread = threading.Thread(target=self._draw, name="fedtsgan-dp-noise", daemon=True)
 
-    @np.errstate(over="ignore", invalid="ignore")  # as Generator.normal's C loop
     def _draw(self) -> None:
         try:
             for it in range(1, self.iterations + 1):
-                self.free.acquire()
-                if self.stopping:
+                live = self.free.get()
+                if live is None:
                     return
                 parity = it % 2
-                for j in self.live:
+                for j in live:
                     for source in self.sources[j]:
                         source.rng.standard_normal(out=source.blocks[parity])
-                    row = self.sets[parity, j]  # loc + scale * z, rounded as normal() does
-                    row *= self.std
-                    row += 0.0
-                self.filled.release()
+                self.filled.put(None)
         except Exception as exc:  # the trainer raises it at its next take
-            self.error = exc
-            self.filled.release()
+            self.filled.put(exc)
 
     def __enter__(self) -> "_NoiseAhead":
         if self.thread is not None:
@@ -793,20 +794,18 @@ class _NoiseAhead:
 
     def take(self, it: int) -> None:
         if self.thread is not None:
-            self.filled.acquire()
-            if self.error is not None:
-                raise self.error
+            error = self.filled.get()
+            if error is not None:
+                raise error
             self.parity = it % 2
 
     def give_back(self, live: list[int]) -> None:
         if self.thread is not None:
-            self.live = list(live)
-            self.free.release()
+            self.free.put(list(live))
 
     def __exit__(self, *exc) -> None:
         if self.thread is not None:
-            self.stopping = True
-            self.free.release()
+            self.free.put(None)
             self.thread.join()
             for sources in self.sources:
                 for source in sources:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -975,13 +976,36 @@ class TestNoiseAhead:
             fed.train_runs(tiny_config(max_iters=6, dp=DpParams(1.0, 0.5)), [(sine_views, 1)])
         self.assert_no_thread_left(before)
 
-    def test_a_source_refuses_noise_of_another_scale(self, monkeypatch, sine_views):
-        real = fed.perturb_first_layer
-        monkeypatch.setattr(
-            fed, "perturb_first_layer", lambda g, clip, sigma, rng: real(g, clip, 2 * sigma, rng)
-        )
-        with pytest.raises(ValueError, match="noise drawn ahead"):
-            fed.train_runs(tiny_config(max_iters=3, dp=DpParams(1.0, 0.5)), [(sine_views, 1)])
+    def test_runs_keep_their_bytes_under_rapid_thread_switching(self):
+        # the helper and the trainer switch every microsecond; a block read
+        # before it is drawn, or drawn again while read, changes the bytes
+        # of the run, which must equal those drawn in place by ref_train
+        make_dataset, assignment = STACK_PARTITIONS["sine6_three_parties"]
+        jobs = stack_jobs(make_dataset)
+        cfg = tiny_config(max_iters=12, checkpoint_every=4, dp=DpParams(1.0, 0.5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = fed.train_runs(cfg, [(data.partition(d, assignment), s) for d, s in jobs])
+        finally:
+            sys.setswitchinterval(interval)
+        for result, (d, s) in zip(got, jobs):
+            assert_same_run(result, ref_train(replace(cfg, seed=s), data.partition(d, assignment)))
+
+    @pytest.mark.parametrize("loc, scale", [(0.0, 2.6), (0.0, 1e-320), (-1.5, 0.3), (0.0, math.inf)])
+    def test_a_block_drawn_ahead_reads_as_generator_normal(self, loc, scale):
+        # the helper draws standard normals; the source scales them on read,
+        # with the bytes (signed zeros and underflow included) of a draw in place
+        class Ahead:
+            parity = 1
+
+        source = fed.NoiseSource(stream(3, "dp-noise", "D", 0, 0))
+        source.blocks = (np.full(7, np.nan), np.empty(7))
+        source.rng.standard_normal(out=source.blocks[1])
+        source.ahead = Ahead()
+        want = stream(3, "dp-noise", "D", 0, 0).normal(loc, scale, size=(7,))
+        assert source.normal(loc, scale, (7,)).tobytes() == want.tobytes()
+        assert source.bit_generator is source.rng.bit_generator
 
 
 class TestRawDataLocality:

@@ -36,9 +36,9 @@ usable core, trained in forked workers, with the same bytes.
 
 Under DP with sigma > 0, ``train_runs`` starts one helper thread that draws
 the noise one iteration ahead (``_NoiseAhead``): while the phases of
-iteration t run, it draws iteration t + 1's blocks for every live run and
-noised model, each from that run's stream for that model, and the
-``NoiseSource`` of each (run, model) hands its block to
+iteration t run, it draws iteration t + 1's standard normals for every live
+run and noised model, each from that run's stream for that model, and the
+``NoiseSource`` of each (run, model) scales its block for
 ``perturb_first_layer``. The noise keeps its bytes. The helper starts
 after set-up, so in the audit after the workers are forked, and it is
 stopped and joined before ``train_runs`` returns or raises; an error in it
@@ -175,8 +175,9 @@ class NoiseSource:
     """A run's private noise stream for one protected model, in the form
     ``perturb_first_layer`` reads (``dpmech``'s source contract). It draws
     from ``rng`` itself, except while ``train_runs``' helper thread draws
-    ahead (``_NoiseAhead``): then ``normal`` returns the block the helper drew
-    from ``rng`` for the current iteration."""
+    ahead (``_NoiseAhead``): then ``normal`` scales and returns the standard
+    normals the helper drew from ``rng`` for the current iteration, which it
+    may read once."""
 
     __slots__ = ("rng", "blocks", "ahead")
 
@@ -740,14 +741,14 @@ class _NoiseAhead:
     While the trainer runs iteration t, the helper draws iteration t + 1's
     standard normals for every live run's sources, each block from its
     source's own stream, into buffer set (t + 1) % 2; the calling thread
-    allocates both sets once, and each source scales its block when read. Two queues hand the sets over, one item each way per
-    iteration: ``take(t)`` waits for iteration t's set, which the sources
-    then return, and ``give_back(live)`` hands it back once the phases have
-    read it, for the helper to draw iteration t + 2 into for the ``live``
-    jobs. Leaving the ``with`` block stops and joins the helper and detaches
-    the sources. An error in the helper is raised by the next ``take``.
-    Without noise to draw no thread starts, and ``take`` and ``give_back``
-    do nothing.
+    allocates both sets once, and each source scales its block when read.
+    Two queues hand the sets over, one item each way per iteration:
+    ``take(t)`` waits for iteration t's set, which the sources then return,
+    and ``give_back(live)`` hands it back once the phases have read it, for
+    the helper to draw iteration t + 2 into for the ``live`` jobs. Leaving
+    the ``with`` block stops and joins the helper and detaches the sources.
+    An error in the helper is raised by the next ``take``. Without noise to
+    draw no thread starts, and ``take`` and ``give_back`` do nothing.
     """
 
     def __init__(self, stack: FederationStack):
@@ -759,11 +760,11 @@ class _NoiseAhead:
         models = dict(_slots(stack))
         shapes = [models[key].shapes[0] for key in stack.runs[0].noise_rngs]
         ends = list(accumulate(out * (inp + 1) for out, inp in shapes))  # first layers
-        self.sets = np.empty((2, len(stack.runs), ends[-1]))  # a row per job in each set
+        sets = np.empty((2, len(stack.runs), ends[-1]))  # a row per job in each set
         self.sources = [list(run.noise_rngs.values()) for run in stack.runs]
         for j, sources in enumerate(self.sources):
             for source, start, end in zip(sources, [0, *ends], ends):
-                source.blocks = (self.sets[0, j, start:end], self.sets[1, j, start:end])
+                source.blocks = (sets[0, j, start:end], sets[1, j, start:end])
                 source.ahead = self
         self.parity = 0
         # to the helper: the live jobs to draw a set for, or None to stop;

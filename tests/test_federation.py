@@ -911,8 +911,9 @@ class TestNoiseAhead:
             sources = result.state.noise_rngs.values()
             assert sources and all(s.ahead is None and s.blocks is None for s in sources)
 
-    @pytest.mark.parametrize("dp", [None, DpParams(1.0, 0.0), DpParams(np.inf, 0.0)],
-                             ids=["off", "sigma_0", "passthrough"])
+    @pytest.mark.parametrize(
+        "dp", [None, DpParams(1.0, 0.0), DpParams(np.inf, 0.0)], ids=["off", "sigma_0", "passthrough"]
+    )
     def test_no_noise_starts_no_thread(self, monkeypatch, sine_views, dp):
         seen = self.watch_threads(monkeypatch)
         fed.train_runs(tiny_config(max_iters=3, dp=dp), [(sine_views, 1)])
@@ -992,7 +993,9 @@ class TestNoiseAhead:
         for result, (d, s) in zip(got, jobs):
             assert_same_run(result, ref_train(replace(cfg, seed=s), data.partition(d, assignment)))
 
-    @pytest.mark.parametrize("loc, scale", [(0.0, 2.6), (0.0, 1e-320), (-1.5, 0.3), (0.0, math.inf)])
+    @pytest.mark.parametrize(
+        "loc, scale", [(0.0, 2.6), (0.0, 1e-320), (-1.5, 0.3), (0.0, math.inf)]
+    )
     def test_a_block_drawn_ahead_reads_as_generator_normal(self, loc, scale):
         # the helper draws standard normals; the source scales them on read,
         # with the bytes (signed zeros and underflow included) of a draw in place

@@ -122,9 +122,21 @@ class TestTrain:
         redone, _ = accounting.spent_epsilon(cal["sigma"], cal["gamma"], 3, 1e-3)
         assert redone == pytest.approx(cal["achieved_epsilon"], rel=1e-12)
 
-    def test_explicit_sigma_mode(self, tmp_path):
+    def test_explicit_sigma_mode(self, tmp_path, monkeypatch):
+        from fedtsgan import federation
+
+        sigmas = []
+        real = federation.perturb_first_layer
+
+        def counting(grads, clip, sigma, rng):
+            sigmas.append(sigma)
+            return real(grads, clip, sigma, rng)
+
+        monkeypatch.setattr(federation, "perturb_first_layer", counting)
         cfg, out = write_config(tmp_path, sections="\n[dp]\nclip = 1.0\nsigma = 2.0\n")
         assert cli.main(["train", "--config", str(cfg)]) == 0
+        # 3 iterations x (2 discriminators + 2 extractors)
+        assert sigmas == [2.0] * 12
 
     def test_dp_section_needs_exactly_one_mode(self, tmp_path):
         cfg, _ = write_config(
@@ -251,7 +263,10 @@ dir = {out}
         assert len(rows) == 4
 
 
-    def test_budget_mode_protects_every_shadow_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "dp", ["epsilon = 10\ndelta = 1e-3", "sigma = 2.0"], ids=["budget", "sigma"]
+    )
+    def test_budget_mode_protects_every_shadow_run(self, tmp_path, monkeypatch, dp):
         from fedtsgan import federation
 
         # one line per call, appended from whichever process trains the run:
@@ -267,15 +282,18 @@ dir = {out}
         monkeypatch.setattr(federation, "perturb_first_layer", counting)
         cfg, out = write_config(
             tmp_path,
-            sections="\n[dp]\nclip = 1.0\nepsilon = 10\ndelta = 1e-3\n"
+            sections=f"\n[dp]\nclip = 1.0\n{dp}\n"
             "\n[audit]\nshadow_pairs = 2\nknn_k = 1\nseed = 4\nsynth_samples = 4\n",
         )
         assert cli.main(["audit", "--config", str(cfg)]) == 0
-        cal = json.loads((out / "manifest.json").read_text())["calibration"]
-        assert cal["gamma"] == 4 / 16 and cal["achieved_epsilon"] <= 10.0
+        sigma = 2.0
+        if "epsilon" in dp:
+            cal = json.loads((out / "manifest.json").read_text())["calibration"]
+            assert cal["gamma"] == 4 / 16 and cal["achieved_epsilon"] <= 10.0
+            sigma = cal["sigma"]
         # 4 shadow runs x 3 iterations x (2 discriminators + 2 extractors)
         calls = [float(line) for line in log.read_text().splitlines()]
-        assert calls == [cal["sigma"]] * 48
+        assert calls == [sigma] * 48
 
 
 class TestAccount:

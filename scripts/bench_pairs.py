@@ -18,9 +18,8 @@ included (``peak_rss_mib`` counts the workload process alone).
 
 ``--timed CMD`` also runs CMD once in each checkout (``PYTHONPATH=src``,
 one BLAS thread) and records its wall time and tree peak RSS, ungated. Run
-it from the
-repository root; it uses the standard library and numpy only, and removes
-its checkouts and every process it started before it exits.
+it from the repository root; it uses the standard library and numpy only,
+and removes its checkouts and every process it started before it exits.
 """
 
 from __future__ import annotations

@@ -89,10 +89,7 @@ def normalized_flat(data: np.ndarray, stats: tuple[np.ndarray, np.ndarray]) -> n
 
 def _distances(x: np.ndarray, pool: np.ndarray, norm: int) -> np.ndarray:
     """Distances from x (a flat vector, or a block of them) to each pool row."""
-    diff = pool - x[..., None, :]
-    if norm == 1:
-        return np.abs(diff).sum(axis=-1)
-    return np.sqrt((diff * diff).sum(axis=-1))
+    return np.linalg.norm(pool - x[..., None, :], ord=norm, axis=-1)
 
 
 BLOCK_FLOATS = 2**20  # size of one block of pairwise differences (8 MiB)

@@ -94,15 +94,19 @@ def cmd_gen_data(args) -> int:
 
 
 def _resolve_dp(cfg: ExperimentConfig, n_samples: int) -> dict:
-    """Budget mode: pick sigma through the accountant for this run's
-    sampling rate and iteration count."""
+    """Set ``cfg.train.dp``, the mechanism ``train`` and ``audit`` run under,
+    from the [dp] section: its sigma, or in budget mode the sigma the
+    accountant picks for this run's sampling rate and iteration count,
+    returned under "calibration" for the manifest."""
     extra: dict = {}
-    if cfg.dp is not None and cfg.dp.budget_mode:
+    if cfg.dp is None:
+        return extra
+    sigma = cfg.dp.sigma
+    if cfg.dp.budget_mode:
         gamma = cfg.train.batch_size / n_samples
         sigma, steps, achieved = accounting.calibrate(
             cfg.dp.epsilon, cfg.dp.delta, gamma, cfg.train.max_iters
         )
-        cfg.train.dp = DpParams(cfg.dp.clip, sigma)
         extra["calibration"] = {
             "sigma": sigma,
             "t_max": steps,
@@ -111,6 +115,7 @@ def _resolve_dp(cfg: ExperimentConfig, n_samples: int) -> dict:
             "delta": cfg.dp.delta,
             "gamma": gamma,
         }
+    cfg.train.dp = DpParams(cfg.dp.clip, sigma)
     return extra
 
 
@@ -277,17 +282,20 @@ def cmd_audit(args) -> int:
 
 def cmd_account(args) -> int:
     alphas = accounting.DEFAULT_ALPHAS
-    rows = []
-    for mode, name in ((False, "eps_discriminator"), (True, "eps_generator")):
-        curve = accounting.compose(
-            accounting.subsample_amplify(args.sigma, args.gamma, alphas, mode), args.steps
-        )
-        rows.append((name, curve))
+    try:  # an argument out of range is rejected before anything is printed
+        curves = [
+            accounting.compose(
+                accounting.subsample_amplify(args.sigma, args.gamma, alphas, mode), args.steps
+            )
+            for mode in (False, True)
+        ]
+        report = accounting.privacy_report(args.sigma, args.gamma, args.steps, args.delta, alphas)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     writer = csv.writer(sys.stdout)
-    writer.writerow(["alpha"] + [name for name, _ in rows])
+    writer.writerow(["alpha", "eps_discriminator", "eps_generator"])
     for i, alpha in enumerate(alphas):
-        writer.writerow([alpha] + [f"{curve.eps[i]:.12g}" for _, curve in rows])
-    report = accounting.privacy_report(args.sigma, args.gamma, args.steps, args.delta, alphas)
+        writer.writerow([alpha] + [f"{curve.eps[i]:.12g}" for curve in curves])
     for surface in ("external", "internal"):
         for model in ("discriminator", "generator"):
             entry = report[surface][model]
@@ -298,9 +306,14 @@ def cmd_account(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    sigma, steps, achieved = accounting.calibrate(
-        args.epsilon, args.delta, args.gamma, args.steps
-    )
+    try:
+        sigma, steps, achieved = accounting.calibrate(
+            args.epsilon, args.delta, args.gamma, args.steps
+        )
+    except accounting.InfeasibleBudgetError:
+        raise
+    except ValueError as exc:  # an argument out of range
+        raise ConfigError(str(exc)) from None
     print(f"sigma,{sigma:.2f}")
     print(f"t_max,{steps}")
     print(f"achieved_epsilon,{achieved:.12g}")

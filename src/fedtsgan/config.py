@@ -50,7 +50,9 @@ class DatasetSection:
 @dataclass
 class DpSection:
     """Either an explicit noise multiplier (clip + sigma) or a budget (clip +
-    epsilon + delta) that the trainer resolves through the accountant."""
+    epsilon + delta). Parsing leaves ``train.dp`` unset: ``cli._resolve_dp``
+    builds it from this section in both modes, once the dataset's size is
+    known (a budget is turned into sigma through the accountant)."""
 
     clip: float
     sigma: float | None = None
@@ -202,10 +204,7 @@ def parse_config(path) -> ExperimentConfig:
             values[f.name] = _read_section(parser, f.name, _unwrap(hints[f.name]))
         elif _required(f):
             raise ConfigError(f"missing [{f.name}] section")
-    cfg = ExperimentConfig(**values)
-    if cfg.dp is not None and not cfg.dp.budget_mode:
-        cfg.train.dp = DpParams(cfg.dp.clip, cfg.dp.sigma)
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def check_audit_sizes(cfg: ExperimentConfig, n_samples: int) -> None:

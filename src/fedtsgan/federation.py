@@ -37,12 +37,14 @@ usable core, trained in forked workers, with the same bytes.
 Under DP with sigma > 0, ``train_runs`` starts one helper thread that draws
 the noise one iteration ahead (``_NoiseAhead``): while the phases of
 iteration t run, it draws iteration t + 1's standard normals for every live
-run and noised model, each from that run's stream for that model, and the
-``NoiseSource`` of each (run, model) scales its block for
-``perturb_first_layer``. The noise keeps its bytes. The helper starts
+run and noised model, each from that run's stream for that model, into the
+``NoiseSource`` of that (run, model), which scales them when
+``perturb_first_layer`` reads them. The trainer and the helper meet once
+per iteration, in ``take``. The noise keeps its bytes. The helper starts
 after set-up, so in the audit after the workers are forked, and it is
 stopped and joined before ``train_runs`` returns or raises; an error in it
-is raised in the caller.
+is raised in the caller. ``train_runs`` takes the mechanism from
+``config.dp``, which the CLI builds from the [dp] section.
 """
 
 from __future__ import annotations
@@ -175,20 +177,17 @@ class NoiseSource:
     """A run's private noise stream for one protected model, in the form
     ``perturb_first_layer`` reads (``dpmech``'s source contract). It draws
     from ``rng`` itself, except while ``train_runs``' helper thread draws
-    ahead (``_NoiseAhead``): then ``normal`` scales and returns the standard
-    normals the helper drew from ``rng`` for the current iteration, which it
-    may read once."""
+    ahead (``_NoiseAhead``): then ``blocks`` is a (2, n) pair, n the size of
+    the model's first-layer gradient vector, and ``normal`` scales and
+    returns the row of the standard normals the helper drew from ``rng`` for
+    the current iteration, which it may read once."""
 
     __slots__ = ("rng", "blocks", "ahead")
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.blocks: tuple[np.ndarray, np.ndarray] | None = None  # one per buffer set
+        self.blocks: np.ndarray | None = None
         self.ahead: _NoiseAhead | None = None
-
-    @property
-    def bit_generator(self) -> np.random.BitGenerator:
-        return self.rng.bit_generator
 
     def normal(self, loc: float, scale: float, size) -> np.ndarray:
         if self.ahead is None:
@@ -739,16 +738,15 @@ class _NoiseAhead:
     on a helper thread.
 
     While the trainer runs iteration t, the helper draws iteration t + 1's
-    standard normals for every live run's sources, each block from its
-    source's own stream, into buffer set (t + 1) % 2; the calling thread
-    allocates both sets once, and each source scales its block when read.
-    Two queues hand the sets over, one item each way per iteration:
-    ``take(t)`` waits for iteration t's set, which the sources then return,
-    and ``give_back(live)`` hands it back once the phases have read it, for
-    the helper to draw iteration t + 2 into for the ``live`` jobs. Leaving
-    the ``with`` block stops and joins the helper and detaches the sources.
-    An error in the helper is raised by the next ``take``. Without noise to
-    draw no thread starts, and ``take`` and ``give_back`` do nothing.
+    standard normals for every live run's sources, each from its source's
+    own stream into row (t + 1) % 2 of the source's block pair, which is
+    allocated once; each source scales its row when read. ``take(t, live)``
+    is the one handover per iteration: it hands the helper the ``live`` jobs
+    to draw iteration t + 1 for, into the rows iteration t - 1 has read,
+    then waits for iteration t's draw. Leaving the ``with`` block stops and
+    joins the helper and detaches the sources. An error in the helper is
+    raised by the next ``take``. Without noise to draw no thread starts, and
+    ``take`` does nothing.
     """
 
     def __init__(self, stack: FederationStack):
@@ -758,20 +756,18 @@ class _NoiseAhead:
             return
         self.iterations = stack.config.max_iters
         models = dict(_slots(stack))
-        shapes = [models[key].shapes[0] for key in stack.runs[0].noise_rngs]
-        ends = list(accumulate(out * (inp + 1) for out, inp in shapes))  # first layers
-        sets = np.empty((2, len(stack.runs), ends[-1]))  # a row per job in each set
-        self.sources = [list(run.noise_rngs.values()) for run in stack.runs]
-        for j, sources in enumerate(self.sources):
-            for source, start, end in zip(sources, [0, *ends], ends):
-                source.blocks = (sets[0, j, start:end], sets[1, j, start:end])
+        for run in stack.runs:
+            for key, source in run.noise_rngs.items():
+                # the vector perturb_first_layer noises, as wide for every run
+                first = nn.GradientSet.from_flat(models[key].params, models[key].shapes)
+                source.blocks = np.empty((2, first.first_layer_vector().shape[-1]))
                 source.ahead = self
+        self.sources = [list(run.noise_rngs.values()) for run in stack.runs]
         self.parity = 0
-        # to the helper: the live jobs to draw a set for, or None to stop;
-        # back: None once a set is drawn, or the error that stopped it
+        # to the helper: the live jobs to draw an iteration for, or None to
+        # stop; back: None once it is drawn, or the error that stopped it
         self.free, self.filled = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(2):
-            self.free.put(range(len(stack.runs)))
+        self.free.put(range(len(stack.runs)))  # iteration 1
         self.thread = threading.Thread(target=self._draw, name="fedtsgan-dp-noise", daemon=True)
 
     def _draw(self) -> None:
@@ -780,10 +776,9 @@ class _NoiseAhead:
                 live = self.free.get()
                 if live is None:
                     return
-                parity = it % 2
                 for j in live:
                     for source in self.sources[j]:
-                        source.rng.standard_normal(out=source.blocks[parity])
+                        source.rng.standard_normal(out=source.blocks[it % 2])
                 self.filled.put(None)
         except Exception as exc:  # the trainer raises it at its next take
             self.filled.put(exc)
@@ -793,16 +788,13 @@ class _NoiseAhead:
             self.thread.start()
         return self
 
-    def take(self, it: int) -> None:
+    def take(self, it: int, live: list[int]) -> None:
         if self.thread is not None:
+            self.free.put(list(live))
             error = self.filled.get()
             if error is not None:
                 raise error
             self.parity = it % 2
-
-    def give_back(self, live: list[int]) -> None:
-        if self.thread is not None:
-            self.free.put(list(live))
 
     def __exit__(self, *exc) -> None:
         if self.thread is not None:
@@ -839,7 +831,7 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     live = list(range(len(jobs)))  # the job of each run of ``stack``
     with _NoiseAhead(stack) as noise:
         for it in range(1, config.max_iters + 1):
-            noise.take(it)
+            noise.take(it, live)
             for run in stack.runs:
                 run.iteration = it
             batch = np.stack(
@@ -857,7 +849,6 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
                     live, rows = _retire(stack, live, rows, info["failed"], results, it)
                     if not live:
                         return results
-            noise.give_back(live)
             checkpoint = it % config.checkpoint_every == 0 or it == config.max_iters
             for j, row in zip(live, rows):
                 result = results[j]

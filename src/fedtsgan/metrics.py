@@ -255,7 +255,7 @@ class PcaProjection:
     degenerate: bool  # True when the data had rank < 2
 
 
-def pca_2d(datasets: list) -> PcaProjection:
+def pca_2d(datasets: list[TimeSeriesDataset]) -> PcaProjection:
     """Project flattened samples onto the top-2 covariance eigenvectors.
 
     The components are fit on the first dataset (the real one) and applied
@@ -266,10 +266,7 @@ def pca_2d(datasets: list) -> PcaProjection:
     """
     if not datasets:
         raise ValueError("need at least one dataset")
-    mats = [
-        d.data.reshape(d.n_samples, -1) if isinstance(d, TimeSeriesDataset) else np.asarray(d, dtype=np.float64)
-        for d in datasets
-    ]
+    mats = [_flatten(d) for d in datasets]
     ref = mats[0]
     if ref.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit components")

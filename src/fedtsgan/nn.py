@@ -26,9 +26,9 @@ optimizer is ``AdamState.for_model(stack)``, whose (K, P) moments are laid
 out like its ``params``; ``MlpModel.from_params(stack.params[k], ...)`` is a
 plain model that reads and writes row k in place.
 
-Leaky ReLU: for a slope in (0, 1] the forward pass is ``max(x, slope * x)``
-(``min`` for a finite slope above 1) and the backward pass multiplies delta
-by ``max(pre >= 0, slope)``. Neither branches on the sign pattern, and both
+Leaky ReLU: for a slope in (0, 1], the slopes models use, the forward pass
+is ``max(x, slope * x)`` and the backward pass multiplies delta by
+``max(pre >= 0, slope)``. Neither branches on the sign pattern, and both
 give the bytes of ``np.where(x >= 0, x, slope * x)`` and its derivative,
 signed zeros, infinities, NaN and subnormals included. Other slopes keep the
 ``np.where`` form.
@@ -37,7 +37,6 @@ signed zeros, infinities, NaN and subnormals included. Other slopes keep the
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,12 +254,11 @@ def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
     if tag == "relu":
         return np.maximum(x, 0.0)
     if tag == "leaky_relu":
-        # branch-free and byte-equal to the np.where form: the larger (or, for
-        # slope > 1, the smaller) of x and slope*x. Slope 0 keeps np.where,
-        # since 0 * inf is NaN where np.where returns inf.
-        if 0.0 < slope < math.inf:
-            pick = np.maximum if slope <= 1.0 else np.minimum
-            return pick(x, slope * x)
+        # branch-free and byte-equal to the np.where form: the larger of x
+        # and slope*x. Slope 0 keeps np.where, since 0 * inf is NaN where
+        # np.where returns inf.
+        if 0.0 < slope <= 1.0:
+            return np.maximum(x, slope * x)
         return np.where(x >= 0.0, x, slope * x)
     if tag == "tanh":
         return np.tanh(x)

@@ -330,6 +330,22 @@ class TestAccount:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "account --sigma 0 --gamma 0.1 --steps 10 --delta 1e-5",
+            "account --sigma 1 --gamma 2 --steps 10 --delta 1e-5",
+            "account --sigma 1 --gamma 0.1 --steps 0 --delta 1e-5",
+            "calibrate --epsilon -1 --delta 1e-3 --gamma 0.1 --steps 10",
+            "calibrate --epsilon 1 --delta 0 --gamma 0.1 --steps 10",
+        ],
+        ids=["sigma_0", "gamma_2", "steps_0", "epsilon_negative", "delta_0"],
+    )
+    def test_an_argument_out_of_range_exits_two_with_one_line(self, capsys, argv):
+        assert cli.main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"config error: [^\n]+\n", err), err
+
 
 class TestOutputRoot:
     def test_env_var_reroots_relative_dirs(self, tmp_path, monkeypatch):

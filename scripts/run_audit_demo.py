@@ -1,25 +1,73 @@
 #!/usr/bin/env python3
 """Membership-audit demo on a deliberately overfit tiny dataset.
 
-Trains shadow federations with and without the most isolated sample on an
-N=16 sine dataset, scores the leak with the k-NN feature AUC, then repeats
-with first-layer clip+noise calibrated to an (epsilon, delta) budget to
-show the attack surface shrinking.
+Runs ``fedtsgan audit`` twice on one INI config: shadow federations trained
+with and without the most isolated sample of an N=16 sine dataset, the leak
+scored by the k-NN feature AUC. The second run adds a [dp] section whose
+(epsilon, delta) budget the CLI calibrates into first-layer clip+noise, to
+show the attack surface shrinking. The config and outputs live in a
+temporary directory; the script prints what it reads back from each run's
+``audit.json`` and ``manifest.json``.
 
 Example:
     python3 scripts/run_audit_demo.py --iters 2000 --epsilon 10 --delta 1e-3
 """
 
 import argparse
+import json
 import sys
+import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fedtsgan import accounting, audit, data, federation as fed  # noqa: E402
-from fedtsgan.dpmech import DpParams  # noqa: E402
+from fedtsgan import cli  # noqa: E402
+
+CONFIG = """
+[dataset]
+kind = sine2
+n_per_class = 8
+t_steps = 50
+seed = 21
+
+[partition]
+party_0 = 0
+party_1 = 1
+
+[train]
+topology = vfl
+max_iters = {iters}
+batch_size = 8
+checkpoint_every = 200
+eval_samples = 16
+seed = 0
+gen_hidden = 64, 64
+disc_hidden = 64, 32
+fe_hidden = 64
+feature_dim = 16
+shared_hidden = 64
+
+[audit]
+shadow_pairs = {shadow_pairs}
+knn_k = {knn_k}
+seed = {audit_seed}
+synth_samples = 64
+
+[output]
+dir = {out}
+"""
+
+
+def audit(tmp: Path, name: str, text: str) -> tuple[dict, dict]:
+    """Run ``fedtsgan audit`` on ``text``; its audit.json and manifest.json."""
+    config = tmp / f"{name}.ini"
+    config.write_text(text)
+    rc = cli.main(["audit", "--config", str(config)])
+    if rc:
+        sys.exit(rc)
+    out = tmp / name
+    return tuple(json.loads((out / f).read_text()) for f in ("audit.json", "manifest.json"))
 
 
 def main():
@@ -32,45 +80,27 @@ def main():
     parser.add_argument("--audit-seed", type=int, default=5)
     args = parser.parse_args()
 
-    ds = data.gen_sine2(n_per_class=8, t_steps=50, seed=21)
-    base = fed.TrainConfig(
-        topology="vfl",
-        max_iters=args.iters,
-        batch_size=8,
-        checkpoint_every=200,
-        eval_samples=16,
-        seed=0,
-        gen_hidden=(64, 64),
-        disc_hidden=(64, 32),
-        fe_hidden=(64,),
-        feature_dim=16,
-        shared_hidden=(64,),
-    )
-    target = audit.select_target_outlier(ds)
-    audit_cfg = audit.AuditConfig(
-        shadow_pairs=args.shadow_pairs, knn_k=args.knn_k, seed=args.audit_seed
-    )
-    print(f"target sample: {target} (most isolated of {ds.n_samples})")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        settings = dict(
+            iters=args.iters, shadow_pairs=args.shadow_pairs, knn_k=args.knn_k,
+            audit_seed=args.audit_seed,
+        )
+        t0 = time.time()
+        report, _ = audit(tmp, "plain", CONFIG.format(out=tmp / "plain", **settings))
+        print(f"target sample: {report['target_index']} (most isolated of 16)")
+        print(f"non-private AUC: {report['auc']:.3f}  ({time.time() - t0:.0f}s)")
 
-    t0 = time.time()
-    report = audit.run_assd(
-        ds, target, fed.shadow_trainer(base, {0: [0], 1: [1]}, n_synth=64), audit_cfg
-    )
-    print(f"non-private AUC: {report.auc:.3f}  ({time.time() - t0:.0f}s)")
-
-    gamma = base.batch_size / ds.n_samples
-    sigma, _, achieved = accounting.calibrate(args.epsilon, args.delta, gamma, args.iters)
-    print(
-        f"calibrated sigma={sigma:.2f} for ({args.epsilon}, {args.delta})-DP "
-        f"at gamma={gamma}, T={args.iters} (achieved epsilon {achieved:.3f})"
-    )
-
-    t0 = time.time()
-    dp_base = replace(base, dp=DpParams(1.0, sigma))
-    dp_report = audit.run_assd(
-        ds, target, fed.shadow_trainer(dp_base, {0: [0], 1: [1]}, n_synth=64), audit_cfg
-    )
-    print(f"private AUC:     {dp_report.auc:.3f}  ({time.time() - t0:.0f}s)")
+        t0 = time.time()
+        dp = f"\n[dp]\nclip = 1.0\nepsilon = {args.epsilon!r}\ndelta = {args.delta!r}\n"
+        dp_report, manifest = audit(tmp, "dp", CONFIG.format(out=tmp / "dp", **settings) + dp)
+        cal = manifest["calibration"]
+        print(
+            f"calibrated sigma={cal['sigma']:.2f} for ({args.epsilon}, {args.delta})-DP "
+            f"at gamma={cal['gamma']}, T={cal['t_max']} "
+            f"(achieved epsilon {cal['achieved_epsilon']:.3f})"
+        )
+        print(f"private AUC:     {dp_report['auc']:.3f}  ({time.time() - t0:.0f}s)")
 
 
 if __name__ == "__main__":

@@ -11,20 +11,27 @@ grid of eps(alpha) + log(1/delta)/(alpha-1).
 The amplification series is evaluated entirely in log space: its tail terms
 contain e^{(j-1)eps(j)} factors that overflow float64 by hundreds of orders
 of magnitude for small sigma and large alpha.
+
+``privacy_report`` and ``calibrate`` work on ``DEFAULT_ALPHAS``; ``calibrate``
+returns the smallest sigma of ``SIGMA_GRID`` (0.01 to 64 in steps of 0.01)
+whose amplified generator epsilon meets the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 DEFAULT_ALPHAS = tuple(range(2, 65)) + (80, 96, 128, 256)
+# the noise multipliers calibrate searches: 0.01, 0.02, ..., 64
+SIGMA_GRID = tuple(0.01 + k * 0.01 for k in range(6400))
 
 
 class InfeasibleBudgetError(ValueError):
-    """No (sigma, T) in the searched ranges meets the requested budget."""
+    """No sigma of ``SIGMA_GRID`` meets the requested budget."""
 
 
 @dataclass(frozen=True)
@@ -157,10 +164,8 @@ def spent_epsilon(
     return to_dp(compose(curve, steps), delta)
 
 
-def privacy_report(
-    sigma: float, gamma: float, steps: int, delta: float, alphas=DEFAULT_ALPHAS
-) -> dict:
-    """Both guarantees for both threat surfaces.
+def privacy_report(sigma: float, gamma: float, steps: int, delta: float) -> dict:
+    """Both guarantees for both threat surfaces, on ``DEFAULT_ALPHAS``.
 
     "external" observers (anyone outside the parties and the server)
     benefit from subsampling amplification; internal parties see a fixed
@@ -176,7 +181,7 @@ def privacy_report(
         entry = {}
         for name, gen_mode in (("discriminator", False), ("generator", True)):
             eps, alpha = spent_epsilon(
-                sigma, gamma, steps, delta, alphas, gen_mode, amplified
+                sigma, gamma, steps, delta, DEFAULT_ALPHAS, gen_mode, amplified
             )
             entry[name] = {"epsilon": eps, "alpha": alpha}
         report[surface] = entry
@@ -184,48 +189,38 @@ def privacy_report(
 
 
 def calibrate(
-    epsilon_target: float,
-    delta: float,
-    gamma: float,
-    steps: int,
-    sigma_range: tuple[float, float] = (0.01, 64.0),
-    sigma_step: float = 0.01,
-    alphas=DEFAULT_ALPHAS,
-    generator_mode: bool = True,
+    epsilon_target: float, delta: float, gamma: float, steps: int
 ) -> tuple[float, int, float]:
-    """Smallest grid sigma whose released-data guarantee meets the budget.
+    """Smallest sigma of ``SIGMA_GRID`` whose released-data guarantee (the
+    amplified generator epsilon on ``DEFAULT_ALPHAS``) meets the budget.
 
-    Returns (sigma, steps, achieved epsilon) with achieved <= target; the
-    sigma grid is sigma_range[0] + k*sigma_step. Raises
-    InfeasibleBudgetError when even sigma_range[1] cannot meet the budget.
+    Returns (sigma, steps, achieved epsilon) with achieved <= target, and
+    evaluates each grid sigma's epsilon at most once. Raises
+    InfeasibleBudgetError when even the grid's largest sigma cannot meet
+    the budget.
     """
     if not epsilon_target > 0.0:
         raise ValueError("epsilon target must be positive")
-    lo, hi = sigma_range
-    if not 0.0 < lo <= hi:
-        raise ValueError("bad sigma range")
 
-    def achieved(sigma: float) -> float:
-        return spent_epsilon(sigma, gamma, steps, delta, alphas, generator_mode)[0]
+    @cache
+    def achieved(k: int) -> float:
+        return spent_epsilon(SIGMA_GRID[k], gamma, steps, delta)[0]
 
-    n_grid = int(math.floor((hi - lo) / sigma_step)) + 1
-    sigma_at = lambda k: lo + k * sigma_step
-
-    if achieved(sigma_at(0)) <= epsilon_target:
-        return sigma_at(0), steps, achieved(sigma_at(0))
-    if achieved(sigma_at(n_grid - 1)) > epsilon_target:
+    last = len(SIGMA_GRID) - 1
+    if achieved(0) <= epsilon_target:
+        return SIGMA_GRID[0], steps, achieved(0)
+    if achieved(last) > epsilon_target:
         raise InfeasibleBudgetError(
-            f"even sigma={sigma_at(n_grid - 1):.2f} yields "
-            f"epsilon={achieved(sigma_at(n_grid - 1)):.4g} > {epsilon_target} "
-            f"at T={steps}, gamma={gamma}; raise sigma_range or lower T"
+            f"even sigma={SIGMA_GRID[last]:.2f} yields "
+            f"epsilon={achieved(last):.4g} > {epsilon_target} "
+            f"at T={steps}, gamma={gamma}; raise epsilon or delta, or lower the step count"
         )
     # achieved eps is non-increasing in sigma: bisect for the crossing index
-    low, high = 0, n_grid - 1  # achieved(low) > target, achieved(high) <= target
+    low, high = 0, last  # achieved(low) > target, achieved(high) <= target
     while high - low > 1:
         mid = (low + high) // 2
-        if achieved(sigma_at(mid)) <= epsilon_target:
+        if achieved(mid) <= epsilon_target:
             high = mid
         else:
             low = mid
-    sigma = sigma_at(high)
-    return sigma, steps, achieved(sigma)
+    return SIGMA_GRID[high], steps, achieved(high)

@@ -289,7 +289,7 @@ def cmd_account(args) -> int:
             )
             for mode in (False, True)
         ]
-        report = accounting.privacy_report(args.sigma, args.gamma, args.steps, args.delta, alphas)
+        report = accounting.privacy_report(args.sigma, args.gamma, args.steps, args.delta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     writer = csv.writer(sys.stdout)

@@ -1,9 +1,11 @@
 """Synthetic sine datasets, CSV round-trip, and party partitioning.
 
 A dataset is N samples x A attributes x T time steps. The sine constructions
-draw one amplitude per sample (class 0: N(0.4, 0.05), class 1: N(0.6, 0.05))
-shared by every attribute of that sample, so cross-attribute amplitude
-coupling is the ground truth any multi-party trainer has to learn.
+draw one amplitude per sample, from N(m, ``AMP_STD``) with m the sample's
+class mean in ``CLASS_AMP_MEANS`` (class 0: N(0.4, 0.05), class 1:
+N(0.6, 0.05)), shared by every attribute of that sample, so cross-attribute
+amplitude coupling is the ground truth any multi-party trainer has to learn.
+Only the additive noise's ``noise_std`` is a parameter.
 """
 
 from __future__ import annotations
@@ -105,9 +107,7 @@ def _gen_sine(
     n_per_class: int,
     t_steps: int,
     seed: int,
-    amp_means=CLASS_AMP_MEANS,
-    amp_std: float = AMP_STD,
-    noise_std: float = NOISE_STD,
+    noise_std: float,
 ) -> TimeSeriesDataset:
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
@@ -120,7 +120,7 @@ def _gen_sine(
     t = np.arange(t_steps, dtype=np.float64)
 
     labels = np.repeat(np.arange(2), n_per_class)
-    amps = rng.normal(np.asarray(amp_means)[labels], amp_std)  # one draw per sample
+    amps = rng.normal(np.asarray(CLASS_AMP_MEANS)[labels], AMP_STD)  # one draw per sample
     carrier = np.sin(2.0 * np.pi * freqs[:, None] * t[None, :])  # (A, T)
     data = amps[:, None, None] * carrier[None, :, :]
     if noise_std > 0.0:
@@ -129,8 +129,8 @@ def _gen_sine(
     meta = {
         "kind": f"sine{n_attr}",
         "frequencies": freqs.tolist(),
-        "class_amp_means": list(amp_means),
-        "amp_std": amp_std,
+        "class_amp_means": list(CLASS_AMP_MEANS),
+        "amp_std": AMP_STD,
         "noise_std": noise_std,
         "seed": int(seed),
         "n_per_class": int(n_per_class),
@@ -138,16 +138,20 @@ def _gen_sine(
     return TimeSeriesDataset(data, labels, [f"attr{i}" for i in range(n_attr)], meta)
 
 
-def gen_sine2(n_per_class: int = 1024, t_steps: int = 800, seed: int = 0, **params) -> TimeSeriesDataset:
+def gen_sine2(
+    n_per_class: int = 1024, t_steps: int = 800, seed: int = 0, noise_std: float = NOISE_STD
+) -> TimeSeriesDataset:
     """Two attributes at frequencies 0.01 and 0.005, one shared amplitude
     draw per sample."""
-    return _gen_sine(SINE2_FREQUENCIES, n_per_class, t_steps, seed, **params)
+    return _gen_sine(SINE2_FREQUENCIES, n_per_class, t_steps, seed, noise_std)
 
 
-def gen_sine6(n_per_class: int = 1024, t_steps: int = 800, seed: int = 0, **params) -> TimeSeriesDataset:
+def gen_sine6(
+    n_per_class: int = 1024, t_steps: int = 800, seed: int = 0, noise_std: float = NOISE_STD
+) -> TimeSeriesDataset:
     """Six attributes at frequencies 0.01/0.005/0.0075/0.0125/0.015/0.0175,
     one shared amplitude draw per sample."""
-    return _gen_sine(SINE6_FREQUENCIES, n_per_class, t_steps, seed, **params)
+    return _gen_sine(SINE6_FREQUENCIES, n_per_class, t_steps, seed, noise_std)
 
 
 def partition(dataset: TimeSeriesDataset, assignment: dict[int, list[int]]) -> list[PartyView]:

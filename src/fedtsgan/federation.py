@@ -18,9 +18,12 @@ beta1 and reads:
   no-server lower bound).
 
 Each iteration runs a discriminator phase then a generator phase, each one
-loop over the list. All gradients of a phase are computed from pre-update
-parameters before any update is applied. All latent draws are broadcast:
-every generator in every party consumes the same z matrix in an iteration.
+loop over the list, and both build each discriminator's input with one
+reader, ``_inputs``: the discriminator phase for the real and the fake
+series, the generator phase for the fakes alone. All gradients of a phase
+are computed from pre-update parameters before any update is applied. All
+latent draws are broadcast: every generator in every party consumes the
+same z matrix in an iteration.
 
 Training always runs on a ``FederationStack``: K federations that differ
 only in seed and dataset (the audit's shadow runs), each model holding the
@@ -494,14 +497,6 @@ def _generate_fakes(stack: FederationStack, z: np.ndarray):
     return {key: tr.output for key, tr in traces.items()}, traces
 
 
-def _block(branch: Branch, series: dict) -> np.ndarray:
-    """The (K, B, T) series of the branch's keys side by side; one key's
-    series as it is."""
-    if len(branch.keys) == 1:
-        return series[branch.keys[0]]
-    return np.concatenate([series[k] for k in branch.keys], axis=-1)
-
-
 def _join(blocks: list[np.ndarray]) -> np.ndarray:
     """The blocks side by side; a lone block as it is."""
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
@@ -515,16 +510,40 @@ def _split(grad: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
     return np.split(grad, list(accumulate(x.shape[-1] for x in blocks[:-1])), axis=-1)
 
 
+def _inputs(stack, failed: dict, disc: Discriminator, *series: dict):
+    """``disc``'s input for each of ``series`` (key -> (K, B, T) block).
+
+    Each branch joins its keys' blocks; a branch with a party passes each
+    series through that party's feature extractor, then logs each upload.
+    Also returns each branch's extractor trace of the last series (None for
+    a raw branch) and the last series' per-branch blocks, for ``_split``."""
+    blocks: list[list[np.ndarray]] = [[] for _ in series]
+    traces = []
+    for br in disc.branches:
+        xs = [_join([s[key] for key in br.keys]) for s in series]
+        fe_traces = [None]
+        if br.party is not None:
+            fe_traces = [_forward(failed, br.party.feature_extractor, x) for x in xs]
+            xs = [tr.output for tr in fe_traces]
+            for x in xs:
+                _log(stack, failed, "party->server", br.party.party_id, "feature", x)
+        for branch_blocks, x in zip(blocks, xs):
+            branch_blocks.append(x)
+        traces.append(fe_traces[-1])
+    return [_join(b) for b in blocks], traces, blocks[-1]
+
+
 def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> dict:
     """Update every discriminator and feature extractor on one mini-batch:
     (K, B) indices, one row into each run's dataset.
 
     One loop walks ``stack.discs``: each discriminator takes the real-vs-
-    fake loss on its branches' blocks, and each feature extractor on a
-    branch descends beta2 * E[log(1 - D(fake features))]. Gradients are all
-    taken at pre-update parameters, DP clip+noise is applied to the first
-    layers of the models with a noise stream, then every update lands.
-    Generators are untouched. Returns each loss as a (K,) array and the runs
+    fake loss on the real and fake inputs ``_inputs`` builds from its
+    branches, and each feature extractor on a branch descends
+    beta2 * E[log(1 - D(fake features))]. Gradients are all taken at
+    pre-update parameters, DP clip+noise is applied to the first layers of
+    the models with a noise stream, then every update lands. Generators are
+    untouched. Returns each loss as a (K,) array and the runs
     that failed.
     """
     cfg = stack.config
@@ -544,22 +563,9 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
     pending: list[tuple[nn.MlpModel, nn.GradientSet, nn.AdamState]] = []
 
     for disc in stack.discs:
-        real_in, fake_in, fe_traces = [], [], []
-        for br in disc.branches:
-            x_real, x_fake = _block(br, reals), _block(br, fakes)
-            tr_fe_f = None
-            if br.party is not None:
-                tr_fe_r = _forward(failed, br.party.feature_extractor, x_real)
-                tr_fe_f = _forward(failed, br.party.feature_extractor, x_fake)
-                x_real, x_fake = tr_fe_r.output, tr_fe_f.output
-                for payload in (x_real, x_fake):
-                    _log(stack, failed, "party->server", br.party.party_id, "feature", payload)
-            real_in.append(x_real)
-            fake_in.append(x_fake)
-            fe_traces.append(tr_fe_f)
-
-        tr_r = _forward(failed, disc.model, _join(real_in))
-        tr_f = _forward(failed, disc.model, _join(fake_in))
+        (x_real, x_fake), fe_traces, fake_in = _inputs(stack, failed, disc, reals, fakes)
+        tr_r = _forward(failed, disc.model, x_real)
+        tr_f = _forward(failed, disc.model, x_fake)
         log_r, dlog_r = nn.clamped_log(tr_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
         losses[disc.loss] = -(_mean(log_r) + _mean(log1m_f))
@@ -602,9 +608,10 @@ def generator_step(stack: FederationStack, z: np.ndarray) -> dict:
     """Generator losses ((K,) arrays) and output-side gradients for a given
     (K, B, l) z; nothing is updated here.
 
-    One loop walks ``stack.discs``: a generator's loss and output gradient
-    sum the weighted terms of the discriminators that read its series, each
-    taken back through the branch's feature extractor where it has one.
+    One loop walks ``stack.discs``: each discriminator reads the fakes
+    through ``_inputs``, and a generator's loss and output gradient sum the
+    weighted terms of the discriminators that read its series, each taken
+    back through the branch's feature extractor where it has one.
     """
     cfg = stack.config
     b = z.shape[-2]
@@ -615,18 +622,8 @@ def generator_step(stack: FederationStack, z: np.ndarray) -> dict:
     out_grads: dict[tuple[int, int], np.ndarray] = {}
 
     for disc in stack.discs:
-        fake_in, fe_traces = [], []
-        for br in disc.branches:
-            x_fake = _block(br, fakes)
-            tr_fe = None
-            if br.party is not None:
-                tr_fe = _forward(failed, br.party.feature_extractor, x_fake)
-                x_fake = tr_fe.output
-                _log(stack, failed, "party->server", br.party.party_id, "feature", x_fake)
-            fake_in.append(x_fake)
-            fe_traces.append(tr_fe)
-
-        tr_d = _forward(failed, disc.model, _join(fake_in))
+        (x_fake,), fe_traces, fake_in = _inputs(stack, failed, disc, fakes)
+        tr_d = _forward(failed, disc.model, x_fake)
         term, dterm = _fooling_term(tr_d.output, cfg.non_saturating)
         term = disc.weight * term
         _, in_grad = nn.backward(disc.model, tr_d, disc.weight * dterm / b, params=False)

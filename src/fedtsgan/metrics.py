@@ -82,13 +82,11 @@ def estimate_amplitudes(dataset: TimeSeriesDataset, frequencies=None) -> np.ndar
     return (2.0 / dataset.n_steps) * np.einsum("mat,at->ma", dataset.data, carrier)
 
 
-def amplitude_awd(
-    real: TimeSeriesDataset, synth: TimeSeriesDataset, frequencies=None
-) -> float:
+def amplitude_awd(real: TimeSeriesDataset, synth: TimeSeriesDataset) -> float:
     """Sum over attributes of the Wasserstein distance between real and
-    synthetic amplitude distributions."""
-    if frequencies is None:
-        frequencies = real.frequencies()
+    synthetic amplitude distributions, both estimated at the real dataset's
+    frequencies."""
+    frequencies = real.frequencies()
     a_real = estimate_amplitudes(real, frequencies)
     a_synth = estimate_amplitudes(synth, frequencies)
     return float(
@@ -119,13 +117,14 @@ def tpd_from_performances(
     return abs(p_tsts - p_trtr) + abs(p_trts - p_trtr) + abs(p_tstr - p_trtr)
 
 
-def _fit_mlp(x, y, dims, loss_grad, seed, steps=200, batch_size=64, lr=1e-3):
+def _fit_mlp(x, y, dims, loss_grad, seed, steps=200):
+    """A ReLU MLP fitted by Adam (lr 1e-3, beta1 0.9) on batches of up to 64."""
     rng = stream(seed, "downstream-init")
     batch_rng = stream(seed, "downstream-batches")
     model = nn.init_mlp(dims, ["relu"] * (len(dims) - 2) + ["identity"], rng)
-    state = nn.AdamState.for_model(model, lr=lr, beta1=0.9)
+    state = nn.AdamState.for_model(model, lr=1e-3, beta1=0.9)
     n = x.shape[0]
-    b = min(batch_size, n)
+    b = min(64, n)
     for _ in range(steps):
         idx = batch_rng.choice(n, size=b, replace=False)
         trace = nn.forward(model, x[idx])

@@ -26,12 +26,13 @@ optimizer is ``AdamState.for_model(stack)``, whose (K, P) moments are laid
 out like its ``params``; ``MlpModel.from_params(stack.params[k], ...)`` is a
 plain model that reads and writes row k in place.
 
-Leaky ReLU: for a slope in (0, 1], the slopes models use, the forward pass
-is ``max(x, slope * x)`` and the backward pass multiplies delta by
+Leaky ReLU: ``init_mlp`` gives every leaky layer ``LEAKY_SLOPE`` (0.2).
+For a slope in (0, 1], that one included, the forward pass is
+``max(x, slope * x)`` and the backward pass multiplies delta by
 ``max(pre >= 0, slope)``. Neither branches on the sign pattern, and both
 give the bytes of ``np.where(x >= 0, x, slope * x)`` and its derivative,
-signed zeros, infinities, NaN and subnormals included. Other slopes keep the
-``np.where`` form.
+signed zeros, infinities, NaN and subnormals included. Other slopes, which
+only a loaded or hand-set layer can hold, keep the ``np.where`` form.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ ACTIVATIONS = ("identity", "relu", "leaky_relu", "tanh", "sigmoid")
 
 # log-loss clamp for sigmoid heads; log terms are singular at {0, 1}
 SIGMOID_CLAMP = 1e-7
+
+# negative slope of every leaky ReLU layer ``init_mlp`` builds
+LEAKY_SLOPE = 0.2
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -442,13 +446,9 @@ def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:
     model.params -= buf
 
 
-def init_mlp(
-    dims: list[int],
-    activations: list[str],
-    rng: np.random.Generator,
-    slope: float = 0.2,
-) -> MlpModel:
-    """Glorot-uniform weights, zero biases.
+def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) -> MlpModel:
+    """Glorot-uniform weights, zero biases; a leaky ReLU layer gets
+    ``LEAKY_SLOPE``.
 
     ``dims`` is [in, h1, ..., out]; ``activations`` has one tag per layer.
     """
@@ -458,7 +458,7 @@ def init_mlp(
     for d_in, d_out, act in zip(dims, dims[1:], activations):
         bound = np.sqrt(6.0 / (d_in + d_out))
         w = rng.uniform(-bound, bound, size=(d_out, d_in))
-        layers.append(Layer(w, np.zeros(d_out), act, slope if act == "leaky_relu" else 0.0))
+        layers.append(Layer(w, np.zeros(d_out), act, LEAKY_SLOPE if act == "leaky_relu" else 0.0))
     return MlpModel(layers)
 
 

@@ -191,7 +191,32 @@ class TestCalibrate:
 
     def test_infeasible_reported(self):
         with pytest.raises(acc.InfeasibleBudgetError):
-            acc.calibrate(1e-6, 1e-3, 0.5, 100000, sigma_range=(0.01, 2.0))
+            acc.calibrate(1e-6, 1e-3, 0.5, 100000)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            (10.0, 1e-3, 1 / 16, 150),  # the sine6 budget-mode benchmark
+            (10.0, 1e-3, 0.5, 2000),
+            (1e-6, 1e-3, 0.5, 100000),  # infeasible
+            (1e6, 1e-3, 0.05, 10),  # the grid's first sigma suffices
+        ],
+        ids=["sine6", "gamma-half", "infeasible", "first-sigma"],
+    )
+    def test_each_grid_sigma_is_evaluated_once(self, monkeypatch, budget):
+        sigmas = []
+
+        def counted(sigma, *args, **kwargs):
+            sigmas.append(sigma)
+            return spent(sigma, *args, **kwargs)
+
+        spent = acc.spent_epsilon
+        monkeypatch.setattr(acc, "spent_epsilon", counted)
+        try:
+            acc.calibrate(*budget)
+        except acc.InfeasibleBudgetError:
+            pass
+        assert sigmas and len(sigmas) == len(set(sigmas))
 
 
 class TestMonotonicity:

@@ -259,7 +259,8 @@ dir = {out}
         report = json.loads((Path(out) / "audit.json").read_text())
         assert report["target_index"] == 2
         assert 0.0 <= report["auc"] <= 1.0
-        rows = list(csv.DictReader(open(Path(out) / "audit_features.csv")))
+        with open(Path(out) / "audit_features.csv") as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 4
 
 

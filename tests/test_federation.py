@@ -863,6 +863,46 @@ class TestDpWiring:
                 else:
                     assert same, f"{name} layer {li} should be identical"
 
+    @staticmethod
+    def neighbouring_difference(topology, name):
+        """One sigma = 1 discriminator phase on each of two datasets that
+        differ in one row of the batch, every seed equal: the (slot, layer)
+        pairs whose bytes differ after it, and the noised slots."""
+        make_dataset, assignment = STACK_PARTITIONS[name]
+        ds = make_dataset()
+        neighbour = ds.take(np.arange(ds.n_samples))
+        neighbour.data[2] += 1.0
+        cfg = tiny_config(topology=topology, dp=DpParams(1.0, 1.0))
+        stacks = [solo_stack(cfg, data.partition(d, assignment)) for d in (ds, neighbour)]
+        for stack in stacks:
+            fed.discriminator_phase(stack, np.arange(6)[None])
+        a, b = (dict(fed._slots(stack)) for stack in stacks)
+        differ = {
+            (key, li)
+            for key in a
+            for li, (la, lb) in enumerate(zip(a[key].layers, b[key].layers))
+            if la.weight.tobytes() + la.bias.tobytes() != lb.weight.tobytes() + lb.bias.tobytes()
+        }
+        return differ, set(stacks[0].runs[0].noise_rngs)
+
+    @pytest.mark.parametrize("topology", fed.TOPOLOGIES)
+    @pytest.mark.parametrize("name", STACK_PARTITIONS)
+    def test_a_neighbouring_batch_leaves_extractors_and_generators_alone(self, topology, name):
+        differ, _ = self.neighbouring_difference(topology, name)
+        assert differ
+        assert not {key for key, _ in differ if key[0] in ("G", "FE")}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the local discriminators' deeper layers and the shared "
+        "discriminator read the real batch without noise",
+    )
+    @pytest.mark.parametrize("topology", fed.TOPOLOGIES)
+    @pytest.mark.parametrize("name", STACK_PARTITIONS)
+    def test_a_neighbouring_batch_reaches_only_noised_layers(self, topology, name):
+        differ, noised = self.neighbouring_difference(topology, name)
+        assert differ <= {(key, 0) for key in noised}
+
     def test_noise_streams_do_not_leak_into_training_randomness(self, sine_views):
         # same seed, different sigma: the subsampled batches and z draws
         # must coincide; checked via the message hashes of the REAL features

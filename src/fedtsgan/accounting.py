@@ -146,6 +146,22 @@ def to_dp(curve: RdpCurve, delta: float) -> tuple[float, int]:
     return best_eps, best_alpha
 
 
+def _composed_curve(
+    sigma: float,
+    gamma: float,
+    steps: int,
+    alphas=DEFAULT_ALPHAS,
+    generator_mode: bool = True,
+    amplified: bool = True,
+) -> RdpCurve:
+    """The per-iteration curve (amplified or not) composed over ``steps``."""
+    if amplified:
+        curve = subsample_amplify(sigma, gamma, alphas, generator_mode)
+    else:
+        curve = gaussian_rdp(sigma, alphas, generator_mode)
+    return compose(curve, steps)
+
+
 def spent_epsilon(
     sigma: float,
     gamma: float,
@@ -155,13 +171,8 @@ def spent_epsilon(
     generator_mode: bool = True,
     amplified: bool = True,
 ) -> tuple[float, int]:
-    """Full chain: per-iteration curve (amplified or not) composed over
-    ``steps`` and converted to (eps, delta)-DP."""
-    if amplified:
-        curve = subsample_amplify(sigma, gamma, alphas, generator_mode)
-    else:
-        curve = gaussian_rdp(sigma, alphas, generator_mode)
-    return to_dp(compose(curve, steps), delta)
+    """Full chain: ``_composed_curve`` converted to (eps, delta)-DP."""
+    return to_dp(_composed_curve(sigma, gamma, steps, alphas, generator_mode, amplified), delta)
 
 
 def privacy_report(sigma: float, gamma: float, steps: int, delta: float) -> dict:
@@ -169,7 +180,8 @@ def privacy_report(sigma: float, gamma: float, steps: int, delta: float) -> dict
 
     "external" observers (anyone outside the parties and the server)
     benefit from subsampling amplification; internal parties see a fixed
-    mini-batch schedule and get the unamplified composition.
+    mini-batch schedule and get the unamplified composition. Each entry
+    holds its epsilon, the alpha that attains it and its composed curve.
     """
     report: dict = {
         "sigma": sigma,
@@ -180,10 +192,9 @@ def privacy_report(sigma: float, gamma: float, steps: int, delta: float) -> dict
     for surface, amplified in (("external", True), ("internal", False)):
         entry = {}
         for name, gen_mode in (("discriminator", False), ("generator", True)):
-            eps, alpha = spent_epsilon(
-                sigma, gamma, steps, delta, DEFAULT_ALPHAS, gen_mode, amplified
-            )
-            entry[name] = {"epsilon": eps, "alpha": alpha}
+            curve = _composed_curve(sigma, gamma, steps, DEFAULT_ALPHAS, gen_mode, amplified)
+            eps, alpha = to_dp(curve, delta)
+            entry[name] = {"epsilon": eps, "alpha": alpha, "curve": curve}
         report[surface] = entry
     return report
 

@@ -141,12 +141,16 @@ def save_bank(bank: GeneratorBank, path: Path):
 def load_bank(path: Path) -> GeneratorBank:
     models = nn.load_models(path)
     sidecar = json.loads(Path(path).with_suffix(".json").read_text())
-    return GeneratorBank(
+    bank = GeneratorBank(
         {int(name[1:]): m for name, m in models.items()},
         sidecar["latent_dim"],
         sidecar["t_steps"],
         sidecar["meta"],
     )
+    for m in bank.generators.values():
+        if (m.in_dim, m.out_dim) != (bank.latent_dim, bank.t_steps):
+            raise ValueError("a generator's shape does not match latent_dim and t_steps")
+    return bank
 
 
 def run_training(cfg: ExperimentConfig) -> tuple[TrainResult, dict]:
@@ -202,6 +206,17 @@ def cmd_evaluate(args) -> int:
             bank = load_bank(Path(checkpoint))
         except (OSError, ValueError, KeyError) as exc:
             raise ConfigError(f"unreadable checkpoint {checkpoint}: {exc}") from exc
+        attrs = sorted(bank.generators)
+        if attrs != list(range(dataset.n_attributes)):
+            raise ConfigError(
+                f"checkpoint {checkpoint} generates attributes {attrs}, "
+                f"but the dataset has attributes 0..{dataset.n_attributes - 1}"
+            )
+        if bank.t_steps != dataset.n_steps:
+            raise ConfigError(
+                f"checkpoint {checkpoint} generates {bank.t_steps} time steps, "
+                f"but the dataset has {dataset.n_steps}"
+            )
         synth = synthesize(bank, ev.synth_samples or dataset.n_samples, ev.seed)
 
     report: dict = {"metrics": {}}
@@ -281,20 +296,15 @@ def cmd_audit(args) -> int:
 
 
 def cmd_account(args) -> int:
-    alphas = accounting.DEFAULT_ALPHAS
     try:  # an argument out of range is rejected before anything is printed
-        curves = [
-            accounting.compose(
-                accounting.subsample_amplify(args.sigma, args.gamma, alphas, mode), args.steps
-            )
-            for mode in (False, True)
-        ]
         report = accounting.privacy_report(args.sigma, args.gamma, args.steps, args.delta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the table: the external (amplified) curves behind the final values
+    curves = [report["external"][model]["curve"] for model in ("discriminator", "generator")]
     writer = csv.writer(sys.stdout)
     writer.writerow(["alpha", "eps_discriminator", "eps_generator"])
-    for i, alpha in enumerate(alphas):
+    for i, alpha in enumerate(accounting.DEFAULT_ALPHAS):
         writer.writerow([alpha] + [f"{curve.eps[i]:.12g}" for curve in curves])
     for surface in ("external", "internal"):
         for model in ("discriminator", "generator"):

@@ -25,6 +25,11 @@ are computed from pre-update parameters before any update is applied. All
 latent draws are broadcast: every generator in every party consumes the
 same z matrix in an iteration.
 
+Each model has one name, its slot: ``("G", party, attr)``, ``("D", party,
+attr)``, ``("FE", party)`` or ``("DS",)``. The slot picks its init stream,
+its Adam state, its noise streams and its discriminator entry, and the
+stack's ``models`` registry is the one place a model lives.
+
 Training always runs on a ``FederationStack``: K federations that differ
 only in seed and dataset (the audit's shadow runs), each model holding the
 runs' parameters along a leading run axis. ``init_stack`` draws every run's
@@ -32,8 +37,9 @@ initial weights straight into its row and builds each model's Adam state
 once, for the whole stack; only the stack holds optimizer state. The phases
 take (K, B) batch indices and a (K, B, l) latent z and return one loss per
 run; ``train`` is a stack of one. Every run keeps its own seed-keyed
-streams, message log and checkpoints, its models are views of its row, and
-it ends with the bytes it would have produced training alone.
+streams, message log and checkpoints, its ``models`` are views of its row
+under the same slots, and it ends with the bytes it would have produced
+training alone.
 ``shadow_trainer``'s trainer splits its job list into one such stack per
 usable core, trained in forked workers, with the same bytes.
 
@@ -204,33 +210,23 @@ class NoiseSource:
 
 
 @dataclass
-class PartyState:
-    party_id: int
-    attribute_indices: list[int]
-    generators: list[nn.MlpModel]
-    discriminators: list[nn.MlpModel]
-    feature_extractor: nn.MlpModel | None = None
-
-
-@dataclass
 class Branch:
     """One input block of a discriminator: the series of ``keys``
-    concatenated in order, passed through ``party``'s feature extractor (with
-    every boundary crossing logged) or, without a party, read raw."""
+    concatenated in order, passed through the feature extractor of party
+    ``fe`` (with every boundary crossing logged) or, without one, read raw."""
 
     keys: list[tuple[int, int]]  # (party_id, attribute)
-    party: PartyState | None = None
+    fe: int | None = None
 
 
 @dataclass
 class Discriminator:
-    """A discriminator and its input, its branches' blocks side by side.
-    ``slot`` keys its Adam state (and noise stream, if any), ``loss`` names
-    its loss, and ``weight`` scales its term in each generator objective."""
+    """The input of the model in ``slot``: its branches' blocks side by side.
+    ``loss`` names its loss, and ``weight`` scales its term in each
+    generator objective."""
 
     slot: tuple
     loss: str
-    model: nn.MlpModel
     branches: list[Branch]
     weight: float
 
@@ -238,8 +234,9 @@ class Discriminator:
 @dataclass
 class FederationState:
     """One run of a stack: its dataset views, message log, the random streams
-    keyed by its seed, and models that are views of its row of the stack.
-    ``noise_rngs`` maps each noised slot to its ``NoiseSource``."""
+    keyed by its seed, and ``models``, slot -> a view of its row of the
+    stack's model. ``noise_rngs`` maps each noised slot to its
+    ``NoiseSource``."""
 
     config: TrainConfig
     views: list[PartyView]
@@ -247,8 +244,7 @@ class FederationState:
     z_rng: np.random.Generator
     batch_rng: np.random.Generator
     noise_rngs: dict[tuple, NoiseSource]
-    parties: list[PartyState] = field(default_factory=list)
-    shared_disc: nn.MlpModel | None = None
+    models: dict[tuple, nn.MlpModel] = field(default_factory=dict)
     iteration: int = 0
 
     @property
@@ -264,34 +260,22 @@ class FederationState:
 class FederationStack:
     """K federations that differ only in seed and dataset, trained as one.
 
-    Every model holds the K runs' parameters along a leading run axis, and
-    ``opts`` holds its Adam state under its ``_slots`` key; no run holds an
-    optimizer. ``discs`` lists the attribute discriminators in party order,
-    then the shared one. ``runs`` keeps each run's own state (see
-    ``FederationState``).
+    ``models`` holds every model under its slot: ``("G", party, attr)``,
+    ``("D", party, attr)``, ``("FE", party)`` or ``("DS",)``, per party its
+    generators, then its discriminators, then its extractor, and the shared
+    discriminator last. Each holds the K runs' parameters along a leading
+    run axis. The slot also keys the model's init stream, its Adam state in
+    ``opts`` (no run holds an optimizer) and its noise streams. ``discs``
+    lists the attribute discriminators in party order, then the shared one.
+    ``runs`` keeps each run's own state (see ``FederationState``).
     """
 
     config: TrainConfig
     t_steps: int
-    parties: list[PartyState]
+    models: dict[tuple, nn.MlpModel]
     discs: list[Discriminator]
-    shared_disc: nn.MlpModel | None
     opts: dict[tuple, nn.AdamState]
     runs: list[FederationState]
-
-
-def _slots(state):
-    """Every model of a federation or stack under its init-stream key, in one
-    fixed order."""
-    for p in state.parties:
-        for attr, gen in zip(p.attribute_indices, p.generators):
-            yield ("G", p.party_id, attr), gen
-        for attr, disc in zip(p.attribute_indices, p.discriminators):
-            yield ("D", p.party_id, attr), disc
-        if p.feature_extractor is not None:
-            yield ("FE", p.party_id), p.feature_extractor
-    if state.shared_disc is not None:
-        yield ("DS",), state.shared_disc
 
 
 def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> FederationStack:
@@ -317,69 +301,62 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
         if config.batch_size > views[0].dataset.n_samples:
             raise ValueError("batch_size exceeds the dataset size")
     seeds = [seed for _, seed in jobs]
+    models: dict[tuple, nn.MlpModel] = {}
 
-    def mlp(key, d_in, hidden, d_out, head):
+    def add(slot, d_in, hidden, d_out, head):
         acts = ["leaky_relu"] * len(hidden) + [head]
         dims = [d_in, *hidden, d_out]
-        return nn.MlpModel.stack([nn.init_mlp(dims, acts, stream(s, "init", *key)) for s in seeds])
+        models[slot] = nn.MlpModel.stack(
+            [nn.init_mlp(dims, acts, stream(s, "init", *slot)) for s in seeds]
+        )
 
-    parties, discs = [], []
+    discs = []
     for pid, attrs in layout:
-        gens = [
-            mlp(("G", pid, a), config.latent_dim, config.gen_hidden, t_steps, "identity")
-            for a in attrs
-        ]
-        models = [mlp(("D", pid, a), t_steps, config.disc_hidden, 1, "sigmoid") for a in attrs]
-        discs += [
-            Discriminator(("D", pid, a), f"d_{pid}_{a}", d, [Branch([(pid, a)])], 1.0)
-            for a, d in zip(attrs, models)
-        ]
-        fe = None
+        for a in attrs:
+            add(("G", pid, a), config.latent_dim, config.gen_hidden, t_steps, "identity")
+        for a in attrs:
+            add(("D", pid, a), t_steps, config.disc_hidden, 1, "sigmoid")
+            discs.append(Discriminator(("D", pid, a), f"d_{pid}_{a}", [Branch([(pid, a)])], 1.0))
         if config.topology == "vfl":
-            d_in = len(attrs) * t_steps
-            fe = mlp(("FE", pid), d_in, config.fe_hidden, config.feature_dim, "identity")
-        parties.append(PartyState(pid, attrs, gens, models, fe))
+            add(("FE", pid), len(attrs) * t_steps, config.fe_hidden, config.feature_dim, "identity")
 
     keys = [[(pid, a) for a in attrs] for pid, attrs in layout]
     if config.topology == "vfl":
-        branches = [Branch(k, p) for k, p in zip(keys, parties)]
+        branches = [Branch(k, pid) for k, (pid, _) in zip(keys, layout)]
     elif config.topology == "centralized":
         branches = [Branch([key for k in keys for key in k])]
     else:
         branches = []
-
-    shared = None
     if branches:
         shared_in = sum(
-            br.party.feature_extractor.out_dim if br.party is not None else len(br.keys) * t_steps
-            for br in branches
+            config.feature_dim if br.fe is not None else len(br.keys) * t_steps for br in branches
         )
-        shared = mlp(("DS",), shared_in, config.shared_hidden, 1, "sigmoid")
-        discs.append(Discriminator(("DS",), "d_shared", shared, branches, config.beta1))
+        add(("DS",), shared_in, config.shared_hidden, 1, "sigmoid")
+        discs.append(Discriminator(("DS",), "d_shared", branches, config.beta1))
 
-    stack = FederationStack(config, t_steps, parties, discs, shared, {}, [])
     noised = []
     if config.dp is not None:
         # the DP surface: the first layers of the attribute discriminators
         # and the feature extractors, never the shared discriminator
-        noised = [key for key, _ in _slots(stack) if key[0] in ("D", "FE")]
-    stack.runs = [
+        noised = [slot for slot in models if slot[0] in ("D", "FE")]
+    runs = [
         FederationState(
             replace(config, seed=seed),
             views,
             MessageLog(),
             stream(seed, "latent"),
             stream(seed, "batches"),
-            {key: NoiseSource(stream(seed, "dp-noise", *key)) for key in noised},
+            {slot: NoiseSource(stream(seed, "dp-noise", *slot)) for slot in noised},
         )
         for views, seed in jobs
     ]
     adam = (config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps)
-    stack.opts = {key: nn.AdamState.for_model(model, *adam) for key, model in _slots(stack)}
+    opts = {slot: nn.AdamState.for_model(model, *adam) for slot, model in models.items()}
     # one Adam work space for all optimizers: they step one at a time
-    scratch = np.empty(2 * max(opt.m.size for opt in stack.opts.values()))
-    for opt in stack.opts.values():
+    scratch = np.empty(2 * max(opt.m.size for opt in opts.values()))
+    for opt in opts.values():
         opt.scratch = scratch
+    stack = FederationStack(config, t_steps, models, discs, opts, runs)
     _bind_runs(stack)
     return stack
 
@@ -387,23 +364,10 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
 def _bind_runs(stack: FederationStack) -> None:
     """Make each run's models views of its row of the stack's models."""
     for k, run in enumerate(stack.runs):
-
-        def row(model):
-            if model is None:
-                return None
-            return nn.MlpModel.from_params(model.params[k], model.shapes, model.layers)
-
-        run.parties = [
-            PartyState(
-                p.party_id,
-                p.attribute_indices,
-                [row(g) for g in p.generators],
-                [row(d) for d in p.discriminators],
-                row(p.feature_extractor),
-            )
-            for p in stack.parties
-        ]
-        run.shared_disc = row(stack.shared_disc)
+        run.models = {
+            slot: nn.MlpModel.from_params(model.params[k], model.shapes, model.layers)
+            for slot, model in stack.models.items()
+        }
 
 
 def broadcast_latent(stack: FederationStack, batch_size: int) -> np.ndarray:
@@ -490,10 +454,9 @@ def _mean(a: np.ndarray):
 def _generate_fakes(stack: FederationStack, z: np.ndarray):
     """Every generator runs on the shared z. Returns per-key fake blocks and
     the generator traces for backprop."""
-    traces: dict[tuple[int, int], nn.ActivationTrace] = {}
-    for p in stack.parties:
-        for attr, gen in zip(p.attribute_indices, p.generators):
-            traces[(p.party_id, attr)] = nn.forward(gen, z)
+    traces: dict[tuple[int, int], nn.ActivationTrace] = {
+        slot[1:]: nn.forward(gen, z) for slot, gen in stack.models.items() if slot[0] == "G"
+    }
     return {key: tr.output for key, tr in traces.items()}, traces
 
 
@@ -513,20 +476,20 @@ def _split(grad: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
 def _inputs(stack, failed: dict, disc: Discriminator, *series: dict):
     """``disc``'s input for each of ``series`` (key -> (K, B, T) block).
 
-    Each branch joins its keys' blocks; a branch with a party passes each
-    series through that party's feature extractor, then logs each upload.
-    Also returns each branch's extractor trace of the last series (None for
-    a raw branch) and the last series' per-branch blocks, for ``_split``."""
+    Each branch joins its keys' blocks; a branch with an extractor passes
+    each series through it, then logs each upload. Also returns each
+    branch's extractor trace of the last series (None for a raw branch) and
+    the last series' per-branch blocks, for ``_split``."""
     blocks: list[list[np.ndarray]] = [[] for _ in series]
     traces = []
     for br in disc.branches:
         xs = [_join([s[key] for key in br.keys]) for s in series]
         fe_traces = [None]
-        if br.party is not None:
-            fe_traces = [_forward(failed, br.party.feature_extractor, x) for x in xs]
+        if br.fe is not None:
+            fe_traces = [_forward(failed, stack.models["FE", br.fe], x) for x in xs]
             xs = [tr.output for tr in fe_traces]
             for x in xs:
-                _log(stack, failed, "party->server", br.party.party_id, "feature", x)
+                _log(stack, failed, "party->server", br.fe, "feature", x)
         for branch_blocks, x in zip(blocks, xs):
             branch_blocks.append(x)
         traces.append(fe_traces[-1])
@@ -564,29 +527,30 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
 
     for disc in stack.discs:
         (x_real, x_fake), fe_traces, fake_in = _inputs(stack, failed, disc, reals, fakes)
-        tr_r = _forward(failed, disc.model, x_real)
-        tr_f = _forward(failed, disc.model, x_fake)
+        model = stack.models[disc.slot]
+        tr_r = _forward(failed, model, x_real)
+        tr_f = _forward(failed, model, x_fake)
         log_r, dlog_r = nn.clamped_log(tr_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_f.output)
         losses[disc.loss] = -(_mean(log_r) + _mean(log1m_f))
-        grads, _ = nn.backward(disc.model, tr_r, -dlog_r / b, inputs=False)
-        grads_f, _ = nn.backward(disc.model, tr_f, -dlog1m_f / b, inputs=False)
+        grads, _ = nn.backward(model, tr_r, -dlog_r / b, inputs=False)
+        grads_f, _ = nn.backward(model, tr_f, -dlog1m_f / b, inputs=False)
         grads.add_(grads_f)
         _maybe_dp(stack, failed, disc.slot, grads)
-        pending.append((disc.model, grads, stack.opts[disc.slot]))
+        pending.append((model, grads, stack.opts[disc.slot]))
 
         if any(tr is not None for tr in fe_traces):
             fe_loss = cfg.beta2 * _mean(log1m_f)
-            _, feat_grad = nn.backward(disc.model, tr_f, cfg.beta2 * dlog1m_f / b, params=False)
+            _, feat_grad = nn.backward(model, tr_f, cfg.beta2 * dlog1m_f / b, params=False)
             for br, tr_fe_f, g_slice in zip(disc.branches, fe_traces, _split(feat_grad, fake_in)):
                 if tr_fe_f is None:
                     continue
-                p = br.party
-                _log(stack, failed, "server->party", p.party_id, "feature_grad", g_slice)
-                fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice, inputs=False)
-                _maybe_dp(stack, failed, ("FE", p.party_id), fe_grads)
-                pending.append((p.feature_extractor, fe_grads, stack.opts["FE", p.party_id]))
-                losses[f"fe_{p.party_id}"] = fe_loss
+                slot = ("FE", br.fe)
+                _log(stack, failed, "server->party", br.fe, "feature_grad", g_slice)
+                fe_grads, _ = nn.backward(stack.models[slot], tr_fe_f, g_slice, inputs=False)
+                _maybe_dp(stack, failed, slot, fe_grads)
+                pending.append((stack.models[slot], fe_grads, stack.opts[slot]))
+                losses[f"fe_{br.fe}"] = fe_loss
 
     _check_finite(failed, losses, "discriminator phase")
     _apply_updates(stack, failed, pending)
@@ -623,14 +587,15 @@ def generator_step(stack: FederationStack, z: np.ndarray) -> dict:
 
     for disc in stack.discs:
         (x_fake,), fe_traces, fake_in = _inputs(stack, failed, disc, fakes)
-        tr_d = _forward(failed, disc.model, x_fake)
+        model = stack.models[disc.slot]
+        tr_d = _forward(failed, model, x_fake)
         term, dterm = _fooling_term(tr_d.output, cfg.non_saturating)
         term = disc.weight * term
-        _, in_grad = nn.backward(disc.model, tr_d, disc.weight * dterm / b, params=False)
+        _, in_grad = nn.backward(model, tr_d, disc.weight * dterm / b, params=False)
         for br, tr_fe, grad in zip(disc.branches, fe_traces, _split(in_grad, fake_in)):
             if tr_fe is not None:
-                _log(stack, failed, "server->party", br.party.party_id, "feature_grad", grad)
-                _, grad = nn.backward(br.party.feature_extractor, tr_fe, grad, params=False)
+                _log(stack, failed, "server->party", br.fe, "feature_grad", grad)
+                _, grad = nn.backward(stack.models["FE", br.fe], tr_fe, grad, params=False)
             x_grad = grad.reshape(*grad.shape[:-1], len(br.keys), stack.t_steps)
             for j, key in enumerate(br.keys):
                 # a first term is assigned, not added to zeros: -0.0 stays
@@ -655,12 +620,11 @@ def generator_phase(stack: FederationStack) -> dict:
     step = generator_step(stack, z)
     failed = step["failed"]
     _check_finite(failed, step["losses"], "generator phase")
-    for p in stack.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            key = (p.party_id, attr)
-            trace, out_grad = step["traces"][key], step["out_grads"][key]
-            grads, _ = nn.backward(p.generators[j], trace, out_grad, inputs=False)
-            _apply_updates(stack, failed, [(p.generators[j], grads, stack.opts[("G", *key)])])
+    for slot, gen in stack.models.items():
+        if slot[0] == "G":
+            trace, out_grad = step["traces"][slot[1:]], step["out_grads"][slot[1:]]
+            grads, _ = nn.backward(gen, trace, out_grad, inputs=False)
+            _apply_updates(stack, failed, [(gen, grads, stack.opts[slot])])
     return {"losses": step["losses"], "failed": failed}
 
 
@@ -683,10 +647,7 @@ class GeneratorBank:
 
 
 def bank_from_state(state: FederationState) -> GeneratorBank:
-    gens = {}
-    for p in state.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            gens[attr] = p.generators[j]
+    gens = {slot[2]: gen for slot, gen in state.models.items() if slot[0] == "G"}
     return GeneratorBank(gens, state.config.latent_dim, state.t_steps, dict(state.dataset.meta))
 
 
@@ -752,11 +713,11 @@ class _NoiseAhead:
         if dp is None or dp.sigma == 0.0:
             return
         self.iterations = stack.config.max_iters
-        models = dict(_slots(stack))
         for run in stack.runs:
-            for key, source in run.noise_rngs.items():
+            for slot, source in run.noise_rngs.items():
                 # the vector perturb_first_layer noises, as wide for every run
-                first = nn.GradientSet.from_flat(models[key].params, models[key].shapes)
+                model = stack.models[slot]
+                first = nn.GradientSet.from_flat(model.params, model.shapes)
                 source.blocks = np.empty((2, first.first_layer_vector().shape[-1]))
                 source.ahead = self
         self.sources = [list(run.noise_rngs.values()) for run in stack.runs]
@@ -865,14 +826,14 @@ def _retire(stack, live: list[int], rows: list[dict], failed: dict, results, it:
     for k, exc in failed.items():
         results[live[k]].history.append({"iteration": it, "diverged": str(exc)})
         results[live[k]].diverged = True
-        for _, own in _slots(stack.runs[k]):  # so the old (K, P) arrays can go
+        for own in stack.runs[k].models.values():  # so the old (K, P) arrays can go
             mine = nn.MlpModel.from_params(own.params.copy(), own.shapes, own.layers)
             own.params, own.layers = mine.params, mine.layers
     keep = [k for k in range(len(live)) if k not in failed]
-    for key, model in _slots(stack):
+    for slot, model in stack.models.items():
         kept = nn.MlpModel.from_params(model.params[keep], model.shapes, model.layers)
         model.params, model.layers = kept.params, kept.layers
-        opt = stack.opts[key]
+        opt = stack.opts[slot]
         opt.m, opt.v = opt.m[keep], opt.v[keep]
     stack.runs = [stack.runs[k] for k in keep]
     _bind_runs(stack)

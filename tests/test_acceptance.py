@@ -17,7 +17,7 @@ from fedtsgan import audit, cli, data, metrics, nn
 from fedtsgan import federation as fed
 from fedtsgan.dpmech import DpParams, clip_first_layer, first_layer_norm
 
-from conftest import sensitivity_check
+from helpers import sensitivity_check
 from test_accounting import oracle_amplified_eps, oracle_chain
 from test_metrics import lp_transport_cost
 
@@ -71,26 +71,26 @@ def _guards_ok(state, z, margin=1e-4):
     """Central differences at h=1e-6 need pre-activations clear of
     leaky-relu kinks and sigmoid outputs clear of the log clamp."""
     fakes = {}
-    for p in state.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            tr = nn.forward(p.generators[j], z)
+    for p in state.views:
+        for attr in p.attribute_indices:
+            tr = nn.forward(state.models["G", p.party_id, attr], z)
             if min(np.abs(pre).min() for pre in tr.pre) < margin:
                 return False
             fakes[(p.party_id, attr)] = tr.output
     feats = []
-    for p in state.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            tr = nn.forward(p.discriminators[j], fakes[(p.party_id, attr)])
+    for p in state.views:
+        for attr in p.attribute_indices:
+            tr = nn.forward(state.models["D", p.party_id, attr], fakes[(p.party_id, attr)])
             if min(np.abs(pre).min() for pre in tr.pre) < margin:
                 return False
             if not ((tr.output > 1e-6) & (tr.output < 1 - 1e-6)).all():
                 return False
         block = np.concatenate([fakes[(p.party_id, a)] for a in p.attribute_indices], axis=1)
-        tr = nn.forward(p.feature_extractor, block)
+        tr = nn.forward(state.models["FE", p.party_id], block)
         if min(np.abs(pre).min() for pre in tr.pre) < margin:
             return False
         feats.append(tr.output)
-    tr = nn.forward(state.shared_disc, np.concatenate(feats, axis=1))
+    tr = nn.forward(state.models["DS",], np.concatenate(feats, axis=1))
     if min(np.abs(pre).min() for pre in tr.pre) < margin:
         return False
     return ((tr.output > 1e-6) & (tr.output < 1 - 1e-6)).all()
@@ -107,10 +107,11 @@ def test_criterion_1_gradient_exactness():
             if not _guards_ok(stack.runs[0], z):
                 continue
             step = fed.generator_step(stack, z[None])
-            p = stack.parties[seed % len(stack.parties)]
+            views = stack.runs[0].views
+            p = views[seed % len(views)]
             j = seed % len(p.attribute_indices)
             attr = p.attribute_indices[j]
-            gen, key = p.generators[j], (p.party_id, attr)
+            gen, key = stack.models["G", p.party_id, attr], (p.party_id, attr)
             analytic, _ = nn.backward(gen, step["traces"][key], step["out_grads"][key])
             flat = np.concatenate(
                 [g.ravel() for g in analytic.d_weights] + [g.ravel() for g in analytic.d_biases]

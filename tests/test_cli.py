@@ -325,6 +325,21 @@ class TestAccount:
         assert achieved == pytest.approx(want_eps, rel=1e-9)
         assert achieved <= 10.0
 
+    def test_each_amplified_curve_is_computed_once(self, monkeypatch, capsys):
+        # the table and the final values read the same two curves, one for
+        # the discriminators and one for the generators
+        calls = []
+        real = accounting.subsample_amplify
+
+        def counted(sigma, gamma, alphas=accounting.DEFAULT_ALPHAS, generator_mode=False):
+            calls.append((sigma, gamma, generator_mode))
+            return real(sigma, gamma, alphas, generator_mode)
+
+        monkeypatch.setattr(accounting, "subsample_amplify", counted)
+        argv = "account --sigma 1.32 --gamma 0.0625 --steps 150 --delta 1e-3".split()
+        assert cli.main(argv) == 0
+        assert sorted(calls) == [(1.32, 0.0625, False), (1.32, 0.0625, True)]
+
     def test_infeasible_budget_exit_code(self, capsys):
         rc = cli.main(
             ["calibrate", "--epsilon", "1e-6", "--delta", "1e-3", "--gamma", "0.5", "--steps", "100000"]
@@ -503,6 +518,37 @@ dir = {tmp_path / 'out'}
         assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "case", ["sine6_dataset", "longer_series", "attribute_gap", "sidecar_t_steps"]
+    )
+    def test_a_checkpoint_that_does_not_fit_the_dataset(self, tmp_path, case):
+        # a sine2 checkpoint (two attributes, T = 10) scored against sine6 or
+        # against sine2 at T = 20; a bank that skips attribute 4, scored
+        # against sine6; a sidecar whose t_steps its generators do not have
+        train_cfg, run = write_config(tmp_path)
+        assert cli.main(["train", "--config", str(train_cfg)]) == 0
+        checkpoint = run / "best_generators.npz"
+        text = train_cfg.read_text()
+        if case in ("sine6_dataset", "attribute_gap"):
+            text = text.replace("kind = sine2", "kind = sine6")
+        else:
+            text = text.replace("t_steps = 10", "t_steps = 20")
+        if case == "attribute_gap":
+            bank = cli.load_bank(checkpoint)
+            pair = bank.generators[0], bank.generators[1]
+            bank.generators = {a: pair[a % 2] for a in (0, 1, 2, 3, 5)}
+            checkpoint = tmp_path / "gap.npz"
+            cli.save_bank(bank, checkpoint)
+        elif case == "sidecar_t_steps":
+            sidecar = checkpoint.with_suffix(".json")
+            sidecar.write_text(sidecar.read_text().replace('"t_steps": 10', '"t_steps": 20'))
+        cfg = tmp_path / "eval.ini"
+        cfg.write_text(text + f"\n[eval]\ncheckpoint = {checkpoint}\nmetrics = awd\n")
+        code, err = run_cli("evaluate", "--config", str(cfg))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "command, edit",
         [
             ("evaluate", lambda t: t + "[eval]\ncheckpoint = {checkpoint}\nsynth_samples = x\n"),
@@ -595,6 +641,9 @@ dir = {tmp_path / 'out'}
         assert cli.main(["train", "--config", str(train_cfg)]) == 0
         checkpoint = run / "best_generators.npz"
         cfg = self.csv_eval_config(tmp_path, f"checkpoint = {checkpoint}\nmetrics = mae")
+        # the training data, exported without its sidecar: the checkpoint
+        # fits it, but the dataset carries no sine frequencies
+        data.save_csv(data.gen_sine2(n_per_class=8, t_steps=10, seed=5), tmp_path / "plain.csv")
         assert cli.main(["evaluate", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "evaluation.json").read_text())
         assert math.isfinite(report["metrics"]["mae"])

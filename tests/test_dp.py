@@ -18,7 +18,7 @@ from fedtsgan.dpmech import (
     perturb_first_layer,
 )
 
-from conftest import random_mlp, sensitivity_check
+from helpers import random_mlp, sensitivity_check
 
 
 def grads_with_first_layer(vec, deeper_shape=(3, 2)):

@@ -12,7 +12,7 @@ import pytest
 from fedtsgan import nn
 from fedtsgan.dpmech import clip_first_layer, first_layer_norm, perturb_first_layer
 
-from conftest import m_weights
+from helpers import m_weights
 
 ALL_ACTIVATIONS = ["identity", "relu", "leaky_relu", "tanh", "sigmoid"]
 

@@ -15,7 +15,7 @@ from fedtsgan import data, federation as fed, nn
 from fedtsgan.dpmech import DpParams
 from fedtsgan.rng import stream, stream_seed
 
-from conftest import params_blob
+from helpers import params_blob
 
 
 def tiny_config(**overrides):
@@ -50,15 +50,20 @@ def solo_stack(config, views):
 
 def all_models(state):
     out = {}
-    for p in state.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            out[f"g_{p.party_id}_{attr}"] = p.generators[j]
-            out[f"d_{p.party_id}_{attr}"] = p.discriminators[j]
-        if p.feature_extractor is not None:
-            out[f"fe_{p.party_id}"] = p.feature_extractor
-    if state.shared_disc is not None:
-        out["d_shared"] = state.shared_disc
+    for p in state.views:
+        for attr in p.attribute_indices:
+            out[f"g_{p.party_id}_{attr}"] = state.models["G", p.party_id, attr]
+            out[f"d_{p.party_id}_{attr}"] = state.models["D", p.party_id, attr]
+        if ("FE", p.party_id) in state.models:
+            out[f"fe_{p.party_id}"] = state.models["FE", p.party_id]
+    if ("DS",) in state.models:
+        out["d_shared"] = state.models["DS",]
     return out
+
+
+def role(state, kind):
+    """The models of one kind ("G", "D", "FE" or "DS"), in slot order."""
+    return [model for slot, model in state.models.items() if slot[0] == kind]
 
 
 def federation_blob(state):
@@ -69,7 +74,7 @@ class TestLatentBroadcast:
     def test_identical_z_for_all_generators(self, sine_views, monkeypatch):
         stack = solo_stack(tiny_config(), sine_views)
         state = stack.runs[0]
-        generators = {id(g) for p in stack.parties for g in p.generators}
+        generators = {id(g) for g in role(stack, "G")}
         seen = []
         real_forward = nn.forward
 
@@ -116,9 +121,8 @@ class TestDiscriminatorPhase:
         # final bias forced huge: sigmoid saturates to 1 on real and fake
         stack = solo_stack(tiny_config(), sine_views)
         state = stack.runs[0]
-        for p in state.parties:
-            for d in p.discriminators:
-                d.layers[-1].bias[:] = 1e4
+        for d in role(state, "D"):
+            d.layers[-1].bias[:] = 1e4
         info = fed.discriminator_phase(stack, np.arange(6)[None])
         expected = -(np.log(1.0 - 1e-7) + np.log(1e-7))
         assert info["losses"]["d_0_0"][0] == pytest.approx(expected, rel=1e-9)
@@ -126,11 +130,11 @@ class TestDiscriminatorPhase:
     def test_phase_updates_only_discriminators_and_fes(self, sine_views):
         stack = solo_stack(tiny_config(), sine_views)
         state = stack.runs[0]
-        gens_before = [params_blob(g) for p in state.parties for g in p.generators]
-        discs_before = [params_blob(d) for p in state.parties for d in p.discriminators]
+        gens_before = [params_blob(g) for g in role(state, "G")]
+        discs_before = [params_blob(d) for d in role(state, "D")]
         fed.discriminator_phase(stack, np.arange(6)[None])
-        gens_after = [params_blob(g) for p in state.parties for g in p.generators]
-        discs_after = [params_blob(d) for p in state.parties for d in p.discriminators]
+        gens_after = [params_blob(g) for g in role(state, "G")]
+        discs_after = [params_blob(d) for d in role(state, "D")]
         assert gens_before == gens_after
         assert discs_before != discs_after
 
@@ -148,7 +152,7 @@ class TestDiscriminatorPhase:
     def test_non_finite_loss_aborts_with_diagnostics(self, sine_views):
         stack = solo_stack(tiny_config(), sine_views)
         state = stack.runs[0]
-        state.parties[0].discriminators[0].layers[0].weight[:] = 1e308
+        state.models["D", 0, 0].layers[0].weight[:] = 1e308
         before = federation_blob(state)
         info = fed.discriminator_phase(stack, np.arange(6)[None])
         exc = info["failed"][0]
@@ -162,24 +166,23 @@ class TestGeneratorPhase:
         stack = solo_stack(tiny_config(), sine_views)
         state = stack.runs[0]
         fed.discriminator_phase(stack, np.arange(6)[None])
-        discs_before = [params_blob(d) for p in state.parties for d in p.discriminators]
-        fes_before = [params_blob(p.feature_extractor) for p in state.parties]
-        shared_before = params_blob(state.shared_disc)
-        gens_before = [params_blob(g) for p in state.parties for g in p.generators]
+        discs_before = [params_blob(d) for d in role(state, "D")]
+        fes_before = [params_blob(fe) for fe in role(state, "FE")]
+        shared_before = params_blob(state.models["DS",])
+        gens_before = [params_blob(g) for g in role(state, "G")]
         fed.generator_phase(stack)
-        assert [params_blob(d) for p in state.parties for d in p.discriminators] == discs_before
-        assert [params_blob(p.feature_extractor) for p in state.parties] == fes_before
-        assert params_blob(state.shared_disc) == shared_before
-        assert [params_blob(g) for p in state.parties for g in p.generators] != gens_before
+        assert [params_blob(d) for d in role(state, "D")] == discs_before
+        assert [params_blob(fe) for fe in role(state, "FE")] == fes_before
+        assert params_blob(state.models["DS",]) == shared_before
+        assert [params_blob(g) for g in role(state, "G")] != gens_before
 
     def test_beta1_zero_equals_pure_local_generator_step(self, sine_views):
         stack_a = solo_stack(tiny_config(beta1=0.0), sine_views)
         stack_b = solo_stack(tiny_config(topology="local_only"), sine_views)
         fed.generator_phase(stack_a)
         fed.generator_phase(stack_b)
-        for pa, pb in zip(stack_a.runs[0].parties, stack_b.runs[0].parties):
-            for ga, gb in zip(pa.generators, pb.generators):
-                assert params_blob(ga) == params_blob(gb)
+        for ga, gb in zip(role(stack_a.runs[0], "G"), role(stack_b.runs[0], "G")):
+            assert params_blob(ga) == params_blob(gb)
 
     def test_local_only_shared_pathway_contributes_nothing(self, sine_views):
         stack = solo_stack(tiny_config(topology="local_only"), sine_views)
@@ -196,9 +199,8 @@ class TestGeneratorPhase:
         for non_sat in (False, True):
             cfg = tiny_config(topology="local_only", non_saturating=non_sat)
             stack = solo_stack(cfg, sine_views)
-            for p in stack.runs[0].parties:
-                for d in p.discriminators:
-                    d.layers[-1].bias[:] = -10.0
+            for d in role(stack.runs[0], "D"):
+                d.layers[-1].bias[:] = -10.0
             z = fed.broadcast_latent(stack, 4)
             step = fed.generator_step(stack, z)
             grads[non_sat] = np.linalg.norm(step["out_grads"][(0, 0)])
@@ -211,7 +213,7 @@ class TestGeneratorPhase:
         stack = solo_stack(tiny_config(), sine_views)
         z = fed.broadcast_latent(stack, 4)
         step = fed.generator_step(stack, z)
-        gen = stack.parties[0].generators[0]
+        gen = stack.models["G", 0, 0]
         analytic, _ = nn.backward(gen, step["traces"][(0, 0)], step["out_grads"][(0, 0)])
 
         h = 1e-6
@@ -250,9 +252,9 @@ def ref_latent(state, b):
 
 def ref_fakes(state, z):
     traces = {}
-    for p in state.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            traces[(p.party_id, attr)] = nn.forward(p.generators[j], z)
+    for p in state.views:
+        for attr in p.attribute_indices:
+            traces[(p.party_id, attr)] = nn.forward(state.models["G", p.party_id, attr], z)
     return {key: tr.output for key, tr in traces.items()}, traces
 
 
@@ -290,9 +292,9 @@ def ref_discriminator_phase(state, opts, batch_indices):
     data_ = state.dataset.data
     fakes, _ = ref_fakes(state, ref_latent(state, b))
     losses, pending = {}, []
-    for p in state.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            disc = p.discriminators[j]
+    for p in state.views:
+        for attr in p.attribute_indices:
+            disc = state.models["D", p.party_id, attr]
             tr_r = nn.forward(disc, data_[batch, attr, :])
             tr_f = nn.forward(disc, fakes[(p.party_id, attr)])
             log_r, dlog_r = nn.clamped_log(tr_r.output)
@@ -306,49 +308,49 @@ def ref_discriminator_phase(state, opts, batch_indices):
 
     if cfg.topology == "vfl":
         fe_traces_f, feat_real, feat_fake, widths = [], [], [], []
-        for p in state.parties:
-            tr_fe_r = nn.forward(p.feature_extractor, _party_block(p, data_, batch))
-            tr_fe_f = nn.forward(p.feature_extractor, _party_block(p, fakes))
+        for p in state.views:
+            tr_fe_r = nn.forward(state.models["FE", p.party_id], _party_block(p, data_, batch))
+            tr_fe_f = nn.forward(state.models["FE", p.party_id], _party_block(p, fakes))
             fe_traces_f.append(tr_fe_f)
             feat_real.append(tr_fe_r.output)
             feat_fake.append(tr_fe_f.output)
             widths.append(tr_fe_f.output.shape[1])
             for payload in (tr_fe_r.output, tr_fe_f.output):
                 state.log.log(state.iteration, "party->server", p.party_id, "feature", payload)
-        tr_ds_r = nn.forward(state.shared_disc, np.concatenate(feat_real, axis=1))
-        tr_ds_f = nn.forward(state.shared_disc, np.concatenate(feat_fake, axis=1))
+        tr_ds_r = nn.forward(state.models["DS",], np.concatenate(feat_real, axis=1))
+        tr_ds_f = nn.forward(state.models["DS",], np.concatenate(feat_fake, axis=1))
         log_r, dlog_r = nn.clamped_log(tr_ds_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_ds_f.output)
         losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
-        ds_grads, _ = nn.backward(state.shared_disc, tr_ds_r, -dlog_r / b)
-        ds_grads_f, _ = nn.backward(state.shared_disc, tr_ds_f, -dlog1m_f / b)
+        ds_grads, _ = nn.backward(state.models["DS",], tr_ds_r, -dlog_r / b)
+        ds_grads_f, _ = nn.backward(state.models["DS",], tr_ds_f, -dlog1m_f / b)
         ds_grads.add_(ds_grads_f)
-        pending.append((state.shared_disc, ds_grads, opts[("DS",)]))
+        pending.append((state.models["DS",], ds_grads, opts[("DS",)]))
         fe_loss = float(cfg.beta2 * log1m_f.mean())
         _, feat_grad = nn.backward(
-            state.shared_disc, tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
+            state.models["DS",], tr_ds_f, cfg.beta2 * dlog1m_f / b, params=False
         )
         offset = 0
-        for p, tr_fe_f, width in zip(state.parties, fe_traces_f, widths):
+        for p, tr_fe_f, width in zip(state.views, fe_traces_f, widths):
             g_slice = feat_grad[:, offset : offset + width]
             offset += width
             state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
-            fe_grads, _ = nn.backward(p.feature_extractor, tr_fe_f, g_slice)
+            fe_grads, _ = nn.backward(state.models["FE", p.party_id], tr_fe_f, g_slice)
             fe_grads = ref_maybe_dp(state, ("FE", p.party_id), fe_grads)
-            pending.append((p.feature_extractor, fe_grads, opts["FE", p.party_id]))
+            pending.append((state.models["FE", p.party_id], fe_grads, opts["FE", p.party_id]))
             losses[f"fe_{p.party_id}"] = fe_loss
     elif cfg.topology == "centralized":
-        x_real = np.concatenate([_party_block(p, data_, batch) for p in state.parties], axis=1)
-        x_fake = np.concatenate([_party_block(p, fakes) for p in state.parties], axis=1)
-        tr_c_r = nn.forward(state.shared_disc, x_real)
-        tr_c_f = nn.forward(state.shared_disc, x_fake)
+        x_real = np.concatenate([_party_block(p, data_, batch) for p in state.views], axis=1)
+        x_fake = np.concatenate([_party_block(p, fakes) for p in state.views], axis=1)
+        tr_c_r = nn.forward(state.models["DS",], x_real)
+        tr_c_f = nn.forward(state.models["DS",], x_fake)
         log_r, dlog_r = nn.clamped_log(tr_c_r.output)
         log1m_f, dlog1m_f = nn.clamped_log1m(tr_c_f.output)
         losses["d_shared"] = float(-(log_r.mean() + log1m_f.mean()))
-        c_grads, _ = nn.backward(state.shared_disc, tr_c_r, -dlog_r / b)
-        c_grads_f, _ = nn.backward(state.shared_disc, tr_c_f, -dlog1m_f / b)
+        c_grads, _ = nn.backward(state.models["DS",], tr_c_r, -dlog_r / b)
+        c_grads_f, _ = nn.backward(state.models["DS",], tr_c_f, -dlog1m_f / b)
         c_grads.add_(c_grads_f)
-        pending.append((state.shared_disc, c_grads, opts[("DS",)]))
+        pending.append((state.models["DS",], c_grads, opts[("DS",)]))
 
     ref_check_finite(losses, "discriminator phase")
     for model, grads, opt in pending:
@@ -362,9 +364,9 @@ def ref_generator_step(state, z):
     t_steps = state.t_steps
     fakes, gen_traces = ref_fakes(state, z)
     losses, out_grads = {}, {}
-    for p in state.parties:
-        for j, attr in enumerate(p.attribute_indices):
-            disc = p.discriminators[j]
+    for p in state.views:
+        for attr in p.attribute_indices:
+            disc = state.models["D", p.party_id, attr]
             tr_d = nn.forward(disc, fakes[(p.party_id, attr)])
             term, dterm = ref_fooling_term(tr_d.output, cfg.non_saturating)
             losses[f"g_{p.party_id}_{attr}"] = term
@@ -372,36 +374,36 @@ def ref_generator_step(state, z):
 
     if cfg.topology == "vfl":
         fe_traces, feat_fake, widths = [], [], []
-        for p in state.parties:
-            tr_fe = nn.forward(p.feature_extractor, _party_block(p, fakes))
+        for p in state.views:
+            tr_fe = nn.forward(state.models["FE", p.party_id], _party_block(p, fakes))
             fe_traces.append(tr_fe)
             feat_fake.append(tr_fe.output)
             widths.append(tr_fe.output.shape[1])
             state.log.log(state.iteration, "party->server", p.party_id, "feature", tr_fe.output)
-        tr_ds = nn.forward(state.shared_disc, np.concatenate(feat_fake, axis=1))
+        tr_ds = nn.forward(state.models["DS",], np.concatenate(feat_fake, axis=1))
         shared_term, dshared = ref_fooling_term(tr_ds.output, cfg.non_saturating)
         _, feat_grad = nn.backward(
-            state.shared_disc, tr_ds, cfg.beta1 * dshared / b, params=False
+            state.models["DS",], tr_ds, cfg.beta1 * dshared / b, params=False
         )
         offset = 0
-        for p, tr_fe, width in zip(state.parties, fe_traces, widths):
+        for p, tr_fe, width in zip(state.views, fe_traces, widths):
             g_slice = feat_grad[:, offset : offset + width]
             offset += width
             state.log.log(state.iteration, "server->party", p.party_id, "feature_grad", g_slice)
-            _, x_grad = nn.backward(p.feature_extractor, tr_fe, g_slice, params=False)
+            _, x_grad = nn.backward(state.models["FE", p.party_id], tr_fe, g_slice, params=False)
             x_grad = x_grad.reshape(b, len(p.attribute_indices), t_steps)
             for j, attr in enumerate(p.attribute_indices):
                 out_grads[(p.party_id, attr)] += x_grad[:, j, :]
-        for p in state.parties:
+        for p in state.views:
             for attr in p.attribute_indices:
                 losses[f"g_{p.party_id}_{attr}"] += cfg.beta1 * shared_term
     elif cfg.topology == "centralized":
-        x_fake = np.concatenate([_party_block(p, fakes) for p in state.parties], axis=1)
-        tr_c = nn.forward(state.shared_disc, x_fake)
+        x_fake = np.concatenate([_party_block(p, fakes) for p in state.views], axis=1)
+        tr_c = nn.forward(state.models["DS",], x_fake)
         shared_term, dshared = ref_fooling_term(tr_c.output, cfg.non_saturating)
-        _, x_grad = nn.backward(state.shared_disc, tr_c, cfg.beta1 * dshared / b, params=False)
+        _, x_grad = nn.backward(state.models["DS",], tr_c, cfg.beta1 * dshared / b, params=False)
         offset = 0
-        for p in state.parties:
+        for p in state.views:
             width = len(p.attribute_indices) * t_steps
             block = x_grad[:, offset : offset + width].reshape(b, len(p.attribute_indices), t_steps)
             offset += width
@@ -415,11 +417,12 @@ def ref_generator_step(state, z):
 def ref_generator_phase(state, opts):
     step = ref_generator_step(state, ref_latent(state, state.config.batch_size))
     ref_check_finite(step["losses"], "generator phase")
-    for p in state.parties:
-        for j, attr in enumerate(p.attribute_indices):
+    for p in state.views:
+        for attr in p.attribute_indices:
             key = (p.party_id, attr)
-            grads, _ = nn.backward(p.generators[j], step["traces"][key], step["out_grads"][key])
-            nn.adam_step(p.generators[j], grads, opts[("G", *key)])
+            gen = state.models[("G", *key)]
+            grads, _ = nn.backward(gen, step["traces"][key], step["out_grads"][key])
+            nn.adam_step(gen, grads, opts[("G", *key)])
     return {"losses": step["losses"]}
 
 
@@ -429,7 +432,7 @@ def ref_train(config, views):
         key: nn.AdamState.for_model(
             model, config.lr, config.adam_beta1, config.adam_beta2, config.adam_eps
         )
-        for key, model in fed._slots(state)
+        for key, model in state.models.items()
     }
     n = state.dataset.n_samples
     eval_seed = stream(config.seed, "eval-seed").integers(0, 2**63 - 1)
@@ -634,8 +637,8 @@ class TestRunStack:
         stack = fed.init_stack(cfg, [(sine_views, s) for s in (1, 2, 3)])
         alone = [fed.init_stack(cfg, [(sine_views, s)]) for s in (1, 2, 3)]
         # run 1's first generator overflows, so its fakes are not finite
-        stack.parties[0].generators[0].params[1] = 1e308
-        alone[1].parties[0].generators[0].params[...] = 1e308
+        stack.models["G", 0, 0].params[1] = 1e308
+        alone[1].models["G", 0, 0].params[...] = 1e308
         batches = [np.arange(6), np.arange(1, 7), np.arange(2, 8)]
         for run in stack.runs + [one.runs[0] for one in alone]:
             run.iteration = 1
@@ -665,23 +668,38 @@ class TestRunStack:
         assert [r.data.tobytes() for r in together] == [r.data.tobytes() for r in alone]
         assert [r.data.shape for r in together] == [(7, 6, 10)] * len(jobs)
 
-    def test_runs_read_their_rows_of_the_stack(self, sine_views):
+    @pytest.mark.parametrize("topology", fed.TOPOLOGIES)
+    @pytest.mark.parametrize("name", STACK_PARTITIONS)
+    def test_runs_read_their_rows_of_the_stack(self, topology, name):
+        # each model has one address, its slot in ``stack.models``: the Adam
+        # states, the discriminator entries and every run's noise streams
+        # name those slots, and each run's models are views of its rows
+        make_dataset, assignment = STACK_PARTITIONS[name]
+        views = data.partition(make_dataset(), assignment)
+        cfg = tiny_config(topology=topology, dp=DpParams(1.0, 0.5))
+
         def assert_bound(stack):
+            assert set(stack.opts) == set(stack.models)
+            assert {disc.slot for disc in stack.discs} <= set(stack.models)
+            noised = {slot for slot in stack.models if slot[0] in ("D", "FE")}
             for k, run in enumerate(stack.runs):
-                for (key, model), (own_key, own) in zip(fed._slots(stack), fed._slots(run)):
-                    assert own_key == key and own.params.ndim == 1
+                assert set(run.noise_rngs) == noised
+                assert list(run.models) == list(stack.models)
+                for slot, model in stack.models.items():
+                    own = run.models[slot]
+                    assert own.params.ndim == 1
                     assert np.shares_memory(own.params, model.params[k])
                     assert own.layers[0].weight.tobytes() == model.layers[0].weight[k].tobytes()
-                held = [v for obj in [run, *run.parties] for v in vars(obj).values()]
-                held += [x for v in held if isinstance(v, list) for x in v]
+                held = list(vars(run).values())
+                held += [x for v in held if isinstance(v, dict) for x in v.values()]
                 assert not any(isinstance(v, nn.AdamState) for v in held)
             for opt in stack.opts.values():
                 assert opt.m.shape[0] == opt.v.shape[0] == len(stack.runs)
 
         seeds = (1, 2, 3)
-        stack = fed.init_stack(tiny_config(), [(sine_views, s) for s in seeds])
+        stack = fed.init_stack(cfg, [(views, s) for s in seeds])
         runs = list(stack.runs)
-        alone = [fed.init_stack(tiny_config(), [(sine_views, s)]).runs[0] for s in seeds]
+        alone = [fed.init_stack(cfg, [(views, s)]).runs[0] for s in seeds]
         assert [federation_blob(run) for run in runs] == [federation_blob(run) for run in alone]
         assert_bound(stack)
         batches = np.stack([np.arange(6), np.arange(1, 7), np.arange(2, 8)])
@@ -696,15 +714,16 @@ class TestRunStack:
         live, _ = fed._retire(stack, [0, 1, 2], [{}, {}, {}], {1: RuntimeError("x")}, results, 1)
         assert live == [0, 2] and stack.runs == [runs[0], runs[2]]
         assert [federation_blob(run) for run in runs] == before
-        # it holds a copy of its rows, not the whole pre-retire stack
-        for _, own in fed._slots(runs[1]):
+        # it holds a copy of its rows, not the whole pre-retire stack, and
+        # shares no memory with the stack's models
+        for own in runs[1].models.values():
             assert own.params.base is None and own.params.ndim == 1
             assert np.shares_memory(own.layers[0].weight, own.params)
+            assert not any(np.shares_memory(own.params, m.params) for m in stack.models.values())
         assert_bound(stack)
         fed.discriminator_phase(stack, batches[[0, 2]])
         assert [federation_blob(run) == b for run, b in zip(runs, before)] == [False, True, False]
         assert [r.diverged for r in results] == [False, True, False]
-
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_set_up_holds_little_beyond_the_stack(self, size):
@@ -720,7 +739,7 @@ class TestRunStack:
         finally:
             tracemalloc.stop()
         opts = list(stack.opts.values())
-        held = sum(model.params.nbytes for _, model in fed._slots(stack))
+        held = sum(model.params.nbytes for model in stack.models.values())
         held += sum(opt.m.nbytes + opt.v.nbytes for opt in opts) + opts[0].scratch.nbytes
         assert all(opt.scratch is opts[0].scratch for opt in opts)
         assert peak < 1.25 * held
@@ -876,7 +895,7 @@ class TestDpWiring:
         stacks = [solo_stack(cfg, data.partition(d, assignment)) for d in (ds, neighbour)]
         for stack in stacks:
             fed.discriminator_phase(stack, np.arange(6)[None])
-        a, b = (dict(fed._slots(stack)) for stack in stacks)
+        a, b = (stack.models for stack in stacks)
         differ = {
             (key, li)
             for key in a
@@ -1134,7 +1153,7 @@ class TestSynthesize:
         state = solo_stack(tiny_config(), views).runs[0]
         bank = fed.bank_from_state(state)
         synth = fed.synthesize(bank, 3, seed=1)
-        g_for_attr0 = state.parties[1].generators[0]
+        g_for_attr0 = state.models["G", 1, 0]
         z = np.random.Generator(np.random.PCG64()).standard_normal  # unused; direct check below
         from fedtsgan.rng import stream
 

@@ -3,7 +3,7 @@ import pytest
 
 from fedtsgan import nn
 
-from conftest import (
+from helpers import (
     finite_diff_check,
     gradcheck_draw,
     kink_free_input,

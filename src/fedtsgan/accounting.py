@@ -77,27 +77,31 @@ def _log_expm1(x: float) -> float:
     return math.log(math.expm1(x))
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+@cache
+def _lgammas(top: int) -> np.ndarray:
+    """``math.lgamma(k)`` at index k for k = 1..top (index 0, a pole, holds
+    inf). Every alpha of ``DEFAULT_ALPHAS`` reads the one table of top 257."""
+    return np.array([math.inf] + [math.lgamma(k) for k in range(1, top + 1)])
 
 
 def _amplified_eps(alpha: int, sigma: float, gamma: float, generator_mode: bool) -> float:
     # Subsampled-RDP bound for integer alpha >= 2. The base mechanism is
     # Gaussian, so eps(inf) = inf and every min{., (e^{eps(inf)}-1)^j}
-    # resolves to its finite branch.
+    # resolves to its finite branch. The terms j = 3..alpha are numpy arrays
+    # whose every operation is the scalar series' in the same order, so each
+    # term keeps its bits.
+    lgam = _lgammas(max(alpha, DEFAULT_ALPHAS[-1]) + 1)
     log_gamma = math.log(gamma)
     eps2 = _per_step_eps(2, sigma, generator_mode)
     # j = 2 coefficient: min{4(e^{eps(2)}-1), 2 e^{eps(2)}}
     log_lead = min(math.log(4.0) + _log_expm1(eps2), math.log(2.0) + eps2)
-    terms = [2.0 * log_gamma + _log_comb(alpha, 2) + log_lead]
-    for j in range(3, alpha + 1):
-        terms.append(
-            j * log_gamma
-            + _log_comb(alpha, j)
-            + (j - 1) * _per_step_eps(j, sigma, generator_mode)
-            + math.log(2.0)
-        )
-    log_sum = float(np.logaddexp.reduce(np.array(terms)))
+    # log C(alpha, j) = lgamma(alpha + 1) - lgamma(j + 1) - lgamma(alpha - j + 1)
+    lead = 2.0 * log_gamma + (lgam[alpha + 1] - lgam[3] - lgam[alpha - 1]) + log_lead
+    j = np.arange(3, alpha + 1)
+    log_comb = lgam[alpha + 1] - lgam[j + 1] - lgam[alpha - j + 1]
+    tail = j * log_gamma + log_comb + (j - 1) * _per_step_eps(j, sigma, generator_mode)
+    terms = np.concatenate(([lead], tail + math.log(2.0)))
+    log_sum = float(np.logaddexp.reduce(terms))
     return float(np.logaddexp(0.0, log_sum)) / (alpha - 1)
 
 

@@ -41,7 +41,10 @@ streams, message log and checkpoints, its ``models`` are views of its row
 under the same slots, and it ends with the bytes it would have produced
 training alone.
 ``shadow_trainer``'s trainer splits its job list into one such stack per
-usable core, trained in forked workers, with the same bytes.
+usable core and hands them to ``workers.run_chunks``, which trains the
+first here and each other one in a forked worker, with the same bytes; a
+worker's error is raised in the caller once the caller's own stack has
+trained.
 
 Under DP with sigma > 0, ``train_runs`` starts one helper thread that draws
 the noise one iteration ahead (``_NoiseAhead``): while the phases of
@@ -60,7 +63,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import queue
 import threading
 from dataclasses import dataclass, field, replace
@@ -68,7 +70,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import nn
+from . import nn, workers
 from .data import PartyView, TimeSeriesDataset, partition, subsample_batch
 from .dpmech import DpParams, perturb_first_layer
 from .metrics import amplitude_awd, awd
@@ -854,37 +856,12 @@ def _release_runs(
 ) -> list[TimeSeriesDataset | None]:
     """Train the ``(dataset, seed)`` jobs as one stack and release
     ``n_synth`` samples (the dataset's size by default) from each run's best
-    checkpoint, or None for a run that diverged. Module-level, so that a
-    worker process can be handed it."""
+    checkpoint, or None for a run that diverged."""
     results = train_runs(train_cfg, [(partition(d, assignment), s) for d, s in jobs])
     return [
         None if r.diverged else synthesize(r.best_bank, n_synth or d.n_samples, s)
         for r, (d, s) in zip(results, jobs)
     ]
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on (so ``taskset`` limits the
-    workers), or the machine's count where there is no affinity mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _release_in_workers(args: tuple, chunks: list[list]) -> list[TimeSeriesDataset | None]:
-    """``_release_runs(*args, chunk)`` for every chunk, concatenated: the
-    first chunk in this process, each other one in a forked worker. Leaving
-    the pool terminates its workers, so an error here or in a worker reaches
-    the caller at once."""
-    # imported here: at module level it would add ~25 ms to every CLI start
-    import multiprocessing
-
-    with multiprocessing.get_context("fork").Pool(len(chunks) - 1) as pool:
-        pending = [pool.apply_async(_release_runs, (*args, chunk)) for chunk in chunks[1:]]
-        releases = _release_runs(*args, chunks[0])
-        for result in pending:
-            releases += result.get()
-    return releases
 
 
 def shadow_trainer(
@@ -897,17 +874,16 @@ def shadow_trainer(
 
     The jobs go in contiguous chunks, one per usable core (at most one per
     job), and each chunk trains as one stack: the first in this process, the
-    others in forked workers. With one chunk, or where ``fork`` is missing,
-    every job trains here, as one stack. Each release has the bytes of its
-    job trained alone.
+    others in forked workers (``workers.run_chunks``). Where ``fork`` is
+    missing, every job trains here, as one stack. Each release has the bytes
+    of its job trained alone.
     """
-    args = (train_cfg, assignment, n_synth)
 
     def trainer(jobs: list[tuple[TimeSeriesDataset, int]]) -> list[TimeSeriesDataset | None]:
-        n, parts = len(jobs), min(_usable_cores(), len(jobs))
-        if parts < 2 or not hasattr(os, "fork"):
-            return _release_runs(*args, jobs)
-        chunks = [jobs[i * n // parts : (i + 1) * n // parts] for i in range(parts)]
-        return _release_in_workers(args, chunks)
+        chunks = [jobs[part] for part in workers.split(len(jobs))]
+        releases = workers.run_chunks(
+            lambda chunk: _release_runs(train_cfg, assignment, n_synth, chunk), chunks
+        )
+        return [release for chunk in releases for release in chunk]
 
     return trainer

@@ -1,10 +1,14 @@
 """Helpers shared by the test modules: small random models, gradient and
-sensitivity checks, and parameter fingerprints. Fixtures stay in
+sensitivity checks, parameter fingerprints, and the scalar amplification
+series the accountant's array form must match bit for bit. Fixtures stay in
 ``conftest.py``."""
+
+import math
 
 import numpy as np
 
 from fedtsgan import nn
+from fedtsgan.accounting import _log_expm1, _per_step_eps
 from fedtsgan.dpmech import clip_first_layer
 
 
@@ -131,3 +135,25 @@ def sensitivity_check(model_factory, batch_pair_generator, grad_fn, clip, trials
         diff = float(np.linalg.norm(ga.first_layer_vector() - gb.first_layer_vector()))
         worst = max(worst, diff)
     return worst
+
+
+def _log_comb(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def reference_amplified_eps(alpha: int, sigma: float, gamma: float, generator_mode: bool) -> float:
+    """``accounting._amplified_eps`` as a scalar loop over j, one term at a
+    time: the bits its array form must keep."""
+    log_gamma = math.log(gamma)
+    eps2 = _per_step_eps(2, sigma, generator_mode)
+    log_lead = min(math.log(4.0) + _log_expm1(eps2), math.log(2.0) + eps2)
+    terms = [2.0 * log_gamma + _log_comb(alpha, 2) + log_lead]
+    for j in range(3, alpha + 1):
+        terms.append(
+            j * log_gamma
+            + _log_comb(alpha, j)
+            + (j - 1) * _per_step_eps(j, sigma, generator_mode)
+            + math.log(2.0)
+        )
+    log_sum = float(np.logaddexp.reduce(np.array(terms)))
+    return float(np.logaddexp(0.0, log_sum)) / (alpha - 1)

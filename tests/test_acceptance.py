@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fedtsgan import accounting as acc
-from fedtsgan import audit, cli, data, metrics, nn
+from fedtsgan import audit, cli, data, metrics, nn, workers
 from fedtsgan import federation as fed
 from fedtsgan.dpmech import DpParams, clip_first_layer, first_layer_norm
 
@@ -302,43 +302,47 @@ def _ratio_stats(bank, freqs, n=512, seed=99):
     return med, q3 - q1
 
 
+def _desk_run(ds, views, freqs, seed, topology):
+    """One of criterion 6's trainings with its own assertions; returns the
+    ratio IQR that the cross-topology assertion reads."""
+    t0 = time.time()
+    res = fed.train(
+        fed.TrainConfig(topology=topology, max_iters=4000, checkpoint_every=100, seed=seed),
+        views,
+    )
+    assert time.time() - t0 < 600.0
+    if topology == "local_only":
+        return _ratio_stats(res.best_bank, freqs)[1]
+    assert not res.diverged
+    init_awd = res.history[0]["awd"]
+    assert res.best_awd <= 0.5 * init_awd, (seed, res.best_awd, init_awd)
+
+    med_v, iqr_v = _ratio_stats(res.best_bank, freqs)
+    assert 0.8 <= med_v <= 1.25, (seed, med_v)
+
+    # per-time-step distance also drops from init to best checkpoint
+    init_cfg = fed.TrainConfig(topology="vfl", seed=seed)
+    init_bank = fed.bank_from_state(fed.init_stack(init_cfg, [(views, seed)]).runs[0])
+    awd_init = metrics.awd(ds, fed.synthesize(init_bank, 512, 99))
+    awd_best = metrics.awd(ds, fed.synthesize(res.best_bank, 512, 99))
+    assert awd_best < awd_init
+    return iqr_v
+
+
 @pytest.mark.slow
 def test_criterion_6_desk_scale_sine_ordering():
     with criterion(6, "sine desk runs: convergence + cross-party coupling"):
         ds = data.gen_sine2(n_per_class=512, t_steps=100, seed=7)
         views = data.partition(ds, {0: [0], 1: [1]})
         freqs = ds.frequencies()
-        iqr_wider = 0
-        for seed in (32, 33, 34):
-            t0 = time.time()
-            res_v = fed.train(
-                fed.TrainConfig(topology="vfl", max_iters=4000, checkpoint_every=100, seed=seed),
-                views,
-            )
-            assert time.time() - t0 < 600.0
-            assert not res_v.diverged
-            init_awd = res_v.history[0]["awd"]
-            assert res_v.best_awd <= 0.5 * init_awd, (seed, res_v.best_awd, init_awd)
-
-            med_v, iqr_v = _ratio_stats(res_v.best_bank, freqs)
-            assert 0.8 <= med_v <= 1.25, (seed, med_v)
-
-            # per-time-step distance also drops from init to best checkpoint
-            init_cfg = fed.TrainConfig(topology="vfl", seed=seed)
-            init_bank = fed.bank_from_state(fed.init_stack(init_cfg, [(views, seed)]).runs[0])
-            awd_init = metrics.awd(ds, fed.synthesize(init_bank, 512, 99))
-            awd_best = metrics.awd(ds, fed.synthesize(res_v.best_bank, 512, 99))
-            assert awd_best < awd_init
-
-            t0 = time.time()
-            res_l = fed.train(
-                fed.TrainConfig(topology="local_only", max_iters=4000, checkpoint_every=100, seed=seed),
-                views,
-            )
-            assert time.time() - t0 < 600.0
-            _, iqr_l = _ratio_stats(res_l.best_bank, freqs)
-            if iqr_l > iqr_v:
-                iqr_wider += 1
+        # the six trainings are independent: one chunk of them per usable core
+        jobs = [(seed, topology) for seed in (32, 33, 34) for topology in ("vfl", "local_only")]
+        chunks = [jobs[part] for part in workers.split(len(jobs))]
+        done = workers.run_chunks(
+            lambda chunk: [_desk_run(ds, views, freqs, *job) for job in chunk], chunks
+        )
+        iqr = dict(zip(jobs, [value for chunk in done for value in chunk]))
+        iqr_wider = sum(iqr[(seed, "local_only")] > iqr[(seed, "vfl")] for seed in (32, 33, 34))
         assert iqr_wider >= 2, f"local_only IQR wider in only {iqr_wider}/3 seeds"
 
 

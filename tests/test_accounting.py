@@ -6,6 +6,8 @@ import pytest
 
 from fedtsgan import accounting as acc
 
+from helpers import reference_amplified_eps
+
 
 def oracle_amplified_eps(alpha, sigma, gamma, generator_mode=False, prec=256):
     """Direct high-precision summation of the subsampled-RDP series."""
@@ -91,6 +93,42 @@ class TestSubsampleAmplify:
             acc.subsample_amplify(1.0, 0.0)
         with pytest.raises(ValueError):
             acc.subsample_amplify(1.0, 1.5)
+
+
+class TestArraySeries:
+    """``_amplified_eps`` sums its series as arrays and keeps the bits of the
+    scalar loop in ``helpers.reference_amplified_eps``: every epsilon, and
+    so every calibrated sigma."""
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.5, 0.8, 1.0, 1.32, 2.0, 4.0, 64.0])
+    def test_each_epsilon_keeps_its_bits(self, sigma):
+        for gamma in (0.005, 0.01, 0.05, 0.0625, 0.125, 0.5, 1.0):
+            for alpha in acc.DEFAULT_ALPHAS + (300,):
+                for gen_mode in (False, True):
+                    got = acc._amplified_eps(alpha, sigma, gamma, gen_mode)
+                    want = reference_amplified_eps(alpha, sigma, gamma, gen_mode)
+                    assert got == want, (sigma, gamma, alpha, gen_mode)
+
+    @pytest.mark.parametrize(
+        "epsilon, delta, gamma, steps",
+        [
+            (10.0, 1e-3, 0.0625, 150),  # sine6-dp-budget's train
+            (10.0, 1e-3, 0.5, 2000),  # criterion 7c+7d
+            (10.0, 1e-3, 0.05, 2000),  # the calibrate command's round trip
+        ],
+    )
+    def test_calibrate_keeps_its_bits(self, monkeypatch, epsilon, delta, gamma, steps):
+        got = acc.calibrate(epsilon, delta, gamma, steps)
+        monkeypatch.setattr(acc, "_amplified_eps", reference_amplified_eps)
+        assert acc.calibrate(epsilon, delta, gamma, steps) == got
+
+    @pytest.mark.parametrize(
+        "sigma, gamma, steps, delta", [(1.32, 0.0625, 150, 1e-3), (1.0, 0.01, 1, 1e-5)]
+    )
+    def test_account_keeps_its_bits(self, monkeypatch, sigma, gamma, steps, delta):
+        got = acc.privacy_report(sigma, gamma, steps, delta)
+        monkeypatch.setattr(acc, "_amplified_eps", reference_amplified_eps)
+        assert acc.privacy_report(sigma, gamma, steps, delta) == got
 
 
 class TestCompose:

@@ -650,8 +650,8 @@ dir = {tmp_path / 'out'}
 
 
 def test_import_leaves_the_process_pool_modules_unloaded():
-    # the shadow trainer imports them only when it forks workers; at import
-    # they would add some 25 ms to every command's start
+    # the package forks its workers bare (fedtsgan.workers); these modules
+    # would add some 25 ms to every command's start
     import os
     import subprocess
     import sys

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedtsgan import cli, config, federation
+from fedtsgan import cli, config, federation, workers
 from fedtsgan.audit import AuditConfig
 from fedtsgan.config import parse_config
 
@@ -181,7 +181,7 @@ def test_a_mutated_config_exits_with_a_documented_code(valid_sections, data):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
         mp.setenv("FEDTSGAN_OUTPUT_ROOT", work)
-        mp.setattr(federation, "_usable_cores", lambda: 1)
+        mp.setattr(workers, "usable_cores", lambda: 1)
         path = Path(work) / "mutated.ini"
         path.write_text(_render(sections))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedtsgan import data
+from fedtsgan import data, workers
 from fedtsgan.metrics import estimate_amplitudes
 
 
@@ -219,8 +220,9 @@ def with_cells(shape, values, labels=None):
 
 
 class TestCsvBytes:
-    """``save_csv`` writes the reference writer's bytes, and ``load_csv``
-    reads back every non-NaN cell's bits."""
+    """``save_csv`` writes the reference writer's bytes, also where forked
+    workers write an export of at least twice ``MIN_BLOCK_VALUES`` values in
+    blocks, and ``load_csv`` reads back every non-NaN cell's bits."""
 
     @staticmethod
     def assert_reference_bytes(ds, tmp_path):
@@ -279,6 +281,63 @@ class TestCsvBytes:
         tmp_path = tmp_path_factory.mktemp("csv")
         self.assert_reference_bytes(ds, tmp_path)
         self.assert_bits_read_back(ds, tmp_path)
+
+    @staticmethod
+    def edge_dataset(n_samples, min_values, labelled):
+        # EDGE_CELLS open every sample's first row, so every block holds them
+        n_steps = -(-min_values // (2 * n_samples))
+        ds = with_cells(
+            (n_samples, 2, n_steps),
+            np.random.default_rng(3).standard_normal(n_samples * 2 * n_steps),
+            np.arange(n_samples) % 2 if labelled else None,
+        )
+        ds.data[:, 0, : len(EDGE_CELLS)] = EDGE_CELLS
+        return ds
+
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+    def test_blocks_in_workers_keep_the_bytes(self, tmp_path, monkeypatch, labelled):
+        ds = self.edge_dataset(7, 3 * data.MIN_BLOCK_VALUES, labelled)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork)
+        self.assert_reference_bytes(ds, tmp_path)
+        assert len(forks) == 2  # blocks of samples 0-1, 2-3 and 4-6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.csv", "reference.csv"]
+
+    def test_a_small_export_stays_in_this_process(self, tmp_path, monkeypatch):
+        ds = self.edge_dataset(6, 2 * data.MIN_BLOCK_VALUES - 12, True)
+        assert ds.data.size < 2 * data.MIN_BLOCK_VALUES
+
+        def fork():
+            raise AssertionError("a small export forked")
+
+        monkeypatch.setattr(workers, "usable_cores", lambda: 4)
+        monkeypatch.setattr(os, "fork", fork)
+        self.assert_reference_bytes(ds, tmp_path)
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_a_failing_block_raises_here_and_leaves_no_file(self, tmp_path, monkeypatch, where):
+        ds = self.edge_dataset(4, 2 * data.MIN_BLOCK_VALUES, True)
+        parent = os.getpid()
+        real = data._write_rows
+
+        def write_rows(dataset, samples, path, head):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise OSError(f"block of samples {samples.start}-{samples.stop - 1} failed")
+            real(dataset, samples, path, head)
+
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        monkeypatch.setattr(data, "_write_rows", write_rows)
+        failed = "0-1" if where == "parent" else "2-3"
+        with pytest.raises(OSError, match=f"^block of samples {failed} failed$"):
+            data.save_csv(ds, tmp_path / "d.csv")
+        assert [p.name for p in tmp_path.iterdir() if p.name != "d.csv"] == []
 
 
 class TestDatasetInvariants:

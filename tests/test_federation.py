@@ -1,6 +1,5 @@
 import hashlib
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -11,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedtsgan import data, federation as fed, nn
+from fedtsgan import data, federation as fed, nn, workers
 from fedtsgan.dpmech import DpParams
 from fedtsgan.rng import stream, stream_seed
 
@@ -780,12 +779,11 @@ class TestShadowTrainerAcrossCores:
         # the first diverging run trains here and the last in a worker
         jobs = [(full, 5), (short, 6), (full, 7), (short, 8), (full, 9)]
         self.poison_seeds(monkeypatch, {5, 9})
-        monkeypatch.setattr(fed, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(workers, "usable_cores", lambda: cores)
         trainer = fed.shadow_trainer(
             tiny_config(max_iters=4, dp=DpParams(1.0, 0.5)), assignment, n_synth=5
         )
         together = trainer(jobs)
-        assert multiprocessing.active_children() == []
         alone = [trainer([job])[0] for job in jobs]
         assert [r is None for r in alone] == [True, False, False, False, True]
         assert [release_blob(r) for r in together] == [release_blob(r) for r in alone]
@@ -805,7 +803,7 @@ class TestShadowTrainerAcrossCores:
             return real(config, jobs)
 
         monkeypatch.setattr(fed, "train_runs", train_runs)
-        monkeypatch.setattr(fed, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         trainer = fed.shadow_trainer(tiny_config(max_iters=2), assignment, n_synth=5)
         jobs = [(full, 5), (full, 6), (full.without_sample(2), 7)]
         size = 2 if where == "worker" else 1
@@ -814,7 +812,6 @@ class TestShadowTrainerAcrossCores:
             trainer(jobs)
         # the error does not wait for the other chunk, whose worker is gone
         assert time.monotonic() - start < 10
-        assert multiprocessing.active_children() == []
 
     def test_without_fork_every_chunk_trains_here(self, monkeypatch):
         make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
@@ -831,7 +828,7 @@ class TestShadowTrainerAcrossCores:
             return real(config, jobs)
 
         monkeypatch.setattr(fed, "train_runs", train_runs)
-        monkeypatch.setattr(fed, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
         monkeypatch.delattr(os, "fork")
         together = trainer(jobs)
         assert sizes == [3]
@@ -841,9 +838,9 @@ class TestShadowTrainerAcrossCores:
 
     def test_usable_cores_follow_the_affinity_mask(self):
         if hasattr(os, "sched_getaffinity"):
-            assert fed._usable_cores() == len(os.sched_getaffinity(0))
+            assert workers.usable_cores() == len(os.sched_getaffinity(0))
         else:
-            assert fed._usable_cores() == (os.cpu_count() or 1)
+            assert workers.usable_cores() == (os.cpu_count() or 1)
 
 
 class TestDpWiring:

@@ -208,11 +208,11 @@ def save_csv(dataset: TimeSeriesDataset, path) -> None:
     appended in order, so the bytes do not depend on the split."""
     header = ["sample_id", "attribute_id", "label"] + [f"t{k}" for k in range(dataset.n_steps)]
     blocks = workers.split(dataset.n_samples, dataset.data.size // MIN_BLOCK_VALUES)
+    folder, base = os.path.split(path)
     files = [path]
     try:
         for _ in blocks[1:]:
-            head, tail = os.path.split(path)
-            fd, name = tempfile.mkstemp(".part", f".{tail}.", head or ".")
+            fd, name = tempfile.mkstemp(".part", f".{base}.", folder or ".")
             os.close(fd)
             files.append(name)
         heads = [",".join(header) + "\r\n"] + [""] * (len(blocks) - 1)
@@ -221,8 +221,8 @@ def save_csv(dataset: TimeSeriesDataset, path) -> None:
         )
         with open(path, "ab") as out:
             for name in files[1:]:
-                # the default buffer: with a 1 MiB one, glibc's raised mmap
-                # threshold left about 2 MiB more resident for good
+                # the default buffer: a 1 MiB one left about 2 MiB more
+                # resident after the export
                 with open(name, "rb") as part:
                     shutil.copyfileobj(part, out)
     finally:

@@ -48,7 +48,7 @@ def _serve(fn, chunk, out: int, inherited: list[int]) -> None:
             os.close(fd)
         try:
             message = pickle.dumps((True, fn(chunk)))
-        except BaseException as exc:  # noqa: BLE001 - every error goes to the caller
+        except BaseException as exc:  # every error, interrupts too, goes to the caller
             try:
                 message = pickle.dumps((False, exc))
             except Exception:  # an error that does not pickle goes as its text

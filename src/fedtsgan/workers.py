@@ -7,7 +7,10 @@ are forked bare, with ``os.fork`` and ``os._exit``, so a call costs a fork
 and a reap per worker and no process pool. ``split`` cuts a count of items
 into the contiguous chunks a caller hands it. A forked worker holds only
 the thread that forked it, so call ``run_chunks`` where this process runs
-no other thread.
+no other thread. While workers run, numpy's OpenBLAS is held to one
+thread in each process: a BLAS pool of one thread per core in each of
+one process per core would put cores² busy threads on the cores, and
+OpenBLAS's idle threads spin.
 
 Callers: ``federation.shadow_trainer`` (the audit's shadow runs) and
 ``data.save_csv`` (the dataset export).
@@ -15,9 +18,15 @@ Callers: ``federation.shadow_trainer`` (the audit's shadow runs) and
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import os
 import pickle
 import signal
+
+import numpy as np
 
 
 def usable_cores() -> int:
@@ -37,6 +46,38 @@ def split(n: int, most: int | None = None) -> list[slice]:
         parts = min(parts, most)
     parts = min(max(parts, 1), n)
     return [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)]
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS bundled with
+    numpy's wheel, or None where numpy links another BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)  # already loaded by numpy: the same library
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread here, and so in the workers
+    forked meanwhile, then give it back its count."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _serve(fn, chunk, out: int, inherited: list[int]) -> None:
@@ -84,27 +125,28 @@ def run_chunks(fn, chunks: list) -> list:
     if len(chunks) < 2 or not hasattr(os, "fork"):
         return [fn(chunk) for chunk in chunks]
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    try:
-        for chunk in chunks[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
+    with _one_blas_thread():
+        try:
+            for chunk in chunks[1:]:
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    _serve(fn, chunk, write, [read] + [fd for _, fd in workers])
                 os.close(write)
-                raise
-            if pid == 0:
-                _serve(fn, chunk, write, [read] + [fd for _, fd in workers])
-            os.close(write)
-            workers.append((pid, read))
-        results = [fn(chunks[0])]
-        results += [_receive(pid, read) for pid, read in workers]
-        return results
-    finally:
-        for pid, read in workers:
-            os.close(read)
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+                workers.append((pid, read))
+            results = [fn(chunks[0])]
+            results += [_receive(pid, read) for pid, read in workers]
+            return results
+        finally:
+            for pid, read in workers:
+                os.close(read)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)

@@ -842,6 +842,15 @@ class TestShadowTrainerAcrossCores:
         else:
             assert workers.usable_cores() == (os.cpu_count() or 1)
 
+    def test_chunks_run_on_one_blas_thread_and_the_count_comes_back(self, monkeypatch):
+        # where numpy bundles no OpenBLAS there is no count to hold
+        threads = workers._openblas_threads()
+        count = (lambda _: threads[0]()) if threads else (lambda _: None)
+        before = count(None)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        assert workers.run_chunks(count, [0, 1]) == ([1, 1] if threads else [None, None])
+        assert count(None) == before
+
 
 class TestDpWiring:
     def test_dp_off_equals_passthrough_mechanism_bitwise(self, sine_views):

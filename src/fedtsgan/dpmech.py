@@ -5,13 +5,6 @@ one vector) of each local attribute discriminator and feature extractor:
 scale it to L2 norm at most C, then add N(0, (2*C*sigma)^2) per coordinate.
 Deeper layers pass through untouched. Each protected model owns a private
 noise stream so disabling noise never shifts any other draw in a run.
-
-The noise comes from a source: an object whose ``normal(loc, scale, size)``
-returns an array of that shape whose entries are ``loc + scale * z`` for
-the source's next standard-normal draws z, as ``np.random.Generator.normal``
-does. A source need not draw when called: training reads blocks that a
-helper thread drew one iteration ahead from the same stream, with the same
-bytes.
 """
 
 from __future__ import annotations
@@ -97,9 +90,9 @@ def perturb_first_layer(
     first-layer coordinate. sigma=0 reduces exactly to clip_first_layer and
     draws nothing.
 
-    The noise is one draw of the whole first-layer vector from the source
-    ``rng`` (module docstring), weights first, then biases: the bytes of a
-    weight draw followed by a bias draw from a ``Generator``."""
+    The noise is one ``rng.normal`` draw of the whole first-layer vector,
+    weights first, then biases: the bytes of a weight draw followed by a
+    bias draw from ``rng``."""
     out = clip_first_layer(grads, clip)
     if sigma > 0.0:
         vec = out.first_layer_vector()

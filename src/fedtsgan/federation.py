@@ -46,25 +46,16 @@ first here and each other one in a forked worker, with the same bytes; a
 worker's error is raised in the caller once the caller's own stack has
 trained.
 
-Under DP with sigma > 0, ``train_runs`` starts one helper thread that draws
-the noise one iteration ahead (``_NoiseAhead``): while the phases of
-iteration t run, it draws iteration t + 1's standard normals for every live
-run and noised model, each from that run's stream for that model, into the
-``NoiseSource`` of that (run, model), which scales them when
-``perturb_first_layer`` reads them. The trainer and the helper meet once
-per iteration, in ``take``. The noise keeps its bytes. The helper starts
-after set-up, so in the audit after the workers are forked, and it is
-stopped and joined before ``train_runs`` returns or raises; an error in it
-is raised in the caller. ``train_runs`` takes the mechanism from
-``config.dp``, which the CLI builds from the [dp] section.
+Under DP, ``perturb_first_layer`` draws each live run's noise for a model
+from that run's stream for that model, when the phase clips its gradient.
+``train_runs`` takes the mechanism from ``config.dp``, which the CLI builds
+from the [dp] section.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import queue
-import threading
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -184,33 +175,6 @@ def payload_digest(arr: np.ndarray) -> str:
     return _sha256(arr).hex()
 
 
-class NoiseSource:
-    """A run's private noise stream for one protected model, in the form
-    ``perturb_first_layer`` reads (``dpmech``'s source contract). It draws
-    from ``rng`` itself, except while ``train_runs``' helper thread draws
-    ahead (``_NoiseAhead``): then ``blocks`` is a (2, n) pair, n the size of
-    the model's first-layer gradient vector, and ``normal`` scales and
-    returns the row of the standard normals the helper drew from ``rng`` for
-    the current iteration, which it may read once."""
-
-    __slots__ = ("rng", "blocks", "ahead")
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.blocks: np.ndarray | None = None
-        self.ahead: _NoiseAhead | None = None
-
-    def normal(self, loc: float, scale: float, size) -> np.ndarray:
-        if self.ahead is None:
-            return self.rng.normal(loc, scale, size)
-        # the iteration's standard normals, read once: loc + scale * z,
-        # rounded as Generator.normal does
-        block = self.blocks[self.ahead.parity]
-        block *= scale
-        block += loc
-        return block
-
-
 @dataclass
 class Branch:
     """One input block of a discriminator: the series of ``keys``
@@ -237,15 +201,15 @@ class Discriminator:
 class FederationState:
     """One run of a stack: its dataset views, message log, the random streams
     keyed by its seed, and ``models``, slot -> a view of its row of the
-    stack's model. ``noise_rngs`` maps each noised slot to its
-    ``NoiseSource``."""
+    stack's model. ``noise_rngs`` maps each noised slot to the run's
+    ``np.random.Generator`` for that model's noise."""
 
     config: TrainConfig
     views: list[PartyView]
     log: MessageLog
     z_rng: np.random.Generator
     batch_rng: np.random.Generator
-    noise_rngs: dict[tuple, NoiseSource]
+    noise_rngs: dict[tuple, np.random.Generator]
     models: dict[tuple, nn.MlpModel] = field(default_factory=dict)
     iteration: int = 0
 
@@ -348,7 +312,7 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
             MessageLog(),
             stream(seed, "latent"),
             stream(seed, "batches"),
-            {slot: NoiseSource(stream(seed, "dp-noise", *slot)) for slot in noised},
+            {slot: stream(seed, "dp-noise", *slot) for slot in noised},
         )
         for views, seed in jobs
     ]
@@ -406,7 +370,7 @@ def _log(stack, failed: dict, direction: str, party_id: int, kind: str, payload:
 
 def _maybe_dp(stack, failed: dict, key, grads: nn.GradientSet) -> None:
     """Clip and noise each live run's gradient in place, from the run's own
-    noise source for ``key``; a model without a noise source is left as is."""
+    noise stream for ``key``; a model without a noise stream is left as is."""
     if key not in stack.runs[0].noise_rngs:  # the runs share one stream list
         return
     dp = stack.config.dp
@@ -693,78 +657,6 @@ def _run_losses(stack: FederationStack, losses: dict) -> list[dict]:
     return [{key: col[k] for key, col in columns.items()} for k in range(len(stack.runs))]
 
 
-class _NoiseAhead:
-    """The DP noise of a training with sigma > 0, drawn one iteration ahead
-    on a helper thread.
-
-    While the trainer runs iteration t, the helper draws iteration t + 1's
-    standard normals for every live run's sources, each from its source's
-    own stream into row (t + 1) % 2 of the source's block pair, which is
-    allocated once; each source scales its row when read. ``take(t, live)``
-    is the one handover per iteration: it hands the helper the ``live`` jobs
-    to draw iteration t + 1 for, into the rows iteration t - 1 has read,
-    then waits for iteration t's draw. Leaving the ``with`` block stops and
-    joins the helper and detaches the sources. An error in the helper is
-    raised by the next ``take``. Without noise to draw no thread starts, and
-    ``take`` does nothing.
-    """
-
-    def __init__(self, stack: FederationStack):
-        dp = stack.config.dp
-        self.thread = None
-        if dp is None or dp.sigma == 0.0:
-            return
-        self.iterations = stack.config.max_iters
-        for run in stack.runs:
-            for slot, source in run.noise_rngs.items():
-                # the vector perturb_first_layer noises, as wide for every run
-                model = stack.models[slot]
-                first = nn.GradientSet.from_flat(model.params, model.shapes)
-                source.blocks = np.empty((2, first.first_layer_vector().shape[-1]))
-                source.ahead = self
-        self.sources = [list(run.noise_rngs.values()) for run in stack.runs]
-        self.parity = 0
-        # to the helper: the live jobs to draw an iteration for, or None to
-        # stop; back: None once it is drawn, or the error that stopped it
-        self.free, self.filled = queue.SimpleQueue(), queue.SimpleQueue()
-        self.free.put(range(len(stack.runs)))  # iteration 1
-        self.thread = threading.Thread(target=self._draw, name="fedtsgan-dp-noise", daemon=True)
-
-    def _draw(self) -> None:
-        try:
-            for it in range(1, self.iterations + 1):
-                live = self.free.get()
-                if live is None:
-                    return
-                for j in live:
-                    for source in self.sources[j]:
-                        source.rng.standard_normal(out=source.blocks[it % 2])
-                self.filled.put(None)
-        except Exception as exc:  # the trainer raises it at its next take
-            self.filled.put(exc)
-
-    def __enter__(self) -> "_NoiseAhead":
-        if self.thread is not None:
-            self.thread.start()
-        return self
-
-    def take(self, it: int, live: list[int]) -> None:
-        if self.thread is not None:
-            self.free.put(list(live))
-            error = self.filled.get()
-            if error is not None:
-                raise error
-            self.parity = it % 2
-
-    def __exit__(self, *exc) -> None:
-        if self.thread is not None:
-            self.free.put(None)
-            self.thread.join()
-            for sources in self.sources:
-                for source in sources:
-                    source.blocks = source.ahead = None
-
-
 # every non-finite value ends its run as a divergence, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> list[TrainResult]:
@@ -789,36 +681,34 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
         results.append(TrainResult(run, history, bank_from_state(run).copy(), awd0, 0))
 
     live = list(range(len(jobs)))  # the job of each run of ``stack``
-    with _NoiseAhead(stack) as noise:
-        for it in range(1, config.max_iters + 1):
-            noise.take(it, live)
-            for run in stack.runs:
-                run.iteration = it
-            batch = np.stack(
-                [
-                    subsample_batch(run.dataset.n_samples, config.batch_size, run.batch_rng)
-                    for run in stack.runs
-                ]
-            )
-            rows = [{"iteration": it} for _ in live]
-            for phase in (lambda s: discriminator_phase(s, batch), generator_phase):
-                info = phase(stack)
-                for row, losses in zip(rows, _run_losses(stack, info["losses"])):
-                    row.update(losses)
-                if info["failed"]:
-                    live, rows = _retire(stack, live, rows, info["failed"], results, it)
-                    if not live:
-                        return results
-            checkpoint = it % config.checkpoint_every == 0 or it == config.max_iters
-            for j, row in zip(live, rows):
-                result = results[j]
-                if checkpoint:
-                    row["awd"] = checkpoint_awd(result.state, eval_seeds[j])
-                    if row["awd"] < result.best_awd:
-                        result.best_awd = row["awd"]
-                        result.best_bank = bank_from_state(result.state).copy()
-                        result.best_iteration = it
-                result.history.append(row)
+    for it in range(1, config.max_iters + 1):
+        for run in stack.runs:
+            run.iteration = it
+        batch = np.stack(
+            [
+                subsample_batch(run.dataset.n_samples, config.batch_size, run.batch_rng)
+                for run in stack.runs
+            ]
+        )
+        rows = [{"iteration": it} for _ in live]
+        for phase in (lambda s: discriminator_phase(s, batch), generator_phase):
+            info = phase(stack)
+            for row, losses in zip(rows, _run_losses(stack, info["losses"])):
+                row.update(losses)
+            if info["failed"]:
+                live, rows = _retire(stack, live, rows, info["failed"], results, it)
+                if not live:
+                    return results
+        checkpoint = it % config.checkpoint_every == 0 or it == config.max_iters
+        for j, row in zip(live, rows):
+            result = results[j]
+            if checkpoint:
+                row["awd"] = checkpoint_awd(result.state, eval_seeds[j])
+                if row["awd"] < result.best_awd:
+                    result.best_awd = row["awd"]
+                    result.best_bank = bank_from_state(result.state).copy()
+                    result.best_iteration = it
+            result.history.append(row)
     return results
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import os
-import sys
 import threading
 import time
 import tracemalloc
@@ -572,7 +571,7 @@ class TestRunStack:
 
         def perturb(grads, clip, sigma, rng):
             out = real(grads, clip, sigma, rng)
-            key = rng.rng.bit_generator.seed_seq.entropy
+            key = rng.bit_generator.seed_seq.entropy
             calls[id(rng)] = calls.get(id(rng), 0) + 1
             if poison.get(key) == calls[id(rng)]:
                 out.d_weights[0][0, 0] = np.nan
@@ -609,7 +608,7 @@ class TestRunStack:
         real = fed.perturb_first_layer
 
         def perturb(grads, clip, sigma, rng):
-            key = rng.rng.bit_generator.seed_seq.entropy
+            key = rng.bit_generator.seed_seq.entropy
             calls[id(rng)] = calls.get(id(rng), 0) + 1
             if key in poison and poison[key][0] == calls[id(rng)]:
                 grads.d_weights[0][0, :] = poison[key][1]
@@ -764,7 +763,7 @@ class TestShadowTrainerAcrossCores:
         def perturb(grads, clip, sigma, rng):
             out = real(grads, clip, sigma, rng)
             calls[id(rng)] = (rng, calls.get(id(rng), (rng, 0))[1] + 1)
-            if rng.rng.bit_generator.seed_seq.entropy in keys and calls[id(rng)][1] == 2:
+            if rng.bit_generator.seed_seq.entropy in keys and calls[id(rng)][1] == 2:
                 out.d_weights[0][0, 0] = np.nan
             return out
 
@@ -835,6 +834,27 @@ class TestShadowTrainerAcrossCores:
         assert [release_blob(r) for r in together] == [
             release_blob(trainer([job])[0]) for job in jobs
         ]
+
+    def test_workers_fork_where_no_other_thread_runs(self, monkeypatch):
+        # a forked worker holds only the thread that forked it, so
+        # ``run_chunks`` may fork only where this process runs no other one
+        make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
+        full = make_dataset()
+        jobs = [(full, 5), (full.without_sample(2), 6), (full, 7)]
+        counts = []
+        real = os.fork
+
+        def fork():
+            counts.append(threading.active_count())
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 3)
+        trainer = fed.shadow_trainer(
+            tiny_config(max_iters=3, dp=DpParams(1.0, 0.5)), assignment, n_synth=5
+        )
+        assert all(release is not None for release in trainer(jobs))
+        assert counts == [1, 1]
 
     def test_usable_cores_follow_the_affinity_mask(self):
         if hasattr(os, "sched_getaffinity"):
@@ -940,15 +960,23 @@ class TestDpWiring:
         assert real_feats_a.payload_hash == real_feats_b.payload_hash
 
 
-class TestNoiseAhead:
-    """Under DP with sigma > 0, ``train_runs`` draws the noise one iteration
-    ahead on one helper thread, which never outlives it."""
+class TestNoiseInPlace:
+    """``perturb_first_layer`` draws each run's noise from its ``Generator``
+    when the phase clips the gradient, on the training thread."""
 
-    @staticmethod
-    def watch_threads(monkeypatch):
-        """The names of the threads other than this one seen at each
-        discriminator phase."""
-        seen = []
+    @pytest.mark.parametrize(
+        "dp, seeds",
+        [
+            (None, [1]),
+            (DpParams(1.0, 0.0), [1]),
+            (DpParams(np.inf, 0.0), [1]),
+            (DpParams(1.0, 0.5), [1]),
+            (DpParams(1.0, 0.5), [1, 2]),
+        ],
+        ids=["off", "sigma_0", "passthrough", "sigma", "sigma_stack"],
+    )
+    def test_training_starts_no_thread(self, monkeypatch, sine_views, dp, seeds):
+        seen = []  # the names of the other threads at each discriminator phase
         real = fed.discriminator_phase
 
         def phase(stack, batch):
@@ -957,122 +985,35 @@ class TestNoiseAhead:
             return real(stack, batch)
 
         monkeypatch.setattr(fed, "discriminator_phase", phase)
-        return seen
-
-    @staticmethod
-    def assert_no_thread_left(before):
-        assert set(threading.enumerate()) == before
-
-    def test_a_training_joins_its_helper_and_detaches_the_sources(self, monkeypatch, sine_views):
-        seen = self.watch_threads(monkeypatch)
-        before = set(threading.enumerate())
-        cfg = tiny_config(max_iters=5, dp=DpParams(1.0, 0.5))
-        results = fed.train_runs(cfg, [(sine_views, 1), (sine_views, 2)])
-        self.assert_no_thread_left(before)
-        # it ends once it has drawn the last iteration
-        assert seen[0] == ["fedtsgan-dp-noise"] and len(seen) == 5
-        assert all(names in ([], ["fedtsgan-dp-noise"]) for names in seen)
-        for result in results:
-            sources = result.state.noise_rngs.values()
-            assert sources and all(s.ahead is None and s.blocks is None for s in sources)
-
-    @pytest.mark.parametrize(
-        "dp", [None, DpParams(1.0, 0.0), DpParams(np.inf, 0.0)], ids=["off", "sigma_0", "passthrough"]
-    )
-    def test_no_noise_starts_no_thread(self, monkeypatch, sine_views, dp):
-        seen = self.watch_threads(monkeypatch)
-        fed.train_runs(tiny_config(max_iters=3, dp=dp), [(sine_views, 1)])
+        fed.train_runs(tiny_config(max_iters=3, dp=dp), [(sine_views, s) for s in seeds])
         assert seen == [[]] * 3
 
-    def test_every_run_diverging_joins_the_helper(self, monkeypatch, sine_views):
-        # a NaN first-layer gradient at iteration 2 ends each run early,
-        # while the helper waits to draw iteration 4 of 20
-        real = fed.perturb_first_layer
-
-        def perturb(grads, clip, sigma, rng):
-            out = real(grads, clip, sigma, rng)
-            if rng.ahead.parity == 0:
-                out.d_weights[0][0, 0] = np.nan
-            return out
-
-        monkeypatch.setattr(fed, "perturb_first_layer", perturb)
-        before = set(threading.enumerate())
-        cfg = tiny_config(max_iters=20, dp=DpParams(1.0, 0.5))
-        results = fed.train_runs(cfg, [(sine_views, 1), (sine_views, 2)])
-        self.assert_no_thread_left(before)
-        assert [(r.diverged, r.state.iteration) for r in results] == [(True, 2)] * 2
-
-    def test_a_phase_raising_joins_the_helper(self, monkeypatch, sine_views):
-        real = fed.generator_phase
-
-        def phase(stack):
-            if stack.runs[0].iteration == 2:
-                raise RuntimeError("phase failed")
-            return real(stack)
-
-        monkeypatch.setattr(fed, "generator_phase", phase)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="phase failed"):
-            fed.train_runs(tiny_config(max_iters=6, dp=DpParams(1.0, 0.5)), [(sine_views, 1)])
-        self.assert_no_thread_left(before)
-
     def test_a_failing_draw_reaches_the_caller(self, monkeypatch, sine_views):
+        error = RuntimeError("draw failed")
+
         class Failing:
-            """A stream whose third draw fails."""
+            """A noise stream whose third draw fails."""
 
             def __init__(self):
                 self.draws = 0
 
-            def standard_normal(self, out):
+            def normal(self, loc, scale, size):
                 self.draws += 1
                 if self.draws == 3:
-                    raise RuntimeError("draw failed")
-                out[...] = 0.0
+                    raise error
+                return np.zeros(size)
 
         real = fed.init_stack
 
         def init_stack(config, jobs):
             stack = real(config, jobs)
-            stack.runs[0].noise_rngs["D", 1, 1].rng = Failing()
+            stack.runs[0].noise_rngs["D", 1, 1] = Failing()
             return stack
 
         monkeypatch.setattr(fed, "init_stack", init_stack)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="draw failed"):
+        with pytest.raises(RuntimeError) as caught:
             fed.train_runs(tiny_config(max_iters=6, dp=DpParams(1.0, 0.5)), [(sine_views, 1)])
-        self.assert_no_thread_left(before)
-
-    def test_runs_keep_their_bytes_under_rapid_thread_switching(self):
-        # the helper and the trainer switch every microsecond; a block read
-        # before it is drawn, or drawn again while read, changes the bytes
-        # of the run, which must equal those drawn in place by ref_train
-        make_dataset, assignment = STACK_PARTITIONS["sine6_three_parties"]
-        jobs = stack_jobs(make_dataset)
-        cfg = tiny_config(max_iters=12, checkpoint_every=4, dp=DpParams(1.0, 0.5))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = fed.train_runs(cfg, [(data.partition(d, assignment), s) for d, s in jobs])
-        finally:
-            sys.setswitchinterval(interval)
-        for result, (d, s) in zip(got, jobs):
-            assert_same_run(result, ref_train(replace(cfg, seed=s), data.partition(d, assignment)))
-
-    @pytest.mark.parametrize(
-        "loc, scale", [(0.0, 2.6), (0.0, 1e-320), (-1.5, 0.3), (0.0, math.inf)]
-    )
-    def test_a_block_drawn_ahead_reads_as_generator_normal(self, loc, scale):
-        # the helper draws standard normals; the source scales them on read,
-        # with the bytes (signed zeros and underflow included) of a draw in place
-        class Ahead:
-            parity = 1
-
-        source = fed.NoiseSource(stream(3, "dp-noise", "D", 0, 0))
-        source.blocks = np.full((2, 7), np.nan)
-        source.rng.standard_normal(out=source.blocks[1])
-        source.ahead = Ahead()
-        want = stream(3, "dp-noise", "D", 0, 0).normal(loc, scale, size=(7,))
-        assert source.normal(loc, scale, (7,)).tobytes() == want.tobytes()
+        assert caught.value is error
 
 
 class TestRawDataLocality:

@@ -177,6 +177,22 @@ class TestPerturb:
         out = perturb_first_layer(g, 0.5, 2.0, rng)
         assert out.d_weights[1].tobytes() == g.d_weights[1].tobytes()
 
+    @pytest.mark.parametrize(
+        "clip, sigma",
+        [(1.0, 0.5), (0.3, 1.32), (MIN_CLIP, 1e-170), (1e150, 2.0)],
+        ids=["unit", "clipped", "underflow", "huge"],
+    )
+    def test_noise_is_a_weight_then_a_bias_generator_normal_draw(self, clip, sigma):
+        # the bytes, signed zeros and underflow included, of rng.normal
+        # drawn for the weights, then for the biases, added to the clipped view
+        g = grads_with_first_layer(np.linspace(-3.0, 3.0, 7))
+        out = perturb_first_layer(g, clip, sigma, np.random.default_rng(11))
+        want = clip_first_layer(g, clip)
+        rng = np.random.default_rng(11)
+        for layer in (want.d_weights[0], want.d_biases[0]):
+            layer += rng.normal(0.0, 2.0 * clip * sigma, size=layer.shape)
+        assert out.flat.tobytes() == want.flat.tobytes()
+
     def test_clips_before_noising(self, rng):
         g = grads_with_first_layer([1000.0, 0.0, 0.0])
         out = perturb_first_layer(g, 1.0, 0.0, rng)

@@ -988,6 +988,38 @@ class TestNoiseInPlace:
         fed.train_runs(tiny_config(max_iters=3, dp=dp), [(sine_views, s) for s in seeds])
         assert seen == [[]] * 3
 
+    def test_every_run_diverging_ends_the_training(self, monkeypatch, sine_views):
+        # a NaN first-layer gradient at each noise stream's second draw ends
+        # both runs at iteration 2 of 20
+        calls = {}
+        real = fed.perturb_first_layer
+
+        def perturb(grads, clip, sigma, rng):
+            out = real(grads, clip, sigma, rng)
+            calls[id(rng)] = calls.get(id(rng), 0) + 1
+            if calls[id(rng)] == 2:
+                out.d_weights[0][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(fed, "perturb_first_layer", perturb)
+        cfg = tiny_config(max_iters=20, dp=DpParams(1.0, 0.5))
+        results = fed.train_runs(cfg, [(sine_views, 1), (sine_views, 2)])
+        assert [(r.diverged, r.state.iteration) for r in results] == [(True, 2)] * 2
+
+    def test_a_phase_raising_reaches_the_caller(self, monkeypatch, sine_views):
+        error = RuntimeError("phase failed")
+        real = fed.generator_phase
+
+        def phase(stack):
+            if stack.runs[0].iteration == 2:
+                raise error
+            return real(stack)
+
+        monkeypatch.setattr(fed, "generator_phase", phase)
+        with pytest.raises(RuntimeError) as caught:
+            fed.train_runs(tiny_config(max_iters=6, dp=DpParams(1.0, 0.5)), [(sine_views, 1)])
+        assert caught.value is error
+
     def test_a_failing_draw_reaches_the_caller(self, monkeypatch, sine_views):
         error = RuntimeError("draw failed")
 

@@ -5,8 +5,8 @@ For each seed and topology the script reports the best-checkpoint amplitude
 distance, the reconstruction MAE, and the within-sample amplitude-ratio
 statistics (the cross-party coupling signal: the ratio should sit near 1
 with a tight spread when the server-side discriminator does its job). The
-trainings run in one contiguous chunk per usable core, and the rows are
-printed in seed and topology order once all have finished.
+trainings run on every usable core through ``federation.train_many``, and
+the rows are printed in seed and topology order once all have finished.
 
 Example:
     python3 scripts/run_sine_benchmark.py --seeds 31 32 33 --iters 2000 \
@@ -17,21 +17,12 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fedtsgan import data, federation as fed, metrics, workers  # noqa: E402
-
-
-def ratio_stats(bank, freqs, n=512, seed=99):
-    synth = fed.synthesize(bank, n, seed)
-    amps = metrics.estimate_amplitudes(synth, freqs)
-    ratio = amps[:, 0] / amps[:, 1]
-    q1, med, q3 = np.percentile(ratio, [25, 50, 75])
-    return synth, med, q3 - q1
+from fedtsgan import data, federation as fed, metrics  # noqa: E402
 
 
 def main():
@@ -49,21 +40,16 @@ def main():
     views = data.partition(ds, {0: [0], 1: [1]})
     freqs = ds.frequencies()
 
-    def run(seed, topology):
-        t0 = time.time()
-        cfg = fed.TrainConfig(
-            topology=topology,
-            max_iters=args.iters,
-            checkpoint_every=100,
-            seed=seed,
-            batch_size=min(args.batch_size, ds.n_samples),
-            eval_samples=min(512, ds.n_samples),
-        )
-        res = fed.train(cfg, views)
-        synth, med, iqr = ratio_stats(res.best_bank, freqs)
-        return {
-            "seed": seed,
-            "topology": topology,
+    # a row's seconds: its training and read-back, where they ran (a worker
+    # starts from the call's clock); consecutive jobs never share a stack
+    clock = [time.time()]
+
+    def read(res):
+        synth = fed.synthesize(res.best_bank, 512, 99)
+        med, iqr = metrics.amplitude_ratio(synth, freqs)
+        row = {
+            "seed": res.state.config.seed,
+            "topology": res.state.config.topology,
             "diverged": res.diverged,
             "init_awd": res.history[0]["awd"],
             "best_awd": res.best_awd,
@@ -71,15 +57,19 @@ def main():
             "mae": metrics.sine_mae(synth, freqs),
             "ratio_median": med,
             "ratio_iqr": iqr,
-            "seconds": round(time.time() - t0, 1),
+            "seconds": round(time.time() - clock[0], 1),
         }
+        clock[0] = time.time()
+        return row
 
-    # the trainings are independent: one chunk of them per usable core
-    topologies = ("vfl", "centralized", "local_only")
-    jobs = [(seed, topology) for seed in args.seeds for topology in topologies]
-    chunks = [jobs[part] for part in workers.split(len(jobs))]
-    done = workers.run_chunks(lambda chunk: [run(*job) for job in chunk], chunks)
-    rows = [row for chunk in done for row in chunk]
+    base = fed.TrainConfig(
+        max_iters=args.iters,
+        checkpoint_every=100,
+        batch_size=min(args.batch_size, ds.n_samples),
+        eval_samples=min(512, ds.n_samples),
+    )
+    jobs = [(replace(base, topology=t, seed=s), views) for s in args.seeds for t in fed.TOPOLOGIES]
+    rows = fed.train_many(jobs, read)
     for row in rows:
         print(
             f"seed={row['seed']} {row['topology']:>11}: awd {row['init_awd']:.3f} -> "

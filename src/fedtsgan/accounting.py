@@ -130,13 +130,6 @@ def compose(curve: RdpCurve, steps: int) -> RdpCurve:
     return RdpCurve(curve.alphas, tuple(e * steps for e in curve.eps))
 
 
-def compose_curves(a: RdpCurve, b: RdpCurve) -> RdpCurve:
-    """Heterogeneous composition: pointwise sum on a shared grid."""
-    if a.alphas != b.alphas:
-        raise ValueError("curves live on different alpha grids")
-    return RdpCurve(a.alphas, tuple(x + y for x, y in zip(a.eps, b.eps)))
-
-
 def to_dp(curve: RdpCurve, delta: float) -> tuple[float, int]:
     """Tightest (eps, delta)-DP over the grid; returns (eps, argmin alpha)."""
     if not 0.0 < delta < 1.0:

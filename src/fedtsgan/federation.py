@@ -40,11 +40,11 @@ run; ``train`` is a stack of one. Every run keeps its own seed-keyed
 streams, message log and checkpoints, its ``models`` are views of its row
 under the same slots, and it ends with the bytes it would have produced
 training alone.
-``shadow_trainer``'s trainer splits its job list into one such stack per
-usable core and hands them to ``workers.run_chunks``, which trains the
-first here and each other one in a forked worker, with the same bytes; a
-worker's error is raised in the caller once the caller's own stack has
-trained.
+``train_many`` trains ``(config, views)`` jobs in one contiguous chunk per
+usable core through ``workers.run_chunks`` (the first here, each other in a
+forked worker), a chunk's runs of one config as a stack, and returns its
+caller's ``read`` of each result, taken where the run trained, with the
+bytes of a solo ``train`` at the same BLAS thread count (see ``train_many``).
 
 Under DP, ``perturb_first_layer`` draws each live run's noise for a model
 from that run's stream for that model, when the phase clips its gradient.
@@ -57,7 +57,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -738,20 +738,29 @@ def train(config: TrainConfig, views: list[PartyView]) -> TrainResult:
     return train_runs(config, [(views, config.seed)])[0]
 
 
-def _release_runs(
-    train_cfg: TrainConfig,
-    assignment: dict[int, list[int]],
-    n_synth: int | None,
-    jobs: list[tuple[TimeSeriesDataset, int]],
-) -> list[TimeSeriesDataset | None]:
-    """Train the ``(dataset, seed)`` jobs as one stack and release
-    ``n_synth`` samples (the dataset's size by default) from each run's best
-    checkpoint, or None for a run that diverged."""
-    results = train_runs(train_cfg, [(partition(d, assignment), s) for d, s in jobs])
-    return [
-        None if r.diverged else synthesize(r.best_bank, n_synth or d.n_samples, s)
-        for r, (d, s) in zip(results, jobs)
-    ]
+def train_many(jobs: list[tuple[TrainConfig, list[PartyView]]], read) -> list:
+    """``[read(train(config, views)) for config, views in jobs]``, in job
+    order: one contiguous chunk of jobs per usable core (``workers.split``),
+    the first trained here and each other in a forked worker
+    (``workers.run_chunks``), a chunk's consecutive jobs that differ only in
+    seed as one ``train_runs`` stack. ``read`` runs where its job trained,
+    so only its value crosses a worker's pipe. Each result has the bytes of
+    ``train(config, views)`` at the same BLAS thread count: one where there
+    is more than one chunk (``run_chunks`` holds it), this process's
+    otherwise.
+    """
+
+    def stack_key(job):
+        config, views = job
+        layout = [(v.party_id, v.attribute_indices) for v in views]
+        return replace(config, seed=0), layout, views[0].dataset.n_steps
+
+    def train_chunk(chunk):
+        stacks = [list(group) for _, group in groupby(chunk, stack_key)]
+        return [read(r) for s in stacks for r in train_runs(s[0][0], [(v, c.seed) for c, v in s])]
+
+    chunks = [jobs[part] for part in workers.split(len(jobs))]
+    return [value for done in workers.run_chunks(train_chunk, chunks) for value in done]
 
 
 def shadow_trainer(
@@ -759,21 +768,19 @@ def shadow_trainer(
 ):
     """The audit's shadow trainer (its contract is in ``audit``'s docstring):
     ``trainer(jobs)`` retrains the configured federation on each ``(dataset,
-    seed)`` job and releases ``n_synth`` samples (the dataset's size by
-    default) from the run's best checkpoint, or None when the run diverged.
-
-    The jobs go in contiguous chunks, one per usable core (at most one per
-    job), and each chunk trains as one stack: the first in this process, the
-    others in forked workers (``workers.run_chunks``). Where ``fork`` is
-    missing, every job trains here, as one stack. Each release has the bytes
-    of its job trained alone.
+    seed)`` job through ``train_many`` and releases ``n_synth`` samples (the
+    dataset's size by default) from the run's best checkpoint, or None when
+    the run diverged. Each release is synthesized where its run trained.
     """
 
+    def release(result: TrainResult) -> TimeSeriesDataset | None:
+        if result.diverged:
+            return None
+        n = n_synth or result.state.dataset.n_samples
+        return synthesize(result.best_bank, n, result.state.config.seed)
+
     def trainer(jobs: list[tuple[TimeSeriesDataset, int]]) -> list[TimeSeriesDataset | None]:
-        chunks = [jobs[part] for part in workers.split(len(jobs))]
-        releases = workers.run_chunks(
-            lambda chunk: _release_runs(train_cfg, assignment, n_synth, chunk), chunks
-        )
-        return [release for chunk in releases for release in chunk]
+        configs = [(replace(train_cfg, seed=seed), partition(d, assignment)) for d, seed in jobs]
+        return train_many(configs, release)
 
     return trainer

@@ -1,9 +1,9 @@
 """Similarity and utility metrics for real-vs-synthetic comparison.
 
 Covers the 1-D Wasserstein distance and its per-(attribute, time) average,
-matched-filter amplitude estimation for sine data (plus the amplitude-space
-distance and reconstruction MAE built on it), the four-scenario downstream
-task comparison, and a 2-D PCA projection for plotting.
+matched-filter amplitude estimation for sine data (plus the amplitude AWD,
+amplitude ratio and reconstruction MAE built on it), the four-scenario
+downstream task comparison, and a 2-D PCA projection for plotting.
 """
 
 from __future__ import annotations
@@ -92,6 +92,14 @@ def amplitude_awd(real: TimeSeriesDataset, synth: TimeSeriesDataset) -> float:
     return float(
         sum(wd_1d(a_real[:, n], a_synth[:, n]) for n in range(a_real.shape[1]))
     )
+
+
+def amplitude_ratio(dataset: TimeSeriesDataset, frequencies) -> tuple[float, float]:
+    """Median and interquartile range over samples of attribute 0's
+    estimated amplitude over attribute 1's (the sine2 cross-party coupling)."""
+    amps = estimate_amplitudes(dataset, frequencies)
+    q1, median, q3 = np.percentile(amps[:, 0] / amps[:, 1], [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
 def sine_mae(synth: TimeSeriesDataset, frequencies=None) -> float:

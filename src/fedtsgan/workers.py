@@ -12,7 +12,7 @@ thread in each process: a BLAS pool of one thread per core in each of
 one process per core would put cores² busy threads on the cores, and
 OpenBLAS's idle threads spin.
 
-Callers: ``federation.shadow_trainer`` (the audit's shadow runs) and
+Callers: ``federation.train_many`` (every list of trainings) and
 ``data.save_csv`` (the dataset export).
 """
 

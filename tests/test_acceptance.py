@@ -7,13 +7,14 @@ minutes in total.
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from fedtsgan import accounting as acc
-from fedtsgan import audit, cli, data, metrics, nn, workers
+from fedtsgan import audit, cli, data, metrics, nn
 from fedtsgan import federation as fed
 from fedtsgan.dpmech import DpParams, clip_first_layer, first_layer_norm
 
@@ -294,37 +295,24 @@ def test_criterion_5_wasserstein_correctness():
 # criterion 6: desk-scale sine reproduction of the qualitative ordering
 
 
-def _ratio_stats(bank, freqs, n=512, seed=99):
-    synth = fed.synthesize(bank, n, seed)
-    amps = metrics.estimate_amplitudes(synth, freqs)
-    ratio = amps[:, 0] / amps[:, 1]
-    q1, med, q3 = np.percentile(ratio, [25, 50, 75])
-    return med, q3 - q1
-
-
-def _desk_run(ds, views, freqs, seed, topology):
-    """One of criterion 6's trainings with its own assertions; returns the
-    ratio IQR that the cross-topology assertion reads."""
-    t0 = time.time()
-    res = fed.train(
-        fed.TrainConfig(topology=topology, max_iters=4000, checkpoint_every=100, seed=seed),
-        views,
-    )
-    assert time.time() - t0 < 600.0
-    if topology == "local_only":
-        return _ratio_stats(res.best_bank, freqs)[1]
+def _desk_read(ds, views, freqs, res):
+    """One of criterion 6's trainings read with its own assertions; returns
+    the ratio IQR that the cross-topology assertion reads."""
+    synth = fed.synthesize(res.best_bank, 512, 99)
+    med_v, iqr_v = metrics.amplitude_ratio(synth, freqs)
+    seed = res.state.config.seed
+    if res.state.config.topology == "local_only":
+        return iqr_v
     assert not res.diverged
     init_awd = res.history[0]["awd"]
     assert res.best_awd <= 0.5 * init_awd, (seed, res.best_awd, init_awd)
-
-    med_v, iqr_v = _ratio_stats(res.best_bank, freqs)
     assert 0.8 <= med_v <= 1.25, (seed, med_v)
 
     # per-time-step distance also drops from init to best checkpoint
     init_cfg = fed.TrainConfig(topology="vfl", seed=seed)
     init_bank = fed.bank_from_state(fed.init_stack(init_cfg, [(views, seed)]).runs[0])
     awd_init = metrics.awd(ds, fed.synthesize(init_bank, 512, 99))
-    awd_best = metrics.awd(ds, fed.synthesize(res.best_bank, 512, 99))
+    awd_best = metrics.awd(ds, synth)
     assert awd_best < awd_init
     return iqr_v
 
@@ -335,14 +323,14 @@ def test_criterion_6_desk_scale_sine_ordering():
         ds = data.gen_sine2(n_per_class=512, t_steps=100, seed=7)
         views = data.partition(ds, {0: [0], 1: [1]})
         freqs = ds.frequencies()
-        # the six trainings are independent: one chunk of them per usable core
-        jobs = [(seed, topology) for seed in (32, 33, 34) for topology in ("vfl", "local_only")]
-        chunks = [jobs[part] for part in workers.split(len(jobs))]
-        done = workers.run_chunks(
-            lambda chunk: [_desk_run(ds, views, freqs, *job) for job in chunk], chunks
-        )
-        iqr = dict(zip(jobs, [value for chunk in done for value in chunk]))
-        iqr_wider = sum(iqr[(seed, "local_only")] > iqr[(seed, "vfl")] for seed in (32, 33, 34))
+        seeds, topologies = (32, 33, 34), ("vfl", "local_only")
+        cfg = fed.TrainConfig(max_iters=4000, checkpoint_every=100)
+        jobs = [(replace(cfg, topology=t, seed=s), views) for s in seeds for t in topologies]
+        t0 = time.time()
+        done = fed.train_many(jobs, lambda res: _desk_read(ds, views, freqs, res))
+        assert time.time() - t0 < 600.0
+        iqr = {(cfg.seed, cfg.topology): value for (cfg, _), value in zip(jobs, done)}
+        iqr_wider = sum(iqr[(seed, "local_only")] > iqr[(seed, "vfl")] for seed in seeds)
         assert iqr_wider >= 2, f"local_only IQR wider in only {iqr_wider}/3 seeds"
 
 

@@ -147,17 +147,6 @@ class TestCompose:
         right = acc.compose(curve, 21)
         np.testing.assert_allclose(left.eps, right.eps, rtol=1e-12)
 
-    def test_heterogeneous_sum(self):
-        a = acc.RdpCurve((2, 3), (0.1, 0.2))
-        b = acc.RdpCurve((2, 3), (0.3, 0.4))
-        assert acc.compose_curves(a, b).eps == pytest.approx((0.4, 0.6))
-
-    def test_grid_mismatch_rejected(self):
-        a = acc.RdpCurve((2, 3), (0.1, 0.2))
-        b = acc.RdpCurve((2, 4), (0.3, 0.4))
-        with pytest.raises(ValueError):
-            acc.compose_curves(a, b)
-
 
 class TestToDp:
     def test_single_point(self):

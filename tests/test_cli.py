@@ -716,8 +716,16 @@ class TestDocumentedScripts:
         )
         assert proc.returncode == 0, proc.stderr
         with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["topology"] for row in rows] == ["vfl", "centralized", "local_only"]
+            header, *rows = list(csv.reader(fh))
+        assert header == [
+            "seed", "topology", "diverged", "init_awd", "best_awd", "best_iteration", "mae",
+            "ratio_median", "ratio_iqr", "seconds",
+        ]
+        assert [row[1] for row in rows] == ["vfl", "centralized", "local_only"]
+        printed = [line for line in proc.stdout.splitlines() if line.startswith("seed=")]
+        assert [line.split(":")[0] for line in printed] == [
+            f"seed={row[0]} {row[1]:>11}" for row in rows
+        ]
 
     def test_audit_demo(self, tmp_path):
         proc = self.run_script(

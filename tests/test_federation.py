@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -5,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -870,6 +872,70 @@ class TestShadowTrainerAcrossCores:
         monkeypatch.setattr(workers, "usable_cores", lambda: 2)
         assert workers.run_chunks(count, [0, 1]) == ([1, 1] if threads else [None, None])
         assert count(None) == before
+
+
+class TestTrainMany:
+    """``train_many`` reads each job's result where it trained, in job order."""
+
+    def test_each_result_is_its_solo_train_at_desk_shapes(self, monkeypatch):
+        # desk widths, T = 100 and batch 64, where OpenBLAS would run two
+        # threads: the forked chunks run at one, so the solo trains do too
+        ds = data.gen_sine2(n_per_class=64, t_steps=100, seed=7)
+        views = data.partition(ds, {0: [0], 1: [1]})
+        base = fed.TrainConfig(max_iters=4, checkpoint_every=2)
+        configs = [
+            replace(base, seed=1),  # the first two train here, as one stack
+            replace(base, seed=2),
+            replace(base, topology="centralized", seed=3),
+            replace(base, topology="local_only", seed=4),
+            replace(base, dp=DpParams(1.0, 0.5), seed=5),
+        ]
+        parent = os.getpid()
+        sizes = []
+        real = fed.train_runs
+
+        def train_runs(config, jobs):
+            sizes.append(len(jobs))
+            return real(config, jobs)
+
+        def read(result):
+            bank = b"".join(params_blob(g) for _, g in sorted(result.best_bank.generators.items()))
+            return os.getpid(), (result.history, bank, result.best_iteration, result.diverged)
+
+        monkeypatch.setattr(fed, "train_runs", train_runs)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        got = fed.train_many([(cfg, views) for cfg in configs], read)
+        assert sizes == [2]  # what this process trained; the worker's three go unseen
+        assert [pid == parent for pid, _ in got] == [True, True, False, False, False]
+        with workers._one_blas_thread():
+            want = [read(fed.train(cfg, views))[1] for cfg in configs]
+        assert [value for _, value in got] == want
+
+    def test_only_train_many_and_the_export_fork(self):
+        # every list of trainings goes through ``train_many``, so the fork
+        # path has two callers in the package and the scripts
+        root = Path(__file__).resolve().parents[1]
+        paths = sorted([*root.glob("src/fedtsgan/*.py"), *root.glob("scripts/*.py")])
+        sites = set()
+        for path in paths:
+            if path.name == "workers.py":
+                continue
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("workers"):
+                        sites.add((path.stem, "import"))
+                    elif (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "workers"
+                        and node.attr in ("split", "run_chunks")
+                    ):
+                        sites.add((path.stem, getattr(top, "name", None), node.attr))
+        assert sites == {
+            (module, name, attr)
+            for module, name in (("data", "save_csv"), ("federation", "train_many"))
+            for attr in ("split", "run_chunks")
+        }
 
 
 class TestDpWiring:

@@ -160,6 +160,20 @@ class TestAmplitudeAwd:
         assert metrics.amplitude_awd(ds, shifted) == pytest.approx(0.2, abs=1e-9)
 
 
+class TestAmplitudeRatio:
+    def test_quartiles_of_the_known_ratios_on_whole_cycles(self):
+        # noiseless carriers with f * T whole cycles: the matched filter
+        # reads each amplitude exactly
+        rng = np.random.default_rng(3)
+        freqs, t = np.array([0.01, 0.03]), np.arange(100)
+        amps = rng.uniform(0.5, 1.5, size=(41, 2))
+        carrier = np.sin(2 * np.pi * freqs[:, None] * t[None, :])
+        ds = data.TimeSeriesDataset(amps[:, :, None] * carrier[None, :, :])
+        q1, median, q3 = np.percentile(amps[:, 0] / amps[:, 1], [25, 50, 75])
+        got = metrics.amplitude_ratio(ds, freqs)
+        assert got == pytest.approx((median, q3 - q1), abs=1e-12)
+
+
 class TestSineMae:
     def test_noiseless_self_reconstruction(self):
         ds = data.gen_sine2(n_per_class=8, t_steps=800, seed=0, noise_std=0.0)

@@ -743,11 +743,11 @@ def train_many(jobs: list[tuple[TrainConfig, list[PartyView]]], read) -> list:
     order: one contiguous chunk of jobs per usable core (``workers.split``),
     the first trained here and each other in a forked worker
     (``workers.run_chunks``), a chunk's consecutive jobs that differ only in
-    seed as one ``train_runs`` stack. ``read`` runs where its job trained,
-    so only its value crosses a worker's pipe. Each result has the bytes of
-    ``train(config, views)`` at the same BLAS thread count: one where there
-    is more than one chunk (``run_chunks`` holds it), this process's
-    otherwise.
+    seed and dataset (one partition and series length) as one ``train_runs``
+    stack. ``read`` runs where its job trained, so only its value crosses a
+    worker's pipe. Each result has the bytes of ``train(config, views)`` at
+    the same BLAS thread count: one where there is more than one chunk
+    (``run_chunks`` holds it), this process's otherwise.
     """
 
     def stack_key(job):

@@ -44,7 +44,8 @@ training alone.
 usable core through ``workers.run_chunks`` (the first here, each other in a
 forked worker), a chunk's runs of one config as a stack, and returns its
 caller's ``read`` of each result, taken where the run trained, with the
-bytes of a solo ``train`` at the same BLAS thread count (see ``train_many``).
+bytes of a solo ``train``. ``train_runs`` holds numpy's bundled OpenBLAS to
+one thread, so a training's bytes do not depend on the host's core count.
 
 Under DP, ``perturb_first_layer`` draws each live run's noise for a model
 from that run's stream for that model, when the phase clips its gradient.
@@ -246,7 +247,8 @@ class FederationStack:
 
 def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> FederationStack:
     """One stack of runs, one per ``(views, seed)`` job; ``config.seed`` is
-    replaced by each job's. The jobs share a partition and series length.
+    replaced by each job's. The jobs must share a partition and series
+    length.
 
     Each model draws every run's initial weights from that run's init stream
     for the model's role tags, so e.g. the shared discriminator draws the
@@ -262,8 +264,10 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     layout = [(v.party_id, list(v.attribute_indices)) for v in jobs[0][0]]
     t_steps = jobs[0][0][0].dataset.n_steps
     for views, _ in jobs:
-        if [(v.party_id, list(v.attribute_indices)) for v in views] != layout:
-            raise ValueError("stacked runs must share one partition")
+        if [(v.party_id, list(v.attribute_indices)) for v in views] != layout or (
+            views[0].dataset.n_steps != t_steps
+        ):
+            raise ValueError("stacked runs must share one partition and series length")
         if config.batch_size > views[0].dataset.n_samples:
             raise ValueError("batch_size exceeds the dataset size")
     seeds = [seed for _, seed in jobs]
@@ -659,6 +663,7 @@ def _run_losses(stack: FederationStack, losses: dict) -> list[dict]:
 
 # every non-finite value ends its run as a divergence, so numpy need not warn
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@workers._one_blas_thread()
 def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> list[TrainResult]:
     """Run the full protocol for max_iters iterations once per ``(views,
     seed)`` job, all jobs at once as the ``init_stack`` of ``jobs``.
@@ -668,7 +673,8 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     minimum distance to the run's training data is retained as its final
     model. Divergence stops a run and keeps the best snapshot so far; the
     other runs go on in the rows that are left. The results come in job
-    order, each as the run would have ended alone.
+    order, each as the run would have ended alone. Every training passes
+    through here, at one BLAS thread (``workers._one_blas_thread``).
     """
     if not jobs:
         return []
@@ -745,9 +751,8 @@ def train_many(jobs: list[tuple[TrainConfig, list[PartyView]]], read) -> list:
     (``workers.run_chunks``), a chunk's consecutive jobs that differ only in
     seed and dataset (one partition and series length) as one ``train_runs``
     stack. ``read`` runs where its job trained, so only its value crosses a
-    worker's pipe. Each result has the bytes of ``train(config, views)`` at
-    the same BLAS thread count: one where there is more than one chunk
-    (``run_chunks`` holds it), this process's otherwise.
+    worker's pipe. Each result has the bytes of ``train(config, views)``,
+    whichever chunk its job lands in.
     """
 
     def stack_key(job):
@@ -770,7 +775,8 @@ def shadow_trainer(
     ``trainer(jobs)`` retrains the configured federation on each ``(dataset,
     seed)`` job through ``train_many`` and releases ``n_synth`` samples (the
     dataset's size by default) from the run's best checkpoint, or None when
-    the run diverged. Each release is synthesized where its run trained.
+    the run diverged. Each release is synthesized where its run trained,
+    with the bytes of its job trained alone.
     """
 
     def release(result: TrainResult) -> TimeSeriesDataset | None:

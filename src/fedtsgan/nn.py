@@ -26,13 +26,13 @@ optimizer is ``AdamState.for_model(stack)``, whose (K, P) moments are laid
 out like its ``params``; ``MlpModel.from_params(stack.params[k], ...)`` is a
 plain model that reads and writes row k in place.
 
-Leaky ReLU: ``init_mlp`` gives every leaky layer ``LEAKY_SLOPE`` (0.2).
-For a slope in (0, 1], that one included, the forward pass is
-``max(x, slope * x)`` and the backward pass multiplies delta by
-``max(pre >= 0, slope)``. Neither branches on the sign pattern, and both
-give the bytes of ``np.where(x >= 0, x, slope * x)`` and its derivative,
-signed zeros, infinities, NaN and subnormals included. Other slopes, which
-only a loaded or hand-set layer can hold, keep the ``np.where`` form.
+Leaky ReLU has one negative slope, ``LEAKY_SLOPE`` (0.2). The forward pass
+is ``max(x, LEAKY_SLOPE * x)`` and the backward pass multiplies delta by
+``max(pre >= 0, LEAKY_SLOPE)``. Neither branches on the sign pattern, and
+both give the bytes of ``np.where(x >= 0, x, LEAKY_SLOPE * x)`` and its
+derivative, signed zeros, infinities, NaN and subnormals included.
+Checkpoints store each layer's slope; ``load_models`` refuses a leaky layer
+with another one.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ ACTIVATIONS = ("identity", "relu", "leaky_relu", "tanh", "sigmoid")
 # log-loss clamp for sigmoid heads; log terms are singular at {0, 1}
 SIGMOID_CLAMP = 1e-7
 
-# negative slope of every leaky ReLU layer ``init_mlp`` builds
+# negative slope of every leaky ReLU layer
 LEAKY_SLOPE = 0.2
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -70,7 +70,6 @@ class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
     activation: str = "identity"
-    slope: float = 0.0  # leaky_relu negative slope; ignored otherwise
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -154,7 +153,7 @@ class MlpModel:
         )
         weights, biases = _split(self.params, self.shapes)
         self.layers = [
-            Layer(w, b, l.activation, l.slope) for l, w, b in zip(self.layers, weights, biases)
+            Layer(w, b, l.activation) for l, w, b in zip(self.layers, weights, biases)
         ]
 
     @property
@@ -168,12 +167,12 @@ class MlpModel:
     @classmethod
     def from_params(cls, params: np.ndarray, shapes: Shapes, layers: list[Layer]) -> "MlpModel":
         """Wrap an existing (P,) or (K, P) buffer without copying it; ``layers``
-        give each layer's activation and slope."""
+        give each layer's activation."""
         model = cls.__new__(cls)
         model.params, model.shapes = params, shapes
         weights, biases = _split(params, shapes)
         model.layers = [
-            Layer(w, b, l.activation, l.slope) for l, w, b in zip(layers, weights, biases)
+            Layer(w, b, l.activation) for l, w, b in zip(layers, weights, biases)
         ]
         return model
 
@@ -252,18 +251,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
-def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
+def _act(tag: str, x: np.ndarray) -> np.ndarray:
     if tag == "identity":
         return x
     if tag == "relu":
         return np.maximum(x, 0.0)
     if tag == "leaky_relu":
         # branch-free and byte-equal to the np.where form: the larger of x
-        # and slope*x. Slope 0 keeps np.where, since 0 * inf is NaN where
-        # np.where returns inf.
-        if 0.0 < slope <= 1.0:
-            return np.maximum(x, slope * x)
-        return np.where(x >= 0.0, x, slope * x)
+        # and slope * x, since the slope is in (0, 1]
+        return np.maximum(x, LEAKY_SLOPE * x)
     if tag == "tanh":
         return np.tanh(x)
     if tag == "sigmoid":
@@ -271,21 +267,17 @@ def _act(tag: str, x: np.ndarray, slope: float) -> np.ndarray:
     raise ValueError(tag)
 
 
-def _act_backward(
-    tag: str, pre: np.ndarray, post: np.ndarray, slope: float, delta: np.ndarray
-) -> np.ndarray:
+def _act_backward(tag: str, pre: np.ndarray, post: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """delta times the activation's derivative at ``pre``."""
     if tag == "identity":
         return delta
     if tag == "relu":
         return delta * (pre > 0.0)
     if tag == "leaky_relu":
-        # delta times 1 or slope: one multiply, byte-equal to np.where's pick
-        if 0.0 < slope <= 1.0:
-            out = np.maximum(pre >= 0.0, slope)
-            out *= delta
-            return out
-        return np.where(pre >= 0.0, delta, slope * delta)
+        # delta times 1 or the slope: one multiply, byte-equal to np.where's pick
+        out = np.maximum(pre >= 0.0, LEAKY_SLOPE)
+        out *= delta
+        return out
     if tag == "tanh":
         return delta * (1.0 - post * post)
     if tag == "sigmoid":
@@ -318,7 +310,7 @@ def forward(model: MlpModel, batch: np.ndarray) -> ActivationTrace:
     for layer in model.layers:
         pre = x @ layer.weight.mT
         pre += layer.bias
-        post = _act(layer.activation, pre, layer.slope)
+        post = _act(layer.activation, pre)
         trace.pre.append(pre)
         trace.post.append(post)
         x = post
@@ -355,7 +347,7 @@ def backward(
     delta = output_grad
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
-        delta = _act_backward(layer.activation, trace.pre[i], trace.post[i], layer.slope, delta)
+        delta = _act_backward(layer.activation, trace.pre[i], trace.post[i], delta)
         if grads is not None:
             below = trace.post[i - 1] if i > 0 else trace.batch
             np.matmul(delta.mT, below, out=grads.d_weights[i])
@@ -447,8 +439,7 @@ def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:
 
 
 def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) -> MlpModel:
-    """Glorot-uniform weights, zero biases; a leaky ReLU layer gets
-    ``LEAKY_SLOPE``.
+    """Glorot-uniform weights, zero biases.
 
     ``dims`` is [in, h1, ..., out]; ``activations`` has one tag per layer.
     """
@@ -458,7 +449,7 @@ def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) 
     for d_in, d_out, act in zip(dims, dims[1:], activations):
         bound = np.sqrt(6.0 / (d_in + d_out))
         w = rng.uniform(-bound, bound, size=(d_out, d_in))
-        layers.append(Layer(w, np.zeros(d_out), act, LEAKY_SLOPE if act == "leaky_relu" else 0.0))
+        layers.append(Layer(w, np.zeros(d_out), act))
     return MlpModel(layers)
 
 
@@ -496,7 +487,7 @@ def save_models(path, models: dict[str, MlpModel]) -> None:
                 {
                     "shape": list(layer.weight.shape),
                     "activation": layer.activation,
-                    "slope": layer.slope,
+                    "slope": LEAKY_SLOPE if layer.activation == "leaky_relu" else 0.0,
                 }
             )
         meta["models"][name] = spec  # type: ignore[index]
@@ -514,13 +505,11 @@ def load_models(path) -> dict[str, MlpModel]:
             raise ValueError(f"unsupported checkpoint format: {meta.get('format_version')}")
         models = {}
         for name, spec in meta["models"].items():
+            for entry in spec:
+                if entry["activation"] == "leaky_relu" and entry["slope"] != LEAKY_SLOPE:
+                    raise ValueError(f"a leaky_relu layer of {name} has slope {entry['slope']}")
             layers = [
-                Layer(
-                    data[f"{name}/w{i}"],
-                    data[f"{name}/b{i}"],
-                    entry["activation"],
-                    entry["slope"],
-                )
+                Layer(data[f"{name}/w{i}"], data[f"{name}/b{i}"], entry["activation"])
                 for i, entry in enumerate(spec)
             ]
             models[name] = MlpModel(layers)

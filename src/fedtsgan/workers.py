@@ -7,10 +7,7 @@ are forked bare, with ``os.fork`` and ``os._exit``, so a call costs a fork
 and a reap per worker and no process pool. ``split`` cuts a count of items
 into the contiguous chunks a caller hands it. A forked worker holds only
 the thread that forked it, so call ``run_chunks`` where this process runs
-no other thread. While workers run, numpy's OpenBLAS is held to one
-thread in each process: a BLAS pool of one thread per core in each of
-one process per core would put cores² busy threads on the cores, and
-OpenBLAS's idle threads spin.
+no other thread.
 
 Callers: ``federation.train_many`` (every list of trainings) and
 ``data.save_csv`` (the dataset export).
@@ -65,8 +62,13 @@ def _openblas_threads():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS to one thread here, and so in the workers
-    forked meanwhile, then give it back its count."""
+    """Hold numpy's bundled OpenBLAS to one thread, then give it back its
+    count; where numpy links another BLAS, do nothing.
+
+    ``federation.train_runs``, which every training passes through, runs
+    under it: one thread gives the same bytes on every host, and one
+    training process per core (``run_chunks``) does not also start a BLAS
+    thread per core, which would put cores² busy threads on the cores."""
     threads = _openblas_threads()
     if threads is None:
         yield
@@ -125,28 +127,27 @@ def run_chunks(fn, chunks: list) -> list:
     if len(chunks) < 2 or not hasattr(os, "fork"):
         return [fn(chunk) for chunk in chunks]
     workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    with _one_blas_thread():
-        try:
-            for chunk in chunks[1:]:
-                read, write = os.pipe()
-                try:
-                    pid = os.fork()
-                except BaseException:
-                    os.close(read)
-                    os.close(write)
-                    raise
-                if pid == 0:
-                    _serve(fn, chunk, write, [read] + [fd for _, fd in workers])
-                os.close(write)
-                workers.append((pid, read))
-            results = [fn(chunks[0])]
-            results += [_receive(pid, read) for pid, read in workers]
-            return results
-        finally:
-            for pid, read in workers:
+    try:
+        for chunk in chunks[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
                 os.close(read)
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-                os.waitpid(pid, 0)
+                os.close(write)
+                raise
+            if pid == 0:
+                _serve(fn, chunk, write, [read] + [fd for _, fd in workers])
+            os.close(write)
+            workers.append((pid, read))
+        results = [fn(chunks[0])]
+        results += [_receive(pid, read) for pid, read in workers]
+        return results
+    finally:
+        for pid, read in workers:
+            os.close(read)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)

@@ -695,6 +695,71 @@ def test_a_one_job_shadow_training_stays_in_process():
     assert proc.stdout.strip() == "[]"
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # desk widths, T = 100 and batch 64, where the host's OpenBLAS would run
+    # a training's matmuls on every core: train, evaluate and audit each
+    # write the same bytes whatever the thread count, in a fresh interpreter
+    import os
+    import subprocess
+    import sys
+
+    import fedtsgan
+
+    cfg = tmp_path / "desk.ini"
+    cfg.write_text(
+        """
+[dataset]
+kind = sine2
+n_per_class = 64
+t_steps = 100
+seed = 5
+
+[partition]
+party_0 = 0
+party_1 = 1
+
+[train]
+batch_size = 64
+max_iters = 4
+checkpoint_every = 2
+seed = 11
+
+[eval]
+metrics = awd, amplitude_awd, pca
+task = forecast
+
+[audit]
+shadow_pairs = 2
+knn_k = 1
+seed = 4
+
+[output]
+dir = run
+"""
+    )
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # in OpenBLAS's order
+    base = {k: v for k, v in os.environ.items() if k not in blas}
+    base["PYTHONPATH"] = str(Path(fedtsgan.__file__).parents[1])
+    outputs = []
+    for threads in (None, "1", "2"):
+        root = tmp_path / f"threads_{threads}"
+        env = dict(base, FEDTSGAN_OUTPUT_ROOT=str(root))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        checkpoint = str(root / "run" / "best_generators.npz")
+        for argv in (["train"], ["evaluate", "--checkpoint", checkpoint], ["audit"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedtsgan.cli", *argv, "--config", str(cfg)],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted((root / "run").iterdir())})
+    assert {"best_generators.npz", "evaluation.json", "audit.json"} <= set(outputs[0])
+    for other in outputs[1:]:
+        assert other.keys() == outputs[0].keys()
+        assert [name for name in other if other[name] != outputs[0][name]] == []
+
+
 class TestDocumentedScripts:
     """The two scripts README.md documents, each in a fresh interpreter."""
 

@@ -29,21 +29,21 @@ def ref_sigmoid(x):
     return out
 
 
-def ref_act(tag, x, slope):
+def ref_act(tag, x):
     return {
         "identity": lambda: x,
         "relu": lambda: np.maximum(x, 0.0),
-        "leaky_relu": lambda: np.where(x >= 0.0, x, slope * x),
+        "leaky_relu": lambda: np.where(x >= 0.0, x, nn.LEAKY_SLOPE * x),
         "tanh": lambda: np.tanh(x),
         "sigmoid": lambda: ref_sigmoid(x),
     }[tag]()
 
 
-def ref_act_grad(tag, pre, post, slope):
+def ref_act_grad(tag, pre, post):
     return {
         "identity": lambda: np.ones_like(pre),
         "relu": lambda: (pre > 0.0).astype(np.float64),
-        "leaky_relu": lambda: np.where(pre >= 0.0, 1.0, slope),
+        "leaky_relu": lambda: np.where(pre >= 0.0, 1.0, nn.LEAKY_SLOPE),
         "tanh": lambda: 1.0 - post * post,
         "sigmoid": lambda: post * (1.0 - post),
     }[tag]()
@@ -53,7 +53,7 @@ def ref_forward(layers, batch):
     pre, post, x = [], [], batch
     for layer in layers:
         p = x @ layer.weight.T + layer.bias
-        x = ref_act(layer.activation, p, layer.slope)
+        x = ref_act(layer.activation, p)
         pre.append(p)
         post.append(x)
     return pre, post
@@ -64,7 +64,7 @@ def ref_backward(layers, batch, pre, post, output_grad):
     delta = output_grad
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
-        delta = delta * ref_act_grad(layer.activation, pre[i], post[i], layer.slope)
+        delta = delta * ref_act_grad(layer.activation, pre[i], post[i])
         below = post[i - 1] if i > 0 else batch
         d_weights[i] = delta.T @ below
         d_biases[i] = delta.sum(axis=0)
@@ -95,26 +95,21 @@ class RefAdam:
 # -----------------------------------------------------------------------------
 
 
-def every_activation_model(rng, slope=0.2):
+def every_activation_model(rng):
     """Five layers, one of each activation in a random order."""
     acts = list(rng.permutation(ALL_ACTIVATIONS))
     dims = [int(d) for d in rng.integers(1, 7, size=len(acts) + 1)]
-    model = nn.init_mlp(dims, acts, rng)
-    for layer in model.layers:
-        if layer.activation == "leaky_relu":
-            layer.slope = slope
-    return model
+    return nn.init_mlp(dims, acts, rng)
 
 
 def blob(arrays):
     return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
-@pytest.mark.parametrize("slope", [0.2, 0.0, 1.0, 1.7, -0.3])
-def test_training_steps_match_per_tensor_reference_bytes(slope):
+def test_training_steps_match_per_tensor_reference_bytes():
     rng = np.random.default_rng(2024)
     for _ in range(12):
-        model = every_activation_model(rng, slope)
+        model = every_activation_model(rng)
         twin = model.copy()
         state = nn.AdamState.for_model(model, lr=1e-2)
         ref = RefAdam(twin.layers, lr=1e-2)
@@ -231,7 +226,6 @@ def test_skipping_the_input_gradient_keeps_parameter_gradient_bytes(k):
 
 # -- leaky ReLU: the branch-free forms against np.where -------------------------
 
-LEAKY_SLOPES = [0.0, 0.2, 0.5, 1.0, 1.0 - 2.0**-53, 1.7, -0.3]
 TINY = np.nextafter(0.0, 1.0)  # smallest subnormal
 LEAKY_EDGES = np.array(
     [0.0, -0.0, np.inf, -np.inf, np.nan, TINY, -TINY, 3 * TINY, -3 * TINY,
@@ -240,26 +234,17 @@ LEAKY_EDGES = np.array(
 )
 
 
-def where_leaky(x, slope):
-    return np.where(x >= 0.0, x, slope * x)
+def where_leaky(x):
+    return np.where(x >= 0.0, x, nn.LEAKY_SLOPE * x)
 
 
-def where_leaky_backward(pre, slope, delta):
-    return np.where(pre >= 0.0, delta, slope * delta)
-
-
-def test_leaky_edge_values_include_products_that_round_back():
-    """For a slope just below 1, slope * x is x again on the subnormal
-    edges, so max(x, slope * x) compares two equal values there."""
-    finite = LEAKY_EDGES[np.isfinite(LEAKY_EDGES) & (LEAKY_EDGES != 0.0)]
-    rounds_back = (1.0 - 2.0**-53) * finite == finite
-    assert rounds_back.any() and not rounds_back.all()
+def where_leaky_backward(pre, delta):
+    return np.where(pre >= 0.0, delta, nn.LEAKY_SLOPE * delta)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("slope", LEAKY_SLOPES)
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
-def test_leaky_relu_matches_where_form_on_edge_values_bytes(slope, lead):
+def test_leaky_relu_matches_where_form_on_edge_values_bytes(lead):
     rng = np.random.default_rng(17)
     scales = 10.0 ** rng.integers(-320, 309, size=300)
     values = np.concatenate([LEAKY_EDGES, rng.standard_normal(300) * scales])
@@ -269,15 +254,14 @@ def test_leaky_relu_matches_where_form_on_edge_values_bytes(slope, lead):
     delta = np.concatenate([np.tile(LEAKY_EDGES, n), rng.permutation(values)])
     shape = lead + (-1, 4)
     pre, delta = pre[: pre.size // 12 * 12].reshape(shape), delta[: delta.size // 12 * 12].reshape(shape)
-    post = nn._act("leaky_relu", pre, slope)
-    assert post.tobytes() == where_leaky(pre, slope).tobytes()
-    got = nn._act_backward("leaky_relu", pre, post, slope, delta)
-    assert got.tobytes() == where_leaky_backward(pre, slope, delta).tobytes()
+    post = nn._act("leaky_relu", pre)
+    assert post.tobytes() == where_leaky(pre).tobytes()
+    got = nn._act_backward("leaky_relu", pre, post, delta)
+    assert got.tobytes() == where_leaky_backward(pre, delta).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("slope", LEAKY_SLOPES)
-def test_leaky_relu_models_match_where_reference_bytes(slope):
+def test_leaky_relu_models_match_where_reference_bytes():
     """nn.forward and nn.backward of single and stacked leaky-ReLU models,
     against a per-layer loop in the np.where forms. Inputs range from
     subnormal to 1.7e308, so pre-activations also overflow to inf and NaN."""
@@ -288,7 +272,6 @@ def test_leaky_relu_models_match_where_reference_bytes(slope):
         models = [nn.init_mlp(dims, ["leaky_relu"] * 3, rng) for _ in range(k)]
         for model in models:
             for layer in model.layers:
-                layer.slope = slope
                 layer.weight *= 8.0
         stack = nn.MlpModel.stack(models)
         exponents = rng.choice([-320, -310, -300, -2, 0, 2, 150, 300, 307, 308], (k, 5, 1))
@@ -301,11 +284,11 @@ def test_leaky_relu_models_match_where_reference_bytes(slope):
             pre, post, h = [], [], x[i]
             for layer in model.layers:
                 pre.append(h @ layer.weight.T + layer.bias)
-                h = where_leaky(pre[-1], slope)
+                h = where_leaky(pre[-1])
                 post.append(h)
             d_w, d_b, delta = [None] * 3, [None] * 3, g[i]
             for j in (2, 1, 0):
-                delta = where_leaky_backward(pre[j], slope, delta)
+                delta = where_leaky_backward(pre[j], delta)
                 d_w[j] = delta.T @ (post[j - 1] if j else x[i])
                 d_b[j] = delta.sum(axis=0)
                 delta = delta @ model.layers[j].weight

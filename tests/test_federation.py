@@ -771,19 +771,25 @@ class TestShadowTrainerAcrossCores:
 
         monkeypatch.setattr(fed, "perturb_first_layer", perturb)
 
+    @pytest.mark.parametrize("shape", ["tiny", "desk"])
     @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_equals_one_call_per_job_bytes(self, monkeypatch, cores):
+    def test_equals_one_call_per_job_bytes(self, monkeypatch, cores, shape):
         make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
         full = make_dataset()
+        cfg = tiny_config(max_iters=4, dp=DpParams(1.0, 0.5))
+        if shape == "desk":
+            # default widths, T = 100 and batch 64, where the host's OpenBLAS
+            # would run two threads: every training runs at one. A small
+            # sigma, so that each release comes from a trained checkpoint
+            full = data.gen_sine2(n_per_class=64, t_steps=100, seed=3)
+            cfg = fed.TrainConfig(max_iters=4, checkpoint_every=2, dp=DpParams(1.0, 1e-3))
         short = full.without_sample(2)
         # five jobs: two cores split them 2 + 3, three cores 1 + 2 + 2, so
         # the first diverging run trains here and the last in a worker
         jobs = [(full, 5), (short, 6), (full, 7), (short, 8), (full, 9)]
         self.poison_seeds(monkeypatch, {5, 9})
         monkeypatch.setattr(workers, "usable_cores", lambda: cores)
-        trainer = fed.shadow_trainer(
-            tiny_config(max_iters=4, dp=DpParams(1.0, 0.5)), assignment, n_synth=5
-        )
+        trainer = fed.shadow_trainer(cfg, assignment, n_synth=5)
         together = trainer(jobs)
         alone = [trainer([job])[0] for job in jobs]
         assert [r is None for r in alone] == [True, False, False, False, True]
@@ -864,22 +870,13 @@ class TestShadowTrainerAcrossCores:
         else:
             assert workers.usable_cores() == (os.cpu_count() or 1)
 
-    def test_chunks_run_on_one_blas_thread_and_the_count_comes_back(self, monkeypatch):
-        # where numpy bundles no OpenBLAS there is no count to hold
-        threads = workers._openblas_threads()
-        count = (lambda _: threads[0]()) if threads else (lambda _: None)
-        before = count(None)
-        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
-        assert workers.run_chunks(count, [0, 1]) == ([1, 1] if threads else [None, None])
-        assert count(None) == before
-
 
 class TestTrainMany:
     """``train_many`` reads each job's result where it trained, in job order."""
 
     def test_each_result_is_its_solo_train_at_desk_shapes(self, monkeypatch):
-        # desk widths, T = 100 and batch 64, where OpenBLAS would run two
-        # threads: the forked chunks run at one, so the solo trains do too
+        # desk widths, T = 100 and batch 64, where the host's OpenBLAS would
+        # run two threads: every training runs at one, forked or not
         ds = data.gen_sine2(n_per_class=64, t_steps=100, seed=7)
         views = data.partition(ds, {0: [0], 1: [1]})
         base = fed.TrainConfig(max_iters=4, checkpoint_every=2)
@@ -907,13 +904,44 @@ class TestTrainMany:
         got = fed.train_many([(cfg, views) for cfg in configs], read)
         assert sizes == [2]  # what this process trained; the worker's three go unseen
         assert [pid == parent for pid, _ in got] == [True, True, False, False, False]
-        with workers._one_blas_thread():
-            want = [read(fed.train(cfg, views))[1] for cfg in configs]
+        want = [read(fed.train(cfg, views))[1] for cfg in configs]
         assert [value for _, value in got] == want
+
+    def test_trainings_run_on_one_blas_thread_and_the_count_comes_back(self, monkeypatch):
+        # every training, here and in a forked worker, holds numpy's OpenBLAS
+        # to one thread and then gives back the caller's count, which ``read``
+        # runs at; where numpy bundles no OpenBLAS there is no count to hold
+        threads = workers._openblas_threads()
+        get, set_ = threads or ((lambda: None), (lambda n: None))
+        seen = []  # the count at each discriminator phase, in this process
+        real = fed.discriminator_phase
+
+        def discriminator_phase(stack, batch):
+            seen.append(get())
+            return real(stack, batch)
+
+        monkeypatch.setattr(fed, "discriminator_phase", discriminator_phase)
+        monkeypatch.setattr(workers, "usable_cores", lambda: 2)
+        make_dataset, assignment = STACK_PARTITIONS["sine2_two_parties"]
+        views = data.partition(make_dataset(), assignment)
+        jobs = [(tiny_config(max_iters=2, seed=s), views) for s in (1, 2, 3)]
+        before = get()
+        set_(2)
+        try:
+            # job 1 trains here, jobs 2 and 3 as one stack in a worker
+            got = fed.train_many(jobs, lambda _: (list(seen), get()))
+            after = get()
+        finally:
+            set_(before)
+        one, caller = (1, 2) if threads else (None, None)
+        assert got == [([one, one], caller)] * 3
+        assert after == caller
 
     def test_only_train_many_and_the_export_fork(self):
         # every list of trainings goes through ``train_many``, so the fork
-        # path has two callers in the package and the scripts
+        # path has two callers in the package and the scripts; every
+        # training goes through ``train_runs``, the one site that holds BLAS
+        # to one thread
         root = Path(__file__).resolve().parents[1]
         paths = sorted([*root.glob("src/fedtsgan/*.py"), *root.glob("scripts/*.py")])
         sites = set()
@@ -928,14 +956,14 @@ class TestTrainMany:
                         isinstance(node, ast.Attribute)
                         and isinstance(node.value, ast.Name)
                         and node.value.id == "workers"
-                        and node.attr in ("split", "run_chunks")
+                        and node.attr in ("split", "run_chunks", "_one_blas_thread")
                     ):
                         sites.add((path.stem, getattr(top, "name", None), node.attr))
         assert sites == {
             (module, name, attr)
             for module, name in (("data", "save_csv"), ("federation", "train_many"))
             for attr in ("split", "run_chunks")
-        }
+        } | {("federation", "train_runs", "_one_blas_thread")}
 
 
 class TestDpWiring:
@@ -1246,7 +1274,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             solo_stack(tiny_config(batch_size=999), sine_views)
 
-    def test_stacked_runs_must_share_one_partition(self, sine_views):
-        swapped = data.partition(sine_views[0].dataset, {0: [1], 1: [0]})
-        with pytest.raises(ValueError, match="one partition"):
-            fed.init_stack(tiny_config(), [(sine_views, 1), (swapped, 2)])
+    @pytest.mark.parametrize("other", ["swapped_partition", "series_length"])
+    def test_stacked_runs_must_share_one_partition(self, sine_views, other):
+        if other == "swapped_partition":
+            first = sine_views
+            second = data.partition(sine_views[0].dataset, {0: [1], 1: [0]})
+        else:  # T = 8 and T = 10
+            first, second = (
+                data.partition(data.gen_sine2(n_per_class=16, t_steps=t, seed=5), {0: [0], 1: [1]})
+                for t in (8, 10)
+            )
+        named = "^stacked runs must share one partition and series length$"
+        with pytest.raises(ValueError, match=named):
+            fed.train_runs(tiny_config(), [(first, 1), (second, 2)])

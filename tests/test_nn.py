@@ -222,7 +222,23 @@ class TestCheckpoint:
             for a, b in zip(models[name].layers, loaded[name].layers):
                 assert a.weight.tobytes() == b.weight.tobytes()
                 assert a.bias.tobytes() == b.bias.tobytes()
-                assert (a.activation, a.slope) == (b.activation, b.slope)
+                assert a.activation == b.activation
+
+    def test_a_leaky_layer_stores_the_one_slope_and_must_load_it(self, rng, tmp_path):
+        import json
+
+        path = tmp_path / "ckpt.npz"
+        model = random_mlp(rng, n_layers=3, activations=["leaky_relu", "tanh", "sigmoid"])
+        nn.save_models(path, {"m": model})
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        assert [layer["slope"] for layer in meta["models"]["m"]] == [nn.LEAKY_SLOPE, 0.0, 0.0]
+        meta["models"]["m"][0]["slope"] = 0.3
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="slope 0.3"):
+            nn.load_models(path)
 
     def test_format_version_checked(self, rng, tmp_path):
         import json

@@ -264,9 +264,8 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     layout = [(v.party_id, list(v.attribute_indices)) for v in jobs[0][0]]
     t_steps = jobs[0][0][0].dataset.n_steps
     for views, _ in jobs:
-        if [(v.party_id, list(v.attribute_indices)) for v in views] != layout or (
-            views[0].dataset.n_steps != t_steps
-        ):
+        own = [(v.party_id, list(v.attribute_indices)) for v in views]
+        if own != layout or views[0].dataset.n_steps != t_steps:
             raise ValueError("stacked runs must share one partition and series length")
         if config.batch_size > views[0].dataset.n_samples:
             raise ValueError("batch_size exceeds the dataset size")

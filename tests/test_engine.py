@@ -242,9 +242,15 @@ def where_leaky_backward(pre, delta):
     return np.where(pre >= 0.0, delta, nn.LEAKY_SLOPE * delta)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
-def test_leaky_relu_matches_where_form_on_edge_values_bytes(lead):
+def test_leaky_edge_values_include_products_that_underflow():
+    """On the subnormal edges slope * x underflows to a signed zero, so
+    max(x, slope * x) compares a nonzero x with zero there."""
+    finite = LEAKY_EDGES[np.isfinite(LEAKY_EDGES) & (LEAKY_EDGES != 0.0)]
+    underflows = nn.LEAKY_SLOPE * finite == 0.0
+    assert underflows.any() and not underflows.all()
+
+
+def edge_operands(lead):
     rng = np.random.default_rng(17)
     scales = 10.0 ** rng.integers(-320, 309, size=300)
     values = np.concatenate([LEAKY_EDGES, rng.standard_normal(300) * scales])
@@ -253,11 +259,33 @@ def test_leaky_relu_matches_where_form_on_edge_values_bytes(lead):
     pre = np.concatenate([np.repeat(LEAKY_EDGES, n), rng.permutation(values)])
     delta = np.concatenate([np.tile(LEAKY_EDGES, n), rng.permutation(values)])
     shape = lead + (-1, 4)
-    pre, delta = pre[: pre.size // 12 * 12].reshape(shape), delta[: delta.size // 12 * 12].reshape(shape)
+    return pre[: pre.size // 12 * 12].reshape(shape), delta[: delta.size // 12 * 12].reshape(shape)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+def test_leaky_relu_matches_where_form_on_edge_values_bytes(lead):
+    pre, delta = edge_operands(lead)
     post = nn._act("leaky_relu", pre)
     assert post.tobytes() == where_leaky(pre).tobytes()
     got = nn._act_backward("leaky_relu", pre, post, delta)
     assert got.tobytes() == where_leaky_backward(pre, delta).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tag", ["identity", "relu", "tanh"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+def test_activations_match_reference_forms_on_edge_values_bytes(tag, lead):
+    """Identity, ReLU and tanh on the same edge operands, against the
+    per-tensor forms: the activation, then delta times its derivative.
+    Sigmoid is not here: at a NaN input it gives a NaN of the other sign
+    than the masked form; ``test_sigmoid_matches_masked_form_bytes`` checks
+    it on finite values."""
+    pre, delta = edge_operands(lead)
+    post = nn._act(tag, pre)
+    assert post.tobytes() == ref_act(tag, pre).tobytes()
+    got = nn._act_backward(tag, pre, post, delta)
+    assert got.tobytes() == (delta * ref_act_grad(tag, pre, post)).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

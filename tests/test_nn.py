@@ -224,8 +224,15 @@ class TestCheckpoint:
                 assert a.bias.tobytes() == b.bias.tobytes()
                 assert a.activation == b.activation
 
-    def test_a_leaky_layer_stores_the_one_slope_and_must_load_it(self, rng, tmp_path):
+    @pytest.mark.parametrize(
+        "stored",
+        [0.3, 0.0, 0.5, 1.0, 1.0 - 2.0**-53, 1.7, -0.3,
+         np.nextafter(nn.LEAKY_SLOPE, 0.0), np.nextafter(nn.LEAKY_SLOPE, 1.0),
+         float(np.float32(nn.LEAKY_SLOPE)), -nn.LEAKY_SLOPE, np.nan, np.inf],
+    )
+    def test_a_leaky_layer_stores_the_one_slope_and_must_load_it(self, rng, tmp_path, stored):
         import json
+        import re
 
         path = tmp_path / "ckpt.npz"
         model = random_mlp(rng, n_layers=3, activations=["leaky_relu", "tanh", "sigmoid"])
@@ -234,10 +241,10 @@ class TestCheckpoint:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(bytes(arrays["__meta__"]).decode())
         assert [layer["slope"] for layer in meta["models"]["m"]] == [nn.LEAKY_SLOPE, 0.0, 0.0]
-        meta["models"]["m"][0]["slope"] = 0.3
+        meta["models"]["m"][0]["slope"] = float(stored)
         arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="slope 0.3"):
+        with pytest.raises(ValueError, match=re.escape(f"slope {float(stored)}")):
             nn.load_models(path)
 
     def test_format_version_checked(self, rng, tmp_path):

@@ -19,6 +19,7 @@ whose amplified generator epsilon meets the budget.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -46,8 +47,8 @@ class RdpCurve:
             raise ValueError("alpha grid must start at 2")
         if any(b <= a for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError("alpha grid must be strictly increasing")
-        if any(e < 0 for e in self.eps):
-            raise ValueError("eps values must be non-negative")
+        if any(not e >= 0 for e in self.eps):
+            raise ValueError("eps values must be non-negative, not NaN")
 
 
 def _per_step_eps(alpha: float, sigma: float, generator_mode: bool) -> float:
@@ -135,12 +136,8 @@ def to_dp(curve: RdpCurve, delta: float) -> tuple[float, int]:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     log_inv_delta = -math.log(delta)
-    best_eps, best_alpha = math.inf, curve.alphas[0]
-    for alpha, eps in zip(curve.alphas, curve.eps):
-        candidate = eps + log_inv_delta / (alpha - 1)
-        if candidate < best_eps:
-            best_eps, best_alpha = candidate, alpha
-    return best_eps, best_alpha
+    # a tie goes to the smaller alpha
+    return min((eps + log_inv_delta / (a - 1), a) for a, eps in zip(curve.alphas, curve.eps))
 
 
 def _composed_curve(
@@ -214,21 +211,15 @@ def calibrate(
     def achieved(k: int) -> float:
         return spent_epsilon(SIGMA_GRID[k], gamma, steps, delta)[0]
 
-    last = len(SIGMA_GRID) - 1
-    if achieved(0) <= epsilon_target:
-        return SIGMA_GRID[0], steps, achieved(0)
-    if achieved(last) > epsilon_target:
+    # achieved epsilon is non-increasing in sigma: the first grid index that
+    # meets the budget
+    k = bisect.bisect_left(
+        range(len(SIGMA_GRID)), True, key=lambda i: achieved(i) <= epsilon_target
+    )
+    if k == len(SIGMA_GRID):
         raise InfeasibleBudgetError(
-            f"even sigma={SIGMA_GRID[last]:.2f} yields "
-            f"epsilon={achieved(last):.4g} > {epsilon_target} "
+            f"even sigma={SIGMA_GRID[-1]:.2f} yields "
+            f"epsilon={achieved(k - 1):.4g} > {epsilon_target} "
             f"at T={steps}, gamma={gamma}; raise epsilon or delta, or lower the step count"
         )
-    # achieved eps is non-increasing in sigma: bisect for the crossing index
-    low, high = 0, last  # achieved(low) > target, achieved(high) <= target
-    while high - low > 1:
-        mid = (low + high) // 2
-        if achieved(mid) <= epsilon_target:
-            high = mid
-        else:
-            low = mid
-    return SIGMA_GRID[high], steps, achieved(high)
+    return SIGMA_GRID[k], steps, achieved(k)

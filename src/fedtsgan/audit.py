@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesDataset
-from .rng import stream
+from .rng import child_seed, stream
 
 
 @dataclass
@@ -176,7 +176,7 @@ def _world_features(
 ) -> tuple[list[float], list[float], int]:
     target_flat = normalized_flat(target, stats)
     worlds = [
-        (world, train_data, stream_seed_for(config.seed, world, m))
+        (world, train_data, child_seed(config.seed, "shadow", world, m))
         for world, train_data in ((0, data0), (1, data1))
         for m in range(config.shadow_pairs)
     ]
@@ -190,10 +190,6 @@ def _world_features(
         synth_flat = normalized_flat(synth.data, stats)
         feats[world].append(knn_feature(target_flat, synth_flat, config.knn_k, config.norm))
     return feats[0], feats[1], invalid
-
-
-def stream_seed_for(seed: int, world: int, index: int) -> int:
-    return int(stream(seed, "shadow", world, index).integers(0, 2**63 - 1))
 
 
 def run_assd(
@@ -291,8 +287,7 @@ def loo_game(
     world0 = dataset.without_sample(target_index)
     target = dataset.data[target_index]
     jobs = [
-        (world0 if b == 0 else dataset, int(stream(seed, "loo-round", r).integers(0, 2**63 - 1)))
-        for r, b in enumerate(coins)
+        (world0 if b == 0 else dataset, child_seed(seed, "loo-round", r)) for r, b in enumerate(coins)
     ]
     wins = 0
     for b, synth in zip(coins, trainer(jobs), strict=True):

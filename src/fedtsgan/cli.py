@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, accounting, audit as audit_mod, metrics, nn
 from .config import ConfigError, ExperimentConfig, build_dataset, check_audit_sizes, parse_config
-from .data import PartitionError, partition, save_csv, save_sidecar
+from .data import PartitionError, partition, save_csv, save_sidecar, write_json
 from .dpmech import DpParams
 from .federation import (
     GeneratorBank,
@@ -68,18 +68,15 @@ def _write_manifest(
     }
     manifest.update(extra or {})
     (out / "config.ini").write_text(cfg.raw_text)
-    _write_json(path, manifest)
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """``header``, then ``rows`` with each cell formatted by ``_fmt``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def cmd_gen_data(args) -> int:
@@ -121,10 +118,11 @@ def _resolve_dp(cfg: ExperimentConfig, n_samples: int) -> dict:
 
 def _write_history(path: Path, history: list[dict]):
     keys = list(dict.fromkeys(["iteration", *(k for row in history for k in row)]))
-    _write_csv(path, keys, ([_fmt(row.get(k)) for k in keys] for row in history))
+    _write_csv(path, keys, ([row.get(k) for k in keys] for row in history))
 
 
 def _fmt(v):
+    """A CSV cell: empty for None, a float at 17 significant digits."""
     if v is None:
         return ""
     if isinstance(v, float):
@@ -135,7 +133,7 @@ def _fmt(v):
 def save_bank(bank: GeneratorBank, path: Path):
     nn.save_models(path, {f"g{a}": g for a, g in bank.generators.items()})
     sidecar = {"latent_dim": bank.latent_dim, "t_steps": bank.t_steps, "meta": bank.meta}
-    _write_json(path.with_suffix(".json"), sidecar)
+    write_json(path.with_suffix(".json"), sidecar)
 
 
 def load_bank(path: Path) -> GeneratorBank:
@@ -233,7 +231,7 @@ def cmd_evaluate(args) -> int:
     if "awd" in wanted:
         value, cells = metrics.awd_breakdown(dataset, synth)
         report["metrics"]["awd"] = value
-        rows = ([a, t, f"{wd:.17g}"] for (a, t), wd in np.ndenumerate(cells))
+        rows = ([a, t, wd] for (a, t), wd in np.ndenumerate(cells))
         _write_csv(out / "awd_cells.csv", ["attribute", "time_step", "wd"], rows)
     if "amplitude_awd" in wanted:
         report["metrics"]["amplitude_awd"] = metrics.amplitude_awd(dataset, synth)
@@ -242,7 +240,7 @@ def cmd_evaluate(args) -> int:
     if "pca" in wanted:
         proj = metrics.pca_2d([dataset, synth])
         rows = (
-            [label] + [f"{v:.17g}" for v in row] + [""] * (2 - row.size)
+            [label, *row] + [""] * (2 - row.size)
             for label, coords in zip(("real", "synth"), proj.coords)
             for row in coords
         )
@@ -254,11 +252,11 @@ def cmd_evaluate(args) -> int:
         n_test = max(1, dataset.n_samples // 4)
         real_train = dataset.take(slice(0, dataset.n_samples - n_test))
         real_test = dataset.take(slice(dataset.n_samples - n_test, None))
-        tpd_report = metrics.tpd(real_train, real_test, synth, ev.task, seed=ev.seed)
-        report["metrics"]["tpd"] = tpd_report.value
-        report["tpd_breakdown"] = tpd_report.breakdown
+        report["metrics"]["tpd"], report["tpd_breakdown"] = metrics.tpd(
+            real_train, real_test, synth, ev.task, seed=ev.seed
+        )
 
-    _write_json(out / "evaluation.json", report)
+    write_json(out / "evaluation.json", report)
     _write_manifest(out, cfg, merge=True)
     print(json.dumps(report["metrics"], indent=2, sort_keys=True))
     return EXIT_OK
@@ -287,8 +285,9 @@ def cmd_audit(args) -> int:
         report.win_rate = audit_mod.loo_game(dataset, target, trainer, adversary, au.rounds, au.seed)
 
     worlds = (report.features_world0, report.features_world1)
-    _write_json(out / "audit.json", {k: v for k, v in vars(report).items() if not k.startswith("features")})
-    rows = ([world, f"{f:.17g}"] for world, feats in enumerate(worlds) for f in feats)
+    summary = {k: v for k, v in vars(report).items() if not k.startswith("features")}
+    write_json(out / "audit.json", summary)
+    rows = ([world, f] for world, feats in enumerate(worlds) for f in feats)
     _write_csv(out / "audit_features.csv", ["world", "feature"], rows)
     _write_manifest(out, cfg, extra)
     print(f"target {report.target_index} ({au.selector}): auc {report.auc:.4f}")

@@ -16,6 +16,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -112,6 +113,13 @@ class PartyView:
         return len(self.attribute_indices)
 
 
+def carriers(frequencies, t_steps: int) -> np.ndarray:
+    """(A, T) rows sin(2 pi f t), one per frequency, for t = 0..T-1."""
+    freqs = np.asarray(frequencies, dtype=np.float64)
+    t = np.arange(t_steps, dtype=np.float64)
+    return np.sin(2.0 * np.pi * freqs[:, None] * t[None, :])
+
+
 def _gen_sine(
     frequencies,
     n_per_class: int,
@@ -127,12 +135,10 @@ def _gen_sine(
     freqs = np.asarray(frequencies, dtype=np.float64)
     n_attr = freqs.size
     n_total = 2 * n_per_class
-    t = np.arange(t_steps, dtype=np.float64)
 
     labels = np.repeat(np.arange(2), n_per_class)
     amps = rng.normal(np.asarray(CLASS_AMP_MEANS)[labels], AMP_STD)  # one draw per sample
-    carrier = np.sin(2.0 * np.pi * freqs[:, None] * t[None, :])  # (A, T)
-    data = amps[:, None, None] * carrier[None, :, :]
+    data = amps[:, None, None] * carriers(freqs, t_steps)[None, :, :]
     if noise_std > 0.0:
         data = data + rng.normal(0.0, noise_std, size=(n_total, n_attr, t_steps))
 
@@ -145,7 +151,7 @@ def _gen_sine(
         "seed": int(seed),
         "n_per_class": int(n_per_class),
     }
-    return TimeSeriesDataset(data, labels, [f"attr{i}" for i in range(n_attr)], meta)
+    return TimeSeriesDataset(data, labels, meta=meta)
 
 
 def gen_sine2(
@@ -307,7 +313,7 @@ def load_csv(path, meta: dict | None = None) -> TimeSeriesDataset:
     label_arr = (
         np.array([labels[s] for s in sample_ids], dtype=np.int64) if has_labels else None
     )
-    return TimeSeriesDataset(data, label_arr, [f"attr{i}" for i in range(a)], meta)
+    return TimeSeriesDataset(data, label_arr, meta=meta)
 
 
 def _is_float(s: str) -> bool:
@@ -325,9 +331,12 @@ def save_sidecar(dataset: TimeSeriesDataset, path) -> None:
     meta["n_samples"] = dataset.n_samples
     meta["n_attributes"] = dataset.n_attributes
     meta["t_steps"] = dataset.n_steps
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, meta)
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def load_sidecar(path) -> dict:

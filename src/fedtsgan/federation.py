@@ -66,7 +66,7 @@ from . import nn, workers
 from .data import PartyView, TimeSeriesDataset, partition, subsample_batch
 from .dpmech import DpParams, perturb_first_layer
 from .metrics import amplitude_awd, awd
-from .rng import stream
+from .rng import child_seed, stream
 
 TOPOLOGIES = ("vfl", "centralized", "local_only")
 MESSAGE_KINDS = ("feature", "feature_grad")
@@ -188,14 +188,16 @@ class Branch:
 
 @dataclass
 class Discriminator:
-    """The input of the model in ``slot``: its branches' blocks side by side.
-    ``loss`` names its loss, and ``weight`` scales its term in each
+    """The input of the model in ``slot``: its branches' blocks side by side,
+    with the block edges at the column offsets ``cuts`` (none for one
+    branch). ``loss`` names its loss, and ``weight`` scales its term in each
     generator objective."""
 
     slot: tuple
     loss: str
     branches: list[Branch]
     weight: float
+    cuts: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -261,11 +263,9 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     """
     if not jobs or not jobs[0][0]:
         raise ValueError("need at least one job and one party view")
-    layout = [(v.party_id, list(v.attribute_indices)) for v in jobs[0][0]]
-    t_steps = jobs[0][0][0].dataset.n_steps
+    layout, t_steps = _layout(jobs[0][0])
     for views, _ in jobs:
-        own = [(v.party_id, list(v.attribute_indices)) for v in views]
-        if own != layout or views[0].dataset.n_steps != t_steps:
+        if _layout(views) != (layout, t_steps):
             raise ValueError("stacked runs must share one partition and series length")
         if config.batch_size > views[0].dataset.n_samples:
             raise ValueError("batch_size exceeds the dataset size")
@@ -297,11 +297,12 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     else:
         branches = []
     if branches:
-        shared_in = sum(
+        widths = [
             config.feature_dim if br.fe is not None else len(br.keys) * t_steps for br in branches
-        )
-        add(("DS",), shared_in, config.shared_hidden, 1, "sigmoid")
-        discs.append(Discriminator(("DS",), "d_shared", branches, config.beta1))
+        ]
+        add(("DS",), sum(widths), config.shared_hidden, 1, "sigmoid")
+        cuts = list(accumulate(widths[:-1]))
+        discs.append(Discriminator(("DS",), "d_shared", branches, config.beta1, cuts))
 
     noised = []
     if config.dp is not None:
@@ -328,6 +329,12 @@ def init_stack(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     stack = FederationStack(config, t_steps, models, discs, opts, runs)
     _bind_runs(stack)
     return stack
+
+
+def _layout(views: list[PartyView]) -> tuple[list[tuple[int, list[int]]], int]:
+    """Each party's id and attribute indices, and the series length: what
+    the runs of one stack share."""
+    return [(v.party_id, list(v.attribute_indices)) for v in views], views[0].dataset.n_steps
 
 
 def _bind_runs(stack: FederationStack) -> None:
@@ -434,12 +441,10 @@ def _join(blocks: list[np.ndarray]) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1)
 
 
-def _split(grad: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """``grad``'s columns in consecutive pieces as wide as ``blocks``: the
-    inverse of ``_join``."""
-    if len(blocks) == 1:
-        return [grad]
-    return np.split(grad, list(accumulate(x.shape[-1] for x in blocks[:-1])), axis=-1)
+def _split(grad: np.ndarray, disc: Discriminator) -> list[np.ndarray]:
+    """A gradient with respect to ``disc``'s input, one piece per branch cut
+    at ``disc.cuts``: the inverse of ``_inputs``' join."""
+    return np.split(grad, disc.cuts, axis=-1) if disc.cuts else [grad]
 
 
 def _inputs(stack, failed: dict, disc: Discriminator, *series: dict):
@@ -447,10 +452,10 @@ def _inputs(stack, failed: dict, disc: Discriminator, *series: dict):
 
     Each branch joins its keys' blocks; a branch with an extractor passes
     each series through it, then logs each upload. Also returns each
-    branch's extractor trace of the last series (None for a raw branch) and
-    the last series' per-branch blocks, for ``_split``."""
-    blocks: list[list[np.ndarray]] = [[] for _ in series]
-    traces = []
+    branch's extractor trace of the last series (None for a raw branch),
+    through which that branch's piece of the input gradient (``_split``)
+    goes back."""
+    columns, traces = [], []  # per branch: its block of each series, its trace
     for br in disc.branches:
         xs = [_join([s[key] for key in br.keys]) for s in series]
         fe_traces = [None]
@@ -459,10 +464,9 @@ def _inputs(stack, failed: dict, disc: Discriminator, *series: dict):
             xs = [tr.output for tr in fe_traces]
             for x in xs:
                 _log(stack, failed, "party->server", br.fe, "feature", x)
-        for branch_blocks, x in zip(blocks, xs):
-            branch_blocks.append(x)
+        columns.append(xs)
         traces.append(fe_traces[-1])
-    return [_join(b) for b in blocks], traces, blocks[-1]
+    return [_join(blocks) for blocks in zip(*columns)], traces
 
 
 def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> dict:
@@ -495,7 +499,7 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
     pending: list[tuple[nn.MlpModel, nn.GradientSet, nn.AdamState]] = []
 
     for disc in stack.discs:
-        (x_real, x_fake), fe_traces, fake_in = _inputs(stack, failed, disc, reals, fakes)
+        (x_real, x_fake), fe_traces = _inputs(stack, failed, disc, reals, fakes)
         model = stack.models[disc.slot]
         tr_r = _forward(failed, model, x_real)
         tr_f = _forward(failed, model, x_fake)
@@ -511,7 +515,7 @@ def discriminator_phase(stack: FederationStack, batch_indices: np.ndarray) -> di
         if any(tr is not None for tr in fe_traces):
             fe_loss = cfg.beta2 * _mean(log1m_f)
             _, feat_grad = nn.backward(model, tr_f, cfg.beta2 * dlog1m_f / b, params=False)
-            for br, tr_fe_f, g_slice in zip(disc.branches, fe_traces, _split(feat_grad, fake_in)):
+            for br, tr_fe_f, g_slice in zip(disc.branches, fe_traces, _split(feat_grad, disc)):
                 if tr_fe_f is None:
                     continue
                 slot = ("FE", br.fe)
@@ -555,13 +559,13 @@ def generator_step(stack: FederationStack, z: np.ndarray) -> dict:
     out_grads: dict[tuple[int, int], np.ndarray] = {}
 
     for disc in stack.discs:
-        (x_fake,), fe_traces, fake_in = _inputs(stack, failed, disc, fakes)
+        (x_fake,), fe_traces = _inputs(stack, failed, disc, fakes)
         model = stack.models[disc.slot]
         tr_d = _forward(failed, model, x_fake)
         term, dterm = _fooling_term(tr_d.output, cfg.non_saturating)
         term = disc.weight * term
         _, in_grad = nn.backward(model, tr_d, disc.weight * dterm / b, params=False)
-        for br, tr_fe, grad in zip(disc.branches, fe_traces, _split(in_grad, fake_in)):
+        for br, tr_fe, grad in zip(disc.branches, fe_traces, _split(in_grad, disc)):
             if tr_fe is not None:
                 _log(stack, failed, "server->party", br.fe, "feature_grad", grad)
                 _, grad = nn.backward(stack.models["FE", br.fe], tr_fe, grad, params=False)
@@ -630,7 +634,7 @@ def synthesize(bank: GeneratorBank, n: int, seed: int) -> TimeSeriesDataset:
     out = np.empty((n, n_attr, bank.t_steps))
     for attr, gen in sorted(bank.generators.items()):
         out[:, attr, :] = nn.forward(gen, z).output
-    return TimeSeriesDataset(out, None, [f"attr{i}" for i in range(n_attr)], dict(bank.meta))
+    return TimeSeriesDataset(out, meta=dict(bank.meta))
 
 
 def checkpoint_awd(state: FederationState, eval_seed: int) -> float:
@@ -680,7 +684,7 @@ def train_runs(config: TrainConfig, jobs: list[tuple[list[PartyView], int]]) -> 
     stack = init_stack(config, jobs)
     results, eval_seeds = [], []
     for run, (_, seed) in zip(stack.runs, jobs):
-        eval_seeds.append(stream(seed, "eval-seed").integers(0, 2**63 - 1))
+        eval_seeds.append(child_seed(seed, "eval-seed"))
         awd0 = checkpoint_awd(run, eval_seeds[-1])
         history = [{"iteration": 0, "awd": awd0}]
         results.append(TrainResult(run, history, bank_from_state(run).copy(), awd0, 0))
@@ -756,8 +760,7 @@ def train_many(jobs: list[tuple[TrainConfig, list[PartyView]]], read) -> list:
 
     def stack_key(job):
         config, views = job
-        layout = [(v.party_id, v.attribute_indices) for v in views]
-        return replace(config, seed=0), layout, views[0].dataset.n_steps
+        return replace(config, seed=0), _layout(views)
 
     def train_chunk(chunk):
         stacks = [list(group) for _, group in groupby(chunk, stack_key)]

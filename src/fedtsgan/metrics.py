@@ -8,21 +8,13 @@ downstream task comparison, and a 2-D PCA projection for plotting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .data import TimeSeriesDataset
+from .data import TimeSeriesDataset, carriers
 from .rng import stream
-
-
-@dataclass
-class MetricReport:
-    name: str
-    value: float
-    breakdown: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
 
 
 def wd_1d(u, v) -> float:
@@ -77,8 +69,7 @@ def estimate_amplitudes(dataset: TimeSeriesDataset, frequencies=None) -> np.ndar
     freqs = np.asarray(frequencies, dtype=np.float64)
     if freqs.size != dataset.n_attributes:
         raise ValueError("need one frequency per attribute")
-    t = np.arange(dataset.n_steps, dtype=np.float64)
-    carrier = np.sin(2.0 * np.pi * freqs[:, None] * t[None, :])  # (A, T)
+    carrier = carriers(freqs, dataset.n_steps)
     return (2.0 / dataset.n_steps) * np.einsum("mat,at->ma", dataset.data, carrier)
 
 
@@ -105,15 +96,9 @@ def amplitude_ratio(dataset: TimeSeriesDataset, frequencies) -> tuple[float, flo
 def sine_mae(synth: TimeSeriesDataset, frequencies=None) -> float:
     """Rebuild each synthetic sample from its estimated amplitude and the
     known carrier, then mean absolute reconstruction error over (m, n, t)."""
-    if frequencies is None:
-        frequencies = synth.frequencies()
-    if frequencies is None:
-        raise ValueError("no frequency metadata; pass frequencies explicitly")
-    freqs = np.asarray(frequencies, dtype=np.float64)
-    amps = estimate_amplitudes(synth, freqs)  # (N, A)
-    t = np.arange(synth.n_steps, dtype=np.float64)
-    carrier = np.sin(2.0 * np.pi * freqs[:, None] * t[None, :])  # (A, T)
-    rebuilt = amps[:, :, None] * carrier[None, :, :]
+    frequencies = synth.frequencies() if frequencies is None else frequencies
+    amps = estimate_amplitudes(synth, frequencies)  # (N, A); checks the frequencies
+    rebuilt = amps[:, :, None] * carriers(frequencies, synth.n_steps)[None, :, :]
     return float(np.mean(np.abs(synth.data - rebuilt)))
 
 
@@ -201,12 +186,13 @@ def tpd(
     task: str,
     seed: int = 0,
     steps: int = 200,
-) -> MetricReport:
+) -> tuple[float, dict]:
     """Four-scenario downstream comparison (TRTR / TSTS / TRTS / TSTR).
 
     ``synth`` is split in order into train/test with the same proportions as
     the real split. Classification reports accuracy; forecasting reports
-    mean absolute error of one-step-ahead prediction.
+    mean absolute error of one-step-ahead prediction. Returns the TPD and
+    the breakdown: each scenario's performance and the metric's name.
     """
     if task not in ("classify", "forecast"):
         raise ValueError(f"unknown task {task!r}")
@@ -222,35 +208,20 @@ def tpd(
             if ds.labels is None:
                 raise ValueError(f"classification needs labels; {name} has none")
         n_classes = int(max(real_train.labels.max(), real_test.labels.max(), synth.labels.max())) + 1
-        model_r = _classify_fit(real_train, n_classes, seed, steps)
-        model_s = _classify_fit(synth_train, n_classes, seed, steps)
-        p_trtr = _classify_eval(model_r, real_test)
-        p_tsts = _classify_eval(model_s, synth_test)
-        p_trts = _classify_eval(model_r, synth_test)
-        p_tstr = _classify_eval(model_s, real_test)
-        metric = "accuracy"
+        fit = lambda train: _classify_fit(train, n_classes, seed, steps)
+        score, metric = _classify_eval, "accuracy"
     else:
-        models_r = _forecast_fit(real_train, seed, steps)
-        models_s = _forecast_fit(synth_train, seed, steps)
-        p_trtr = _forecast_eval(models_r, real_test)
-        p_tsts = _forecast_eval(models_s, synth_test)
-        p_trts = _forecast_eval(models_r, synth_test)
-        p_tstr = _forecast_eval(models_s, real_test)
-        metric = "mae"
-
-    value = tpd_from_performances(p_trtr, p_tsts, p_trts, p_tstr)
-    return MetricReport(
-        name="tpd",
-        value=value,
-        breakdown={
-            "TRTR": p_trtr,
-            "TSTS": p_tsts,
-            "TRTS": p_trts,
-            "TSTR": p_tstr,
-            "metric": metric,
-        },
-        config={"task": task, "seed": seed, "steps": steps},
-    )
+        fit = lambda train: _forecast_fit(train, seed, steps)
+        score, metric = _forecast_eval, "mae"
+    model_r, model_s = fit(real_train), fit(synth_train)
+    breakdown = {
+        "TRTR": score(model_r, real_test),
+        "TSTS": score(model_s, synth_test),
+        "TRTS": score(model_r, synth_test),
+        "TSTR": score(model_s, real_test),
+    }
+    value = tpd_from_performances(*breakdown.values())
+    return value, breakdown | {"metric": metric}
 
 
 @dataclass

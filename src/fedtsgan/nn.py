@@ -151,10 +151,7 @@ class MlpModel:
         self.params, self.shapes = _pack(
             [l.weight for l in self.layers], [l.bias for l in self.layers]
         )
-        weights, biases = _split(self.params, self.shapes)
-        self.layers = [
-            Layer(w, b, l.activation) for l, w, b in zip(self.layers, weights, biases)
-        ]
+        self.layers = MlpModel.from_params(self.params, self.shapes, self.layers).layers
 
     @property
     def in_dim(self) -> int:
@@ -217,9 +214,6 @@ class GradientSet:
         out_dim, in_dim = self.shapes[0]
         return self.flat[..., : out_dim * (in_dim + 1)]
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
     def copy(self) -> "GradientSet":
         return GradientSet.from_flat(self.flat.copy(), self.shapes)
 
@@ -245,8 +239,9 @@ class ActivationTrace:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exponentiates only -|x|: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below
-    e = np.exp(-np.abs(x))
+    # exponentiates only -|x|: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below;
+    # min(x, -x) is -|x| that keeps a NaN's sign
+    e = np.exp(np.minimum(x, -x))
     d = 1.0 + e
     return np.where(x >= 0.0, 1.0 / d, e / d)
 
@@ -407,7 +402,7 @@ def adam_step(model: MlpModel, grads: GradientSet, state: AdamState) -> None:
     """
     if grads.shapes != model.shapes:
         raise ShapeError("gradient shapes do not match model")
-    if not grads.is_finite():
+    if not np.isfinite(grads.flat).all():
         raise NonFiniteError("non-finite gradient; model left unchanged")
 
     state.t += 1
@@ -453,24 +448,22 @@ def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) 
     return MlpModel(layers)
 
 
-def _clamp(s: np.ndarray) -> np.ndarray:
-    # np.clip's value, NaN included, without its Python-level wrapper
-    return np.minimum(np.maximum(s, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
+def _clamp(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``s`` clamped to [1e-7, 1-1e-7] (np.clip's value, NaN included,
+    without its Python-level wrapper) and the mask of ``s`` strictly inside."""
+    lo, hi = SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP
+    return np.minimum(np.maximum(s, lo), hi), (s > lo) & (s < hi)
 
 
 def clamped_log(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(s) with s clamped to [1e-7, 1-1e-7]; returns (value, d/ds)."""
-    lo, hi = SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP
-    c = _clamp(s)
-    inside = (s > lo) & (s < hi)
+    c, inside = _clamp(s)
     return np.log(c), np.where(inside, 1.0 / c, 0.0)
 
 
 def clamped_log1m(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(1-s) with s clamped to [1e-7, 1-1e-7]; returns (value, d/ds)."""
-    lo, hi = SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP
-    c = _clamp(s)
-    inside = (s > lo) & (s < hi)
+    c, inside = _clamp(s)
     return np.log(1.0 - c), np.where(inside, -1.0 / (1.0 - c), 0.0)
 
 

@@ -20,3 +20,8 @@ def stream_seed(master_seed: int, *tags) -> int:
 
 def stream(master_seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(stream_seed(master_seed, *tags)))
+
+
+def child_seed(master_seed: int, *tags) -> int:
+    """A derived master seed: one draw of the stream keyed by ``tags``."""
+    return int(stream(master_seed, *tags).integers(0, 2**63 - 1))

@@ -221,6 +221,24 @@ class TestCalibrate:
             acc.calibrate(1e-6, 1e-3, 0.5, 100000)
 
     @pytest.mark.parametrize(
+        "epsilon, delta, gamma, steps",
+        [
+            (10.0, 1e-3, 0.0625, 150),
+            (10.0, 1e-3, 0.5, 2000),
+            (10.0, 1e-3, 0.05, 2000),
+            (1e6, 1e-3, 0.05, 10),
+        ],
+        ids=["sine6", "gamma-half", "calibrate-command", "first-sigma"],
+    )
+    def test_returns_the_first_grid_sigma_that_meets_the_budget(self, epsilon, delta, gamma, steps):
+        # the exact grid point, where the bisection oracle above allows 0.01
+        sigma, _, achieved = acc.calibrate(epsilon, delta, gamma, steps)
+        k = acc.SIGMA_GRID.index(sigma)
+        assert acc.spent_epsilon(sigma, gamma, steps, delta)[0] == achieved <= epsilon
+        if k > 0:
+            assert acc.spent_epsilon(acc.SIGMA_GRID[k - 1], gamma, steps, delta)[0] > epsilon
+
+    @pytest.mark.parametrize(
         "budget",
         [
             (10.0, 1e-3, 1 / 16, 150),  # the sine6 budget-mode benchmark
@@ -275,6 +293,12 @@ class TestRdpCurveInvariants:
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):
             acc.RdpCurve((2, 3), (0.1, -0.1))
+
+    @pytest.mark.parametrize("eps", [(math.nan, 0.5), (math.nan, math.nan)], ids=["one", "all"])
+    def test_rejects_nan_eps(self, eps):
+        # an all-NaN curve would convert to (inf, 2)
+        with pytest.raises(ValueError):
+            acc.RdpCurve((2, 3), eps)
 
     def test_rejects_alpha_below_two(self):
         with pytest.raises(ValueError):

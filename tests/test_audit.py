@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fedtsgan import audit, data
 from fedtsgan import federation as fed
+from fedtsgan.rng import child_seed
 
 
 def toy_dataset(values, t_steps=4):
@@ -293,7 +294,7 @@ class TestRunAssd:
         got = audit.run_assd(ds, 5, recording, audit_cfg)
         want = audit.run_assd(ds, 5, per_job, audit_cfg)
         assert seen == [
-            [(7 + world, audit.stream_seed_for(4, world, m)) for world in (0, 1) for m in range(3)]
+            [(7 + world, child_seed(4, "shadow", world, m)) for world in (0, 1) for m in range(3)]
         ]
         assert (got.features_world0, got.features_world1, got.auc, got.invalid_runs) == (
             want.features_world0,

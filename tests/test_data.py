@@ -1,5 +1,7 @@
+import ast
 import csv
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,3 +365,37 @@ class TestDatasetInvariants:
             assert part.attribute_names == ds.attribute_names
             assert part.attribute_names is not ds.attribute_names
             assert part.meta == ds.meta and part.meta is not ds.meta
+
+
+class TestOneOwner:
+    def test_carriers_seeds_and_float_cells_have_one_owner(self):
+        # the sine carriers, the derived seeds and the 17-digit float cells
+        # are each computed by one function of the package
+        root = Path(__file__).resolve().parents[1]
+        sites = set()
+        for path in sorted(root.glob("src/fedtsgan/*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and (node.value.id, node.attr) == ("np", "sin")
+                    ):
+                        kind = "np.sin"
+                    elif (
+                        isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.Pow)
+                        and [getattr(x, "value", None) for x in (node.left, node.right)] == [2, 63]
+                    ):
+                        kind = "2**63"
+                    elif isinstance(node, ast.Constant) and ".17g" in str(node.value):
+                        kind = ".17g"
+                    else:
+                        continue
+                    sites.add((path.stem, getattr(top, "name", None), kind))
+        assert sites == {
+            ("data", "carriers", "np.sin"),
+            ("rng", "child_seed", "2**63"),
+            ("cli", "_fmt", ".17g"),
+            ("data", "_write_rows", ".17g"),
+        }

@@ -273,14 +273,11 @@ def test_leaky_relu_matches_where_form_on_edge_values_bytes(lead):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("tag", ["identity", "relu", "tanh"])
+@pytest.mark.parametrize("tag", ["identity", "relu", "tanh", "sigmoid"])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
 def test_activations_match_reference_forms_on_edge_values_bytes(tag, lead):
-    """Identity, ReLU and tanh on the same edge operands, against the
-    per-tensor forms: the activation, then delta times its derivative.
-    Sigmoid is not here: at a NaN input it gives a NaN of the other sign
-    than the masked form; ``test_sigmoid_matches_masked_form_bytes`` checks
-    it on finite values."""
+    """Identity, ReLU, tanh and sigmoid on the same edge operands, against
+    the per-tensor forms: the activation, then delta times its derivative."""
     pre, delta = edge_operands(lead)
     post = nn._act(tag, pre)
     assert post.tobytes() == ref_act(tag, pre).tobytes()

@@ -196,10 +196,10 @@ class TestTpd:
         n_test = ds.n_samples // 4
         real_train = ds.take(slice(0, ds.n_samples - n_test))
         real_test = ds.take(slice(ds.n_samples - n_test, None))
-        report = metrics.tpd(real_train, real_test, ds, "forecast", seed=0, steps=30)
-        assert report.value == 0.0
-        report_c = metrics.tpd(real_train, real_test, ds, "classify", seed=0, steps=30)
-        assert report_c.value == 0.0
+        value, _ = metrics.tpd(real_train, real_test, ds, "forecast", seed=0, steps=30)
+        assert value == 0.0
+        value_c, _ = metrics.tpd(real_train, real_test, ds, "classify", seed=0, steps=30)
+        assert value_c == 0.0
 
     def test_label_shuffled_classify_degrades(self):
         ds = data.gen_sine2(n_per_class=48, t_steps=24, seed=5)
@@ -211,11 +211,10 @@ class TestTpd:
         shuffled = data.TimeSeriesDataset(
             ds.data, rng.permutation(ds.labels), meta=dict(ds.meta)
         )
-        report = metrics.tpd(real_train, real_test, shuffled, "classify", seed=0, steps=150)
-        tstr = report.breakdown["TSTR"]
-        assert abs(tstr - 0.5) < 0.25  # near chance for 2 classes
-        assert report.value > 0.3
-        assert report.breakdown["TRTR"] > 0.8  # sanity: the task itself is learnable
+        value, breakdown = metrics.tpd(real_train, real_test, shuffled, "classify", seed=0, steps=150)
+        assert abs(breakdown["TSTR"] - 0.5) < 0.25  # near chance for 2 classes
+        assert value > 0.3
+        assert breakdown["TRTR"] > 0.8  # sanity: the task itself is learnable
 
     def test_missing_labels_rejected(self):
         ds = data.TimeSeriesDataset(np.random.default_rng(0).standard_normal((8, 1, 6)))

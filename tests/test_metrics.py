@@ -211,7 +211,9 @@ class TestTpd:
         shuffled = data.TimeSeriesDataset(
             ds.data, rng.permutation(ds.labels), meta=dict(ds.meta)
         )
-        value, breakdown = metrics.tpd(real_train, real_test, shuffled, "classify", seed=0, steps=150)
+        value, breakdown = metrics.tpd(
+            real_train, real_test, shuffled, "classify", seed=0, steps=150
+        )
         assert abs(breakdown["TSTR"] - 0.5) < 0.25  # near chance for 2 classes
         assert value > 0.3
         assert breakdown["TRTR"] > 0.8  # sanity: the task itself is learnable
